@@ -23,9 +23,18 @@ from .errors import HjbkitError, ParameterError, StabilityError
 __all__ = ["main"]
 
 
+_INPUT_FILES = ("model", "market", "field", "policy", "bounds")
+
+
 def _config_digest(args):
+    """Digest of the parsed arguments and the bytes of every input file."""
     payload = {k: repr(v) for k, v in sorted(vars(args).items())
                if k not in ("func", "out")}
+    for name in _INPUT_FILES:
+        path = getattr(args, name, None)
+        if path:
+            with open(path, "rb") as fh:
+                payload[f"{name}_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -104,30 +113,12 @@ def cmd_solve(args):
     return 0
 
 
-def _read_field_csv(path):
-    ys, ts, us = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("y,"):
-                continue
-            a, b, c = line.split(",")[:3]
-            ys.append(float(a))
-            ts.append(float(b))
-            us.append(float(c))
-    ys, ts, us = np.array(ys), np.array(ts), np.array(us)
-    uy = np.unique(ys)
-    ut = np.unique(ts)
-    values = np.empty((len(ut), len(uy)))
-    for j, t in enumerate(ut):
-        sel = ts == t
-        order = np.argsort(ys[sel])
-        values[j] = us[sel][order]
-    grid = pde.Grid1D(float(uy[0]), float(uy[-1]), len(uy))
-    return pde.ValueField(grid, values, ut)
+def _read_csv(path):
+    """Grid, time stamps and ``(layers, nodes, columns)`` table of a solve CSV.
 
-
-def _read_policy_csv(path):
+    Rows are ``y,t,<columns>``: the value is column 0 of ``value.csv``,
+    the control components are the columns of ``policy.csv``.
+    """
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -138,14 +129,12 @@ def _read_policy_csv(path):
     rows = np.array(rows)
     ys, ts = rows[:, 0], rows[:, 1]
     uy, ut = np.unique(ys), np.unique(ts)
-    k = rows.shape[1] - 2
-    table = np.empty((len(ut), len(uy), k))
+    table = np.empty((len(ut), len(uy), rows.shape[1] - 2))
     for j, t in enumerate(ut):
         sel = ts == t
-        order = np.argsort(ys[sel])
-        table[j] = rows[sel][order][:, 2:]
+        table[j] = rows[sel][np.argsort(ys[sel])][:, 2:]
     grid = pde.Grid1D(float(uy[0]), float(uy[-1]), len(uy))
-    return pde.PolicyField(grid, table, ut)
+    return grid, ut, table
 
 
 def _bound_spec(doc):
@@ -182,11 +171,12 @@ def cmd_verify(args):
             status = 1
 
     if args.field:
-        fld = _read_field_csv(args.field)
-        if args.policy:
-            policy = _read_policy_csv(args.policy).as_policy()
-        else:
+        if not args.policy:
             raise ParameterError("--policy is required with --field")
+        grid, stamps, table = _read_csv(args.field)
+        fld = pde.ValueField(grid, table[..., 0], stamps)
+        grid, stamps, table = _read_csv(args.policy)
+        policy = pde.PolicyField(grid, table, stamps).as_policy()
         horizon = args.horizon or float(fld.time_stamps[-1])
         finite = len(fld.time_stamps) > 1
         probes = [float(v) for v in args.probes.split(",")] if args.probes \

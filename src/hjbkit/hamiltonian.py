@@ -2,8 +2,10 @@
 
 ``H(y, u, p) = max over the control list of  i(y,d).p + h(y,d) u + f(y,d)``.
 
-The maximum is an exact scan over the model's finite control list; ties go
-to the lowest control index so policies are bit-reproducible.
+``maximize`` is the one operator behind the grid marches, the residual
+audit, ``scan`` and ``eval_H``; each caller contracts the drift with its
+own gradient.  The maximum is an exact scan over the finite control list;
+ties go to the lowest control index so policies are bit-reproducible.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["HamiltonianValue", "eval_H", "scan"]
+__all__ = ["HamiltonianValue", "eval_H", "scan", "control_tables", "maximize"]
 
 
 @dataclass(frozen=True)
@@ -23,17 +25,22 @@ class HamiltonianValue:
     runner_up_gap: float
 
 
-def candidate_values(model, y, u, p):
-    """Per-control values i.p + h*u + f, shape (n_controls, ...)."""
-    y = np.asarray(y, float)
-    p = np.asarray(p, float)
-    out = []
-    for delta in model.controls:
-        iv = model.eval_checked("drift", y, delta)
-        hv = model.eval_checked("discount_rate", y, delta)
-        fv = model.eval_checked("running_reward", y, delta)
-        out.append(np.sum(iv * p, axis=-1) + hv * u + fv)
-    return np.array(out)
+def control_tables(model, y, controls=None):
+    """``(i, h, f)`` of each control on the points ``y``, control axis first.
+
+    A control may also hold one control per point, as an override returns.
+    """
+    controls = model.controls if controls is None else controls
+    return tuple(np.array([model.eval_checked(name, y, d) for d in controls])
+                 for name in ("drift", "discount_rate", "running_reward"))
+
+
+def maximize(drift_term, h, f, u):
+    """Max over axis 0 of ``drift_term + h*u + f`` and its first argmax."""
+    cand = h * u  # summed in place: one (controls, points) temporary
+    cand += drift_term
+    cand += f
+    return cand.max(axis=0), cand.argmax(axis=0)
 
 
 def eval_H(model, y, u, p):
@@ -44,27 +51,24 @@ def eval_H(model, y, u, p):
         raise ParameterError(f"y and p must have length {model.dim}")
     if not np.isfinite(u):
         raise ParameterError("u must be finite")
-    values = candidate_values(model, y, float(u), p)
-    j = int(np.argmax(values))  # first max wins: lowest control index
-    if len(values) > 1:
-        gap = float(values[j] - np.partition(values, -2)[-2])
+    i, h, f = control_tables(model, y)
+    drift_term = np.sum(i * p, axis=-1)
+    value, j = maximize(drift_term, h, f, float(u))
+    if len(h) > 1:
+        rest = [np.delete(t, j, axis=0) for t in (drift_term, h, f)]
+        gap = float(value - maximize(*rest, float(u))[0])
     else:
         gap = np.inf
     return HamiltonianValue(
-        value=float(values[j]),
+        value=float(value),
         argmax=model.controls[j].copy(),
-        argmax_index=j,
+        argmax_index=int(j),
         runner_up_gap=gap,
     )
 
 
 def scan(model, y_batch, u_batch, p_batch):
-    """Vectorized control scan over a batch of (y, u, p) points.
-
-    Returns ``(values, argmax_indices)``; used by the grid solvers and the
-    residual operator.
-    """
-    cand = candidate_values(model, y_batch, np.asarray(u_batch, float),
-                            np.asarray(p_batch, float))
-    idx = np.argmax(cand, axis=0)
-    return np.max(cand, axis=0), idx
+    """Control scan over a batch of (y, u, p): ``(values, argmax_indices)``."""
+    i, h, f = control_tables(model, np.asarray(y_batch, float))
+    drift_term = np.sum(i * np.asarray(p_batch, float), axis=-1)
+    return maximize(drift_term, h, f, np.asarray(u_batch, float))

@@ -69,7 +69,7 @@ class ControlModel:
         """Evaluate one coefficient and raise if it returns non-finite values."""
         fn = getattr(self, name)
         out = np.asarray(fn(y) if delta is None else fn(y, delta), float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             bad = np.argwhere(~np.isfinite(out))
             idx = tuple(bad[0]) if bad.size else ()
             y_arr = np.asarray(y, float)

@@ -7,9 +7,13 @@ candidate solution of the stationary equation.
 
 Scheme: explicit Euler in time, centered second difference for the unit
 diffusion, first difference upwinded by the sign of the drift per
-candidate control.  The step must satisfy
+candidate control.  The Hamiltonian is ``hamiltonian.maximize`` on
+``(controls, nodes)`` tables, shared with the residual audit (centred
+gradient) and ``eval_H``; a closed-form override enters as a one-row
+table of the controls it returns.  The step must satisfy
 ``dt * (1/dy^2 + max|i|/dy + max h+) <= 1`` with the maxima taken over
-grid x controls; this is enforced, not assumed.
+grid x the controls applied (the grid list, or each step's override
+controls); this is enforced, not assumed.
 """
 
 import time as _time
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, StabilityError
+from .hamiltonian import control_tables, maximize
 
 __all__ = [
     "Grid1D",
@@ -168,22 +173,6 @@ class SolveReport:
         }
 
 
-def _coefficient_tables(model, ys):
-    """Per-control drift/discount/reward sampled on the grid, (M, nodes)."""
-    ybatch = ys[:, None]
-    i_tab, h_tab, f_tab = [], [], []
-    for delta in model.controls:
-        i_tab.append(model.eval_checked("drift", ybatch, delta)[:, 0])
-        h_tab.append(model.eval_checked("discount_rate", ybatch, delta))
-        f_tab.append(model.eval_checked("running_reward", ybatch, delta))
-    return np.array(i_tab), np.array(h_tab), np.array(f_tab)
-
-
-def _cfl_limit(i_tab, h_tab, dy):
-    denom = 1.0 / dy ** 2 + np.max(np.abs(i_tab)) / dy + max(np.max(h_tab), 0.0)
-    return 1.0 / denom
-
-
 def _second_difference(u, dy, boundary):
     d2 = np.empty_like(u)
     d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy ** 2
@@ -196,17 +185,6 @@ def _second_difference(u, dy, boundary):
     return d2
 
 
-def _upwind_gradient(u, drift_row, dy):
-    """First difference selected by the drift sign, one-sided at the edges."""
-    fwd = np.empty_like(u)
-    fwd[:-1] = (u[1:] - u[:-1]) / dy
-    fwd[-1] = fwd[-2]
-    bwd = np.empty_like(u)
-    bwd[1:] = (u[1:] - u[:-1]) / dy
-    bwd[0] = bwd[1]
-    return np.where(drift_row >= 0.0, fwd, bwd)
-
-
 def _centered_gradient(u, dy):
     grad = np.empty_like(u)
     grad[1:-1] = (u[2:] - u[:-2]) / (2.0 * dy)
@@ -215,30 +193,44 @@ def _centered_gradient(u, dy):
     return grad
 
 
-def _hamiltonian_step(u, ys, dy, i_tab, h_tab, f_tab, model, override):
-    """Max over controls of i*Du_upwind + h*u + f, plus the argmax control."""
-    if override is not None:
-        grad = _centered_gradient(u, dy)
-        delta = np.asarray(override(ys, u, grad), float)  # (nodes, k)
-        ybatch = ys[:, None]
-        drift = np.asarray(model.drift(ybatch, delta), float)[:, 0]
-        hv = np.asarray(model.discount_rate(ybatch, delta), float)
-        fv = np.asarray(model.running_reward(ybatch, delta), float)
-        du = _upwind_gradient(u, drift, dy)
-        return drift * du + hv * u + fv, delta
-    best = None
-    best_idx = None
-    for m in range(len(i_tab)):
-        du = _upwind_gradient(u, i_tab[m], dy)
-        cand = i_tab[m] * du + h_tab[m] * u + f_tab[m]
-        if best is None:
-            best = cand
-            best_idx = np.zeros(len(u), dtype=int)
-        else:
-            better = cand > best
-            best = np.where(better, cand, best)
-            best_idx = np.where(better, m, best_idx)
-    return best, model.controls[best_idx]
+def _march_hamiltonian(model, grid, dt, span, override):
+    """The march's ``u -> (H, policy)`` and a one-item list with its CFL ratio.
+
+    Each control's drift is upwinded by its own sign.  Grid controls are
+    tabulated and checked against the step limit once; a closed-form
+    override is a one-row table per step, each checked against the same
+    limit, so the ratio is the largest over the controls actually applied.
+    """
+    ys, dy = grid.ys, grid.spacing
+    cfl = [0.0]
+
+    def tabulate(controls):
+        i, h, f = control_tables(model, ys[:, None], controls)
+        i = i[..., 0]
+        dt_max = 1.0 / (1.0 / dy ** 2 + np.abs(i).max() / dy + max(h.max(), 0.0))
+        if dt > dt_max * (1.0 + 1e-12):
+            raise StabilityError(dt, dt_max, int(np.ceil(span / dt_max)))
+        cfl[0] = max(cfl[0], dt / dt_max)
+        return i, i >= 0.0, h, f
+
+    def upwind_max(u, i, upwind, h, f):
+        # forward differences are d[1:], backward d[:-1]; one-sided at edges
+        d = np.empty(len(u) + 1)
+        d[1:-1] = (u[1:] - u[:-1]) / dy
+        d[0], d[-1] = d[1], d[-2]
+        return maximize(i * np.where(upwind, d[1:], d[:-1]), h, f, u)
+
+    if override is None:
+        tables = tabulate(None)
+
+        def hamiltonian(u):
+            H, idx = upwind_max(u, *tables)
+            return H, model.controls[idx]
+    else:
+        def hamiltonian(u):
+            delta = np.asarray(override(ys, u, _centered_gradient(u, dy)), float)
+            return upwind_max(u, *tabulate([delta]))[0], delta
+    return hamiltonian, cfl
 
 
 def _apply_boundary(u, boundary):
@@ -259,13 +251,9 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     """
     if model.dim != 1:
         raise ParameterError("grid solver supports dim=1 only")
-    ys = grid.ys
-    dy = grid.spacing
-    dt = time.dt
-    i_tab, h_tab, f_tab = _coefficient_tables(model, ys)
-    dt_max = _cfl_limit(i_tab, h_tab, dy)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise StabilityError(dt, dt_max, int(np.ceil(time.horizon / dt_max)))
+    ys, dy, dt = grid.ys, grid.spacing, time.dt
+    hamiltonian, cfl = _march_hamiltonian(model, grid, dt, time.horizon,
+                                          control_override)
 
     t0 = _time.perf_counter()
     if terminal_values is not None:
@@ -275,30 +263,30 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     else:
         u = model.eval_checked("terminal_reward", ys[:, None]).astype(float)
 
-    layers = [u.copy()]
-    stamps = [time.horizon]
-    policies = [_hamiltonian_step(u, ys, dy, i_tab, h_tab, f_tab, model,
-                                  control_override)[1]]
-    for s in range(time.steps):
-        H, _ = _hamiltonian_step(u, ys, dy, i_tab, h_tab, f_tab, model,
-                                 control_override)
-        u = u + dt * (0.5 * _second_difference(u, dy, grid.boundary) + H)
+    layers, stamps, policies = [], [], []
+    # one Hamiltonian per step plus one at t = 0: a retained layer's policy
+    # and, at the end, the final time derivative
+    for n in range(time.steps + 1):
+        H, pol = hamiltonian(u)
+        rhs = 0.5 * _second_difference(u, dy, grid.boundary) + H
+        if n % slice_stride == 0 or n == time.steps:
+            layers.append(u)
+            stamps.append(time.horizon - n * dt)
+            policies.append(pol)
+        if n == time.steps:
+            break
+        u = u + dt * rhs
         _apply_boundary(u, grid.boundary)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             bad = int(np.argmax(~np.isfinite(u)))
             raise DivergenceError(
-                f"non-finite update at node {bad} (y={ys[bad]:g}), step {s}"
+                f"non-finite update at node {bad} (y={ys[bad]:g}), step {n}"
             )
-        t = time.horizon - (s + 1) * dt
-        if (s + 1) % slice_stride == 0 or s == time.steps - 1:
-            layers.append(u.copy())
-            stamps.append(t)
-            policies.append(_hamiltonian_step(u, ys, dy, i_tab, h_tab, f_tab,
-                                              model, control_override)[1])
 
     order = np.argsort(stamps)
     vf = ValueField(grid, np.array(layers)[order], np.array(stamps)[order])
     pf = PolicyField(grid, np.array(policies)[order], np.array(stamps)[order])
+    del hamiltonian  # release the march tables: residual builds its own
     res = residual(model, ValueField(grid, u, 0.0), control_override)
     report = SolveReport(
         scheme={
@@ -308,12 +296,9 @@ def solve_finite_horizon(model, grid, time, control_override=None,
             "boundary": grid.boundary,
             "override": control_override is not None,
         },
-        cfl_ratio=float(dt / dt_max),
+        cfl_ratio=float(cfl[0]),
         residual_norm=float(np.max(np.abs(res))),
-        dvdt_norm=float(np.max(np.abs(0.5 * _second_difference(u, dy, grid.boundary)
-                                      + _hamiltonian_step(u, ys, dy, i_tab, h_tab,
-                                                          f_tab, model,
-                                                          control_override)[0])[1:-1])),
+        dvdt_norm=float(np.max(np.abs(rhs[1:-1]))),
         steps=time.steps,
         wall_time=_time.perf_counter() - t0,
     )
@@ -334,12 +319,9 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
         raise ParameterError("grid solver supports dim=1 only")
     if not tol_dt > 0:
         raise ParameterError("tol_dt must be positive")
-    ys = grid.ys
-    dy = grid.spacing
-    i_tab, h_tab, f_tab = _coefficient_tables(model, ys)
-    dt_max = _cfl_limit(i_tab, h_tab, dy)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise StabilityError(dt, dt_max, int(np.ceil(t_max / dt_max)))
+    ys, dy = grid.ys, grid.spacing
+    hamiltonian, cfl = _march_hamiltonian(model, grid, dt, t_max,
+                                          control_override)
 
     t0 = _time.perf_counter()
     v = np.zeros(len(ys))
@@ -349,17 +331,16 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     converged = False
     s = 0
     for s in range(1, steps + 1):
-        H, pol = _hamiltonian_step(v, ys, dy, i_tab, h_tab, f_tab, model,
-                                   control_override)
+        H, pol = hamiltonian(v)
         rhs = 0.5 * _second_difference(v, dy, grid.boundary) + H
         v = v + dt * rhs
         _apply_boundary(v, grid.boundary)
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > _OVERFLOW_GUARD:
+        if not np.isfinite(v).all() or np.abs(v).max() > _OVERFLOW_GUARD:
             raise DivergenceError(
                 "long-time march diverged: the discounted reward appears "
                 "non-integrable over an infinite horizon for this model"
             )
-        dvdt = float(np.max(np.abs(rhs[1:-1])))
+        dvdt = float(np.abs(rhs[1:-1]).max())
         if dvdt < tol_dt:
             converged = True
             break
@@ -367,6 +348,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     t_final = s * dt
     vf = ValueField(grid, v, t_final)
     pf = PolicyField(grid, pol, t_final)
+    del hamiltonian  # release the march tables: residual builds its own
     res = residual(model, vf, control_override)
     report = SolveReport(
         scheme={
@@ -378,7 +360,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
             "t_max": t_max,
             "override": control_override is not None,
         },
-        cfl_ratio=float(dt / dt_max),
+        cfl_ratio=float(cfl[0]),
         residual_norm=float(np.max(np.abs(res))),
         dvdt_norm=dvdt,
         steps=s,
@@ -394,22 +376,16 @@ def residual(model, fld, control_override=None):
         raise ParameterError("residual supports dim=1 only")
     if len(fld.values) != 1:
         raise ParameterError("field must be stationary (single layer)")
-    ys = fld.grid.ys
+    ys = fld.grid.ys[1:-1]
     dy = fld.grid.spacing
     u = fld.values[0]
-    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy ** 2
-    grad = (u[2:] - u[:-2]) / (2.0 * dy)
-    yin = ys[1:-1][:, None]
+    d2 = _second_difference(u, dy, "one_sided")[1:-1]
+    grad = _centered_gradient(u, dy)[1:-1]
     uin = u[1:-1]
-    if control_override is not None:
-        delta = np.asarray(control_override(ys[1:-1], uin, grad), float)
-        drift = np.asarray(model.drift(yin, delta), float)[:, 0]
-        hv = np.asarray(model.discount_rate(yin, delta), float)
-        fv = np.asarray(model.running_reward(yin, delta), float)
-        H = drift * grad + hv * uin + fv
-    else:
-        from .hamiltonian import scan
-        H, _ = scan(model, yin, uin, grad[:, None])
+    controls = None if control_override is None else \
+        [np.asarray(control_override(ys, uin, grad), float)]
+    i, h, f = control_tables(model, ys[:, None], controls)
+    H, _ = maximize(i[..., 0] * grad, h, f, uin)
     return 0.5 * d2 + H
 
 

@@ -196,9 +196,12 @@ def _reduce(payoffs, excluded, mc, horizon, keep_logs=None):
     n_excl = int(np.count_nonzero(excluded))
     if n_excl > _EXCLUSION_BUDGET * n:
         raise PathExclusionError(n_excl, n)
-    vals = payoffs[~excluded]
-    if mc.antithetic and n % 2 == 0 and not excluded.any():
-        vals = 0.5 * (payoffs[0::2] + payoffs[1::2])
+    if mc.antithetic:
+        # a pair is one sample: an excluded path drops its partner too
+        pairs = ~(excluded[0::2] | excluded[1::2])
+        vals = 0.5 * (payoffs[0::2][pairs] + payoffs[1::2][pairs])
+    else:
+        vals = payoffs[~excluded]
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return EstimatorResult(

@@ -181,6 +181,23 @@ class TestReproducibility:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_digest_covers_input_file_content(self, tmp_path):
+        model = tmp_path / "model.json"
+        doc = json.loads(open(MODEL).read())
+        args = ("check", "--model", model, "--samples", 32, "--seed", 1)
+
+        def digest(out):
+            assert run(*args, "--out", tmp_path / out) == 0
+            rep = json.loads((tmp_path / out / "assumption_report.json").read_text())
+            return rep["config_digest"]
+
+        model.write_text(json.dumps(doc))
+        first = digest("a")
+        assert digest("b") == first
+        doc["L1"] = doc["L1"] + 1.0  # same path, edited content
+        model.write_text(json.dumps(doc))
+        assert digest("c") != first
+
     def test_kappa_reruns_byte_identical(self, tmp_path):
         args = ("kappa", "--model", MODEL, "--radius", 1, "--horizon", 2,
                 "--paths", 200, "--dt-sim", 2e-2, "--seed", 5)

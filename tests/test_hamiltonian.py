@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hjbkit as hk
 from hjbkit.errors import ParameterError
-from hjbkit.hamiltonian import scan
+from hjbkit.hamiltonian import maximize, scan
 
 from conftest import ou_model
 
@@ -106,3 +109,52 @@ def test_constant_reward_shift():
         b = hk.eval_H(m2, y, u, p)
         assert b.argmax_index == a.argmax_index
         assert b.value == pytest.approx(a.value + 3.5, abs=1e-12)
+
+
+def loop_maximize(drift_term, h, f, u):
+    """Per-control loop kept as the oracle: strict '>' keeps the first max."""
+    best = drift_term[0] + h[0] * u + f[0]
+    best_idx = np.zeros(best.shape, dtype=int)
+    for m in range(1, len(h)):
+        cand = drift_term[m] + h[m] * u + f[m]
+        better = cand > best
+        best = np.where(better, cand, best)
+        best_idx = np.where(better, m, best_idx)
+    return best, best_idx
+
+
+@st.composite
+def tables_with_duplicates(draw):
+    """(drift_term, h, f, u) tables whose rows repeat earlier rows."""
+    rows = draw(st.integers(1, 6))
+    nodes = draw(st.integers(1, 8))
+    vals = st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: round(v, 1))
+    distinct = draw(arrays(float, (rows, 3, nodes), elements=vals))
+    source = draw(st.lists(st.integers(0, rows - 1), min_size=rows,
+                           max_size=rows + 4))
+    tab = distinct[source]  # repeated indices give duplicated rows
+    u = draw(arrays(float, nodes, elements=vals))
+    return tab[:, 0], tab[:, 1], tab[:, 2], u
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_duplicates())
+def test_operator_matches_loop_with_first_index_ties(tables):
+    drift_term, h, f, u = tables
+    value, idx = maximize(drift_term, h, f, u)
+    ref, ref_idx = loop_maximize(drift_term, h, f, u)
+    assert np.array_equal(value, ref)
+    assert np.array_equal(idx, ref_idx)
+    # a duplicated row never wins over its first occurrence
+    for node, j in enumerate(idx):
+        rows = np.stack([drift_term[:, node], h[:, node], f[:, node]], axis=1)
+        assert not any(np.array_equal(rows[j], rows[k]) for k in range(j))
+
+
+def test_operator_one_row():
+    drift_term, h, f = (np.array([[0.5, -1.0]]), np.array([[-1.0, 0.0]]),
+                        np.array([[2.0, 3.0]]))
+    u = np.array([1.0, 4.0])
+    value, idx = maximize(drift_term, h, f, u)
+    assert np.array_equal(value, [1.5, 2.0])
+    assert np.array_equal(idx, [0, 0])

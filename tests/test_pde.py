@@ -40,6 +40,34 @@ class TestStability:
         # re-running at the suggested resolution succeeds
         hk.solve_finite_horizon(m, g, hk.TimeGrid(1.0, err.min_steps))
 
+    def test_override_controls_checked_each_step(self):
+        # ou_model on [-3, 3]: the grid controls give max|i| = 3 + 1, an
+        # override that applies delta = 50 gives 3 + 50
+        m = ou_model()
+        g = hk.Grid1D(-3, 3, 61)
+        dy = g.spacing
+        dt_grid = 1.0 / (1.0 / dy ** 2 + 4.0 / dy)
+        dt_applied = 1.0 / (1.0 / dy ** 2 + 53.0 / dy)
+
+        def override(ys, u, grad):
+            return np.full((len(ys), 1), 50.0)
+
+        hk.solve_infinite_horizon(m, g, dt_grid, 1e-6, 1.0)
+        with pytest.raises(StabilityError):
+            hk.solve_infinite_horizon(m, g, dt_grid, 1e-6, 1.0,
+                                      control_override=override)
+        steps = int(np.ceil(1.0 / dt_grid))
+        with pytest.raises(StabilityError) as exc:
+            hk.solve_finite_horizon(m, g, hk.TimeGrid(1.0, steps),
+                                    control_override=override)
+        assert exc.value.min_steps == int(np.ceil(1.0 / dt_applied))
+        # at the suggested step count the march runs and reports its ratio
+        _, pf, rep = hk.solve_finite_horizon(
+            m, g, hk.TimeGrid(1.0, exc.value.min_steps),
+            control_override=override)
+        assert np.all(pf.controls == 50.0)
+        assert 0.99 < rep.cfl_ratio <= 1.0
+
     def test_cfl_ratio_reported(self):
         m = ou_model()
         g = hk.Grid1D(-3, 3, 61)
@@ -112,6 +140,63 @@ class TestFiniteHorizon:
                 hk.TimeGrid(1.0, 2000))
             mid = slice(nodes // 4, -nodes // 4)
             assert np.max(np.abs(a.layer(0.0)[mid] - b.layer(0.0)[mid])) < 1e-3
+
+
+    def test_one_hamiltonian_per_step_plus_one(self):
+        m = ou_model()
+        calls = []
+
+        def override(ys, u, grad):
+            calls.append(len(ys))
+            return np.zeros((len(ys), 1))
+
+        g = hk.Grid1D(-3, 3, 31)
+        hk.solve_finite_horizon(m, g, hk.TimeGrid(1.0, 500),
+                                control_override=override, slice_stride=7)
+        # 500 steps + the t = 0 layer on the grid, then the residual audit
+        # on the interior nodes
+        assert calls == [31] * 501 + [29]
+
+    def test_retained_policies_are_first_argmax_of_their_layer(self):
+        # controls 2k and 2k+1 share every coefficient, so each pair ties;
+        # across pairs the argmax follows the sign of g(y) - u, so the
+        # policy switches from step to step as the value moves
+        def pair(d):
+            return np.floor(np.asarray(d, float)[..., 0] / 2.0)
+
+        def drift(y, d):
+            return -np.asarray(y, float) + (pair(d) - 1.0)[..., None]
+
+        m = hk.ControlModel(
+            dim=1, drift=drift,
+            discount_rate=lambda y, d: np.broadcast_to(
+                -1.0 - pair(d), np.asarray(y).shape[:-1]).copy(),
+            running_reward=lambda y, d: pair(d) * (
+                0.5 + 0.25 * np.asarray(y, float)[..., 0]),
+            terminal_reward=lambda y: np.cos(np.asarray(y, float)[..., 0]),
+            controls=np.arange(6.0)[:, None], lip_L1=2.0, lip_L2=-1.0)
+        g = hk.Grid1D(-2, 2, 41)
+        vf, pf, _ = hk.solve_finite_horizon(m, g, hk.TimeGrid(0.5, 90),
+                                            slice_stride=3)
+        assert len(vf.time_stamps) == 31
+        dy = g.spacing
+        yb = g.ys[:, None]
+        for u, pol in zip(vf.values, pf.controls):
+            fwd = np.append(np.diff(u), u[-1] - u[-2]) / dy
+            bwd = np.insert(np.diff(u), 0, u[1] - u[0]) / dy
+            best = np.full(len(u), -np.inf)
+            best_j = np.zeros(len(u), dtype=int)
+            for j, d in enumerate(m.controls):  # independent oracle loop
+                i = m.drift(yb, d)[:, 0]
+                cand = (i * np.where(i >= 0, fwd, bwd)
+                        + m.discount_rate(yb, d) * u + m.running_reward(yb, d))
+                better = cand > best
+                best = np.where(better, cand, best)
+                best_j = np.where(better, j, best_j)
+            assert np.array_equal(pol[:, 0], m.controls[best_j, 0])
+            assert np.all(pol[:, 0] % 2 == 0)  # the lower index of each tie
+        switches = np.sum(pf.controls[1:] != pf.controls[:-1])
+        assert switches > 10
 
 
 class TestInfiniteHorizon:
@@ -187,26 +272,29 @@ class TestFields:
         assert np.all(out == 0.0)
 
     def test_value_csv_round_trip(self, tmp_path):
-        from hjbkit.cli import _read_field_csv
+        from hjbkit.cli import _read_csv
         m = constant_model()
         g = hk.Grid1D(-1, 1, 21)
         vf, _, _ = hk.solve_finite_horizon(m, g, hk.TimeGrid(0.5, 1000),
                                            slice_stride=250)
         path = tmp_path / "value.csv"
         vf.to_csv(path, ["seed=0"])
-        back = _read_field_csv(path)
-        assert np.array_equal(back.values, vf.values)
-        assert np.array_equal(back.time_stamps, vf.time_stamps)
+        grid, stamps, table = _read_csv(path)
+        assert grid == g
+        assert np.array_equal(table[..., 0], vf.values)
+        assert np.array_equal(stamps, vf.time_stamps)
 
     def test_policy_csv_round_trip(self, tmp_path):
-        from hjbkit.cli import _read_policy_csv
+        from hjbkit.cli import _read_csv
         m = ou_model()
         g = hk.Grid1D(-3, 3, 61)
         _, pf, _ = hk.solve_infinite_horizon(m, g, 2.5e-3, 1e-5, 100.0)
         path = tmp_path / "policy.csv"
         pf.to_csv(path)
-        back = _read_policy_csv(path)
-        assert np.array_equal(back.controls, pf.controls)
+        grid, stamps, table = _read_csv(path)
+        assert grid == g
+        assert np.array_equal(table, pf.controls)
+        assert np.array_equal(stamps, pf.time_stamps)
 
 
 class TestGradientBound:

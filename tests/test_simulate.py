@@ -3,7 +3,7 @@ import pytest
 
 import hjbkit as hk
 from hjbkit.errors import ParameterError, PathExclusionError
-from hjbkit.simulate import simulate_paths
+from hjbkit.simulate import _reduce, simulate_paths
 
 from conftest import constant_model, ou_model, zero_policy
 
@@ -99,6 +99,22 @@ class TestAntithetic:
                                  hk.MonteCarloConfig(paths=4000, dt=5e-3,
                                                      seed=3, antithetic=True))
         assert anti.std_error <= plain.std_error
+
+
+    def test_excluded_path_drops_its_pair(self):
+        mc = hk.MonteCarloConfig(paths=2000, dt=1e-2, seed=0, antithetic=True)
+        rng = np.random.default_rng(4)
+        payoffs = rng.normal(size=2000)
+        excluded = np.zeros(2000, dtype=bool)
+        excluded[7] = True          # forced exclusion: pair (6, 7) goes
+        payoffs[7] = np.nan
+        res = _reduce(payoffs, excluded, mc, 1.0)
+        pairs = 0.5 * (payoffs[0::2] + payoffs[1::2])
+        kept = np.delete(pairs, 3)
+        assert res.excluded == 1
+        assert res.mean == pytest.approx(np.mean(kept), rel=1e-12)
+        assert res.std_error == pytest.approx(
+            np.std(kept, ddof=1) / np.sqrt(len(kept)), rel=1e-12)
 
 
 class TestExclusion:
