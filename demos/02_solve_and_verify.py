@@ -54,9 +54,11 @@ def main():
         running_reward=model.running_reward,
         terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
         controls=model.controls, lip_L1=model.lip_L1, lip_L2=model.lip_L2)
-    for y in (-1.0, 0.0, 1.0):
+    probes = (-1.0, 0.0, 1.0)
+    ests = hk.estimate_value(reward_only, policy, [[y] for y in probes],
+                             0.0, 12.0, mc)
+    for y, est in zip(probes, ests):
         node = int(np.argmin(np.abs(grid.ys - y)))
-        est = hk.estimate_value(reward_only, policy, [y], 0.0, 12.0, mc)
         print(f"  y={y:+.1f}: pde={v_inf.values[0][node]:.5f} "
               f"mc={est.mean:.5f} +- {est.std_error:.1e}")
 

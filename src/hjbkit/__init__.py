@@ -50,6 +50,7 @@ from .pde import (
     solve_infinite_horizon,
 )
 from .simulate import (
+    DiffusionDiscountBound,
     DriftDiscountBound,
     EstimatorResult,
     ExponentialEnvelopeBound,

@@ -187,11 +187,12 @@ def cmd_verify(args):
             running_reward=mdl.running_reward,
             terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
             controls=mdl.controls, lip_L1=mdl.lip_L1, lip_L2=mdl.lip_L2)
-        for y in probes:
-            node = int(np.argmin(np.abs(fld.grid.ys - y)))
+        nodes = [int(np.argmin(np.abs(fld.grid.ys - y))) for y in probes]
+        ests = simulate.estimate_value(cmp_model, policy,
+                                       fld.grid.ys[nodes][:, None], 0.0,
+                                       horizon, mc)
+        for node, est in zip(nodes, ests):
             u_pde = float(fld.layer(0.0 if finite else None)[node])
-            est = simulate.estimate_value(cmp_model, policy,
-                                          [fld.grid.ys[node]], 0.0, horizon, mc)
             gap = abs(u_pde - est.mean)
             ok = gap <= 3.0 * est.std_error + args.tol
             rows.append({"y": float(fld.grid.ys[node]), "pde": u_pde,
@@ -301,7 +302,9 @@ def build_parser():
     _add_market(p)
     p.add_argument("--field", help="value.csv from solve")
     p.add_argument("--policy", help="policy.csv from solve")
-    p.add_argument("--probes", help="comma-separated probe states")
+    p.add_argument("--probes",
+                   help="comma-separated probe states; a list that starts "
+                        "with a negative value is written --probes=-1,...")
     p.add_argument("--bounds", help="bound scenario file (JSON)")
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--paths", type=int, default=20000)

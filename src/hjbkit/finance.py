@@ -35,24 +35,14 @@ __all__ = [
 ]
 
 
-def _scalar_fn(value):
-    """Coefficient of the factor: constant or callable of y (batch last axis N=1)."""
-    if callable(value):
-
-        def fn(y):
-            y = np.asarray(y, float)
-            out = np.asarray(value(y), float)
-            # accept callables that return either (...,) or (..., 1)
-            return out[..., 0] if out.shape == y.shape else out
-
-        return fn
-    v = float(value)
-
-    def fn(y):
-        y = np.asarray(y, float)
-        return np.full(y.shape[:-1], v)
-
-    return fn
+def _coef(value, y):
+    """Coefficient of the factor at y: constant or callable (batch last axis N=1)."""
+    y = np.asarray(y, float)
+    if not callable(value):
+        return np.full(y.shape[:-1], float(value))
+    out = np.asarray(value(y), float)
+    # accept callables that return either (...,) or (..., 1)
+    return out[..., 0] if out.shape == y.shape else out
 
 
 @dataclass(frozen=True)
@@ -82,16 +72,16 @@ class MarketModel:
             raise ParameterError("position and consumption caps must be positive")
 
     def r(self, y):
-        return _scalar_fn(self.short_rate)(y)
+        return _coef(self.short_rate, y)
 
     def b(self, y):
-        return _scalar_fn(self.excess_drift)(y)
+        return _coef(self.excess_drift, y)
 
     def sigma(self, y):
-        return _scalar_fn(self.volatility)(y)
+        return _coef(self.volatility, y)
 
     def i(self, y):
-        return _scalar_fn(self.factor_drift)(y)
+        return _coef(self.factor_drift, y)
 
     @property
     def is_constant(self):

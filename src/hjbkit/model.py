@@ -363,30 +363,22 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
     t_grid = np.linspace(horizon / t_points, horizon, t_points)
     mesh = _ball_mesh(model.dim, radius_n, y_points, mc.seed)
 
-    est_f = np.zeros((len(policy_family), len(mesh), len(t_grid)))
-    est_g = np.zeros_like(est_f)
-    non_integrable = False
-    divergence_info = ""
-    for pi, policy in enumerate(policy_family):
-        for yi, y0 in enumerate(mesh):
-            batch = sim.simulate_paths(model, policy, y0, horizon, mc,
-                                       checkpoints=t_grid)
-            disc = np.exp(batch.checkpoint_log_discounts)
-            ok = ~batch.excluded
-            for ti in range(len(t_grid)):
-                ys = batch.checkpoint_states[:, ti]
-                ds = batch.checkpoint_deltas[:, ti]
-                fv = np.abs(np.asarray(model.running_reward(ys, ds), float))
-                gv = np.abs(np.asarray(model.terminal_reward(ys), float))
-                ef = float(np.mean((disc[:, ti] * np.maximum(fv, 1.0))[ok]))
-                eg = float(np.mean((disc[:, ti] * np.maximum(gv, 1.0))[ok]))
-                est_f[pi, yi, ti] = ef
-                est_g[pi, yi, ti] = eg
-                if ef > OVERFLOW_GUARD or not np.isfinite(ef):
-                    non_integrable = True
-                    divergence_info = (
-                        f"estimator diverged at t={t_grid[ti]:g} under policy {pi}"
-                    )
+    groups = []
+    for _, excluded, mom in sim.discounted_samples(
+            model, policy_family, mesh, horizon, mc, t_grid,
+            "discounted_moments"):
+        est = np.empty((2,) + excluded.shape[:2] + t_grid.shape)
+        for p, s, r in np.ndindex(est.shape[1:]):
+            ok = ~excluded[p, s]
+            est[:, p, s, r] = (np.mean(mom["f"][p, s, :, r][ok]),
+                               np.mean(mom["g"][p, s, :, r][ok]))
+        groups.append(est)
+    est_f, est_g = np.concatenate(groups, axis=1)
+    diverged = np.argwhere((est_f > OVERFLOW_GUARD) | ~np.isfinite(est_f))
+    non_integrable = bool(len(diverged))
+    divergence_info = (
+        f"estimator diverged at t={t_grid[diverged[-1][2]]:g} under policy "
+        f"{diverged[-1][0]}" if non_integrable else "")
     est_f = np.nan_to_num(est_f, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
     est_g = np.nan_to_num(est_g, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
 

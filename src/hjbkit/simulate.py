@@ -1,20 +1,31 @@
 """Euler-Maruyama simulation and Monte Carlo verification.
 
-The controlled state uses unit diffusion per coordinate, so the Euler step
-is exact in the noise term.  Both the discount integral and the discounted
-reward integral are accumulated by left-endpoint quadrature, keeping the
+One Euler loop, ``_march``, steps the controlled SDE for every (policy,
+start) pair of a call on the same Gaussian increments.  ``simulate_paths``
+collects its states, controls, discount integral and discounted reward
+integral at requested times; value estimates, horizon studies, bound checks
+and the kappa envelopes reduce those records, and ``coupled_contraction``
+reduces its distances step by step as the loop runs.  The state uses unit
+diffusion per coordinate, so the Euler step is exact in the noise term.
+Both integrals are accumulated by left-endpoint quadrature, keeping the
 discount multiplicative per step.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index)``: results are bit-reproducible and independent of
-how paths are scheduled or blocked.
+how paths are blocked, how the increments are chunked in time and how many
+(policy, start) pairs share them.  A block of paths keeps one generator per
+path alive and draws ``_CHUNK`` steps at a time, so the loop's memory does
+not grow with the horizon; the records ``simulate_paths`` returns take one
+value per policy, start, path and record time.  The moment checks simulate
+their policies in groups whose records fit in ``_RECORD_BYTES``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, PathExclusionError
+from .model import constant_policies
 
 __all__ = [
     "MonteCarloConfig",
@@ -22,15 +33,19 @@ __all__ = [
     "EstimatorResult",
     "simulate_paths",
     "estimate_value",
+    "discounted_samples",
     "coupled_contraction",
     "horizon_convergence",
     "verify_bounds",
     "DriftDiscountBound",
     "UniformDiscountBound",
+    "DiffusionDiscountBound",
     "ExponentialEnvelopeBound",
 ]
 
-_BLOCK = 1 << 14
+_BLOCK = 1 << 14      # paths per block
+_CHUNK = 128          # steps of increments drawn at a time
+_RECORD_BYTES = 1 << 25   # records per call of the grouped moment checks
 _EXCLUSION_BUDGET = 1e-3
 
 
@@ -52,17 +67,19 @@ class MonteCarloConfig:
 
 @dataclass
 class PathBatch:
-    y_final: np.ndarray
-    log_discount: np.ndarray
-    reward_integral: np.ndarray
-    excluded: np.ndarray
-    dt: float
-    horizon: float
-    checkpoint_times: np.ndarray = None
-    checkpoint_states: np.ndarray = None
-    checkpoint_log_discounts: np.ndarray = None
-    checkpoint_rewards: np.ndarray = None
-    checkpoint_deltas: np.ndarray = None
+    """Records of one kernel call, indexed ``[policy, start, path, record]``.
+
+    The last record time is the horizon.  ``deltas`` holds the control
+    applied over the step that ends at each record; ``excluded`` flags the
+    paths whose final record is not finite.
+    """
+
+    times: np.ndarray            # (R,)
+    states: np.ndarray           # (P, S, paths, R, N)
+    log_discount: np.ndarray     # (P, S, paths, R)
+    reward_integral: np.ndarray  # (P, S, paths, R)
+    deltas: np.ndarray           # (P, S, paths, R, k)
+    excluded: np.ndarray         # (P, S, paths)
 
 
 @dataclass(frozen=True)
@@ -73,7 +90,6 @@ class EstimatorResult:
     seed: int
     horizon: float
     excluded: int = 0
-    discount_logs: np.ndarray = None
 
     def as_dict(self):
         return {
@@ -86,112 +102,110 @@ class EstimatorResult:
         }
 
 
-def _path_increments(seed, path_ids, steps, dim, antithetic):
-    """Gaussian increments, one Philox stream per (pair of) path(s)."""
-    out = np.empty((len(path_ids), steps, dim))
-    for j, p in enumerate(path_ids):
-        stream = int(p) // 2 if antithetic else int(p)
-        gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
-        z = gen.standard_normal((steps, dim))
-        out[j] = -z if (antithetic and p % 2 == 1) else z
-    return out
-
-
-def _policy_eval(policy, y, t):
-    delta = np.asarray(policy(y, t), float)
-    return delta
-
-
 def _steps_for(T, dt):
     steps = max(1, int(round(T / dt)))
     return steps, T / steps
 
 
-def simulate_paths(model, policy, y0, T, mc, checkpoints=None, t0=0.0):
-    """Simulate the controlled SDE under a feedback policy.
+def _march(model, policies, starts, steps, dt, mc, marks, t0):
+    """The Euler loop over blocks of paths, for every (policy, start) pair.
 
-    ``policy(y, t)`` must return a control point (or a batch of them, one
-    per path).  Along each path the discount integral and the discounted
-    reward integral are accumulated; states, deltas and running integrals
-    can additionally be recorded at ``checkpoints`` (times in ``(0, T]``).
+    Yields ``(lo, step, y, d, ld, rw)`` after every step in ``marks``: the
+    block's first path and live ``(P, S, m, ...)`` views of the states,
+    controls, log-discounts and reward integrals, to be copied or reduced.
+    """
+    P, S, N = len(policies), len(starts), model.dim
+    sqdt = np.sqrt(dt)
+    for lo in range(0, mc.paths, _BLOCK):
+        ids = range(lo, min(lo + _BLOCK, mc.paths))
+        m = len(ids)
+        draws = [np.random.Generator(np.random.Philox(
+            key=[mc.seed, i // 2 if mc.antithetic else i])).standard_normal
+            for i in ids]
+        z = np.empty((m, min(_CHUNK, steps), N))
+        rows = list(z)
+        y = np.empty((P, S * m, N))
+        y.reshape(P, S, m, N)[:] = starts[:, None]
+        ld = np.zeros((P, S * m))
+        rw = np.zeros((P, S * m))
+        d = np.empty((P, S * m, model.controls.shape[1]))
+        for s in range(steps):
+            if s % _CHUNK == 0:
+                if steps - s < len(rows[0]):
+                    rows = [row[:steps - s] for row in rows]
+                for draw, row in zip(draws, rows):
+                    draw(out=row)
+                if mc.antithetic:
+                    odd = z[(lo + 1) % 2::2]
+                    np.negative(odd, out=odd)
+            noise = np.tile(sqdt * z[:, s % _CHUNK], (S, 1))
+            t = t0 + s * dt
+            mark = s + 1 in marks
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for p, policy in enumerate(policies):
+                    dp = np.asarray(policy(y[p], t), float)
+                    if mark:
+                        d[p] = dp
+                    drift = np.asarray(model.drift(y[p], dp), float)
+                    hv = np.asarray(model.discount_rate(y[p], dp), float)
+                    fv = np.asarray(model.running_reward(y[p], dp), float)
+                    rw[p] += np.exp(ld[p]) * fv * dt
+                    ld[p] += hv * dt
+                    y[p] = y[p] + drift * dt + noise
+            if mark:
+                yield (lo, s + 1, y.reshape(P, S, m, N), d.reshape(P, S, m, -1),
+                       ld.reshape(P, S, m), rw.reshape(P, S, m))
+
+
+def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0):
+    """Simulate the controlled SDE for every (policy, start) pair.
+
+    ``policies`` is a sequence of feedback maps ``policy(y, t)`` returning
+    a control point or one per row of ``y``; ``starts`` has shape
+    ``(S, N)``.  All pairs step on the same increments, stacked along the
+    row axis, so every callable receives ``(rows, N)`` states.  Records are
+    taken at ``times`` (in ``(0, T]``) and at ``T``; they take
+    ``P * S * paths * records * (N + k + 2)`` floats.
     """
     if not T > 0:
         raise ParameterError("T must be positive")
     steps, dt = _steps_for(T, mc.dt)
-    y0 = np.atleast_1d(np.asarray(y0, float))
-    if y0.shape != (model.dim,):
-        raise ParameterError(f"y0 must have length {model.dim}")
+    starts = np.asarray(starts, float)
+    if starts.ndim != 2 or starts.shape[1] != model.dim:
+        raise ParameterError(f"starts must have shape (S, {model.dim})")
+    marks = np.rint(np.asarray(times, float) / dt).astype(int)
+    if np.any(marks < 1) or np.any(marks > steps):
+        raise ParameterError("record times must lie in (0, T]")
+    if not len(marks) or marks[-1] != steps:
+        marks = np.append(marks, steps)
+    # record-major, so each record of a block is one write
+    shape = (len(policies), len(starts), len(marks), mc.paths)
+    states = np.empty(shape + (model.dim,))
+    deltas = np.empty(shape + (model.controls.shape[1],))
+    log_discount = np.empty(shape)
+    reward = np.empty(shape)
+    for lo, s, y, d, ld, rw in _march(model, policies, starts, steps, dt, mc,
+                                      set(marks.tolist()), t0):
+        hi = lo + y.shape[2]
+        for r in np.flatnonzero(marks == s):
+            states[:, :, r, lo:hi] = y
+            deltas[:, :, r, lo:hi] = d
+            log_discount[:, :, r, lo:hi] = ld
+            reward[:, :, r, lo:hi] = rw
 
-    cp_idx = None
-    if checkpoints is not None:
-        cp_times = np.asarray(checkpoints, float)
-        cp_idx = np.rint(cp_times / dt).astype(int)
-        if np.any(cp_idx < 1) or np.any(cp_idx > steps):
-            raise ParameterError("checkpoints must lie in (0, T]")
-
-    n = mc.paths
-    k = model.controls.shape[1]
-    y_final = np.empty((n, model.dim))
-    log_D = np.empty(n)
-    reward = np.empty(n)
-    if cp_idx is not None:
-        cs = np.empty((n, len(cp_idx), model.dim))
-        cl = np.empty((n, len(cp_idx)))
-        cr = np.empty((n, len(cp_idx)))
-        cd = np.empty((n, len(cp_idx), k))
-
-    sqdt = np.sqrt(dt)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, n, _BLOCK):
-            ids = np.arange(start, min(start + _BLOCK, n))
-            z = _path_increments(mc.seed, ids, steps, model.dim, mc.antithetic)
-            y = np.broadcast_to(y0, (len(ids), model.dim)).copy()
-            ld = np.zeros(len(ids))
-            rw = np.zeros(len(ids))
-            for s in range(steps):
-                t = t0 + s * dt
-                delta = _policy_eval(policy, y, t)
-                drift = np.asarray(model.drift(y, delta), float)
-                hv = np.asarray(model.discount_rate(y, delta), float)
-                fv = np.asarray(model.running_reward(y, delta), float)
-                rw += np.exp(ld) * fv * dt
-                ld += hv * dt
-                y = y + drift * dt + sqdt * z[:, s]
-                if cp_idx is not None:
-                    hit = np.nonzero(cp_idx == s + 1)[0]
-                    for ci in hit:
-                        cs[ids, ci] = y
-                        cl[ids, ci] = ld
-                        cr[ids, ci] = rw
-                        d = np.asarray(delta, float)
-                        cd[ids, ci] = d if d.ndim > 1 else np.broadcast_to(d, (len(ids), k))
-            y_final[ids] = y
-            log_D[ids] = ld
-            reward[ids] = rw
-
+    states, deltas, log_discount, reward = (
+        np.swapaxes(a, 2, 3) for a in (states, deltas, log_discount, reward))
     excluded = ~(
-        np.all(np.isfinite(y_final), axis=-1)
-        & np.isfinite(log_D)
-        & np.isfinite(reward)
+        np.all(np.isfinite(states[..., -1, :]), axis=-1)
+        & np.isfinite(log_discount[..., -1])
+        & np.isfinite(reward[..., -1])
     )
-    batch = PathBatch(
-        y_final=y_final,
-        log_discount=log_D,
-        reward_integral=reward,
-        excluded=excluded,
-        dt=dt,
-        horizon=T,
-    )
-    if cp_idx is not None:
-        batch.checkpoint_times = cp_idx * dt
-        batch.checkpoint_states = cs
-        batch.checkpoint_log_discounts = cl
-        batch.checkpoint_rewards = cr
-        batch.checkpoint_deltas = cd
-    return batch
+    return PathBatch(times=marks * dt, states=states,
+                     log_discount=log_discount, reward_integral=reward,
+                     deltas=deltas, excluded=excluded)
 
 
-def _reduce(payoffs, excluded, mc, horizon, keep_logs=None):
+def _reduce(payoffs, excluded, mc, horizon):
     n = len(payoffs)
     n_excl = int(np.count_nonzero(excluded))
     if n_excl > _EXCLUSION_BUDGET * n:
@@ -211,26 +225,61 @@ def _reduce(payoffs, excluded, mc, horizon, keep_logs=None):
         seed=mc.seed,
         horizon=horizon,
         excluded=n_excl,
-        discount_logs=keep_logs,
     )
 
 
-def estimate_value(model, policy, y0, t, T, mc, keep_discount_logs=False):
-    """Monte Carlo estimate of the discounted reward functional on [t, T].
+def estimate_value(model, policy, starts, t, T, mc):
+    """Monte Carlo estimates of the discounted reward functional on [t, T].
 
-    Returns the sample mean of ``int e^{int h} f ds + e^{int h} g(Y_T)``
-    with its standard error.  For infinite-horizon use pass a large ``T``
-    and a model with zero terminal reward.
+    Returns, for each row of ``starts`` (shape ``(S, N)``), the sample mean
+    of ``int e^{int h} f ds + e^{int h} g(Y_T)`` with its standard error.
+    For infinite-horizon use pass a large ``T`` and a model with zero
+    terminal reward.
     """
     if not T > t:
         raise ParameterError("need T > t")
-    batch = simulate_paths(model, policy, y0, T - t, mc, t0=t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gv = np.asarray(model.terminal_reward(batch.y_final), float)
-        payoff = batch.reward_integral + np.exp(batch.log_discount) * gv
-    excluded = batch.excluded | ~np.isfinite(payoff)
-    logs = batch.log_discount if keep_discount_logs else None
-    return _reduce(payoff, excluded, mc, T - t, keep_logs=logs)
+    batch = simulate_paths(model, [policy], starts, T - t, mc, (), t)
+    results = []
+    for y, ld, rw, excl in zip(batch.states[0, :, :, -1],
+                               batch.log_discount[0, :, :, -1],
+                               batch.reward_integral[0, :, :, -1],
+                               batch.excluded[0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gv = np.asarray(model.terminal_reward(y), float)
+            payoff = rw + np.exp(ld) * gv
+        results.append(_reduce(payoff, excl | ~np.isfinite(payoff), mc, T - t))
+    return results
+
+
+def discounted_samples(model, policies, starts, T, mc, times, statistic):
+    """Yield ``(first, excluded, samples)`` per group of ``policies``.
+
+    ``first`` indexes the group's first policy; ``samples`` maps each factor
+    of ``statistic`` to its values at every record: ``e^{int h}``
+    ("discount"), ``e^{int h} f`` ("discounted_reward"), or ``e^{int h}
+    max(|f|, 1)`` and ``e^{int h} max(|g|, 1)`` ("discounted_moments").
+    Each group's records fit in ``_RECORD_BYTES``.
+    """
+    floats = model.dim + model.controls.shape[1] + 2
+    per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
+    size = max(1, _RECORD_BYTES // per_policy)
+    for first in range(0, len(policies), size):
+        batch = simulate_paths(model, policies[first:first + size], starts, T,
+                               mc, times)
+        shape = batch.log_discount.shape
+        y = batch.states.reshape(-1, model.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = np.exp(batch.log_discount)
+            fv = np.asarray(model.running_reward(
+                y, batch.deltas.reshape(len(y), -1)), float).reshape(shape)
+            gv = np.asarray(model.terminal_reward(y), float).reshape(shape)
+            samples = {
+                "discount": {"unit": disc},
+                "discounted_reward": {"f": disc * fv},
+                "discounted_moments": {"f": disc * np.maximum(np.abs(fv), 1.0),
+                                       "g": disc * np.maximum(np.abs(gv), 1.0)},
+            }[statistic]
+        yield first, batch.excluded, samples
 
 
 @dataclass(frozen=True)
@@ -251,49 +300,34 @@ def coupled_contraction(model, policy, y0, ybar0, T, mc):
     per-time maximum over paths of ``|Y_t(y0) - Y_t(ybar0)|`` normalized by
     the contraction bound ``|y0 - ybar0| exp(L2 t)``, and the same distance
     normalized by the compounded discrete factor ``prod(1 + L2 dt)`` (the
-    exact propagator of the linear-drift difference recursion).
+    exact propagator of the linear-drift difference recursion).  Distances
+    are reduced step by step as the kernel runs, so no path is recorded.
     """
     steps, dt = _steps_for(T, mc.dt)
-    y0 = np.atleast_1d(np.asarray(y0, float))
-    ybar0 = np.atleast_1d(np.asarray(ybar0, float))
-    d0 = float(np.linalg.norm(y0 - ybar0))
+    starts = np.array([np.atleast_1d(y0), np.atleast_1d(ybar0)], float)
+    d0 = float(np.linalg.norm(starts[0] - starts[1]))
     if d0 == 0.0:
         raise ParameterError("coupling starts must differ")
-    n = mc.paths
     L2 = model.lip_L2
-
     times = dt * np.arange(1, steps + 1)
-    max_ratio = np.zeros(steps)
-    max_ratio_d = np.zeros(steps)
+    scale = d0 * np.exp(L2 * times)
+    max_ratio = np.full(steps, -np.inf)
     min_ratio = np.full(steps, np.inf)
-    disc_factor = (1.0 + L2 * dt) ** np.arange(1, steps + 1)
-    cont_factor = np.exp(L2 * times)
-
-    sqdt = np.sqrt(dt)
-    for start in range(0, n, _BLOCK):
-        ids = np.arange(start, min(start + _BLOCK, n))
-        z = _path_increments(mc.seed, ids, steps, model.dim, mc.antithetic)
-        ya = np.broadcast_to(y0, (len(ids), model.dim)).copy()
-        yb = np.broadcast_to(ybar0, (len(ids), model.dim)).copy()
-        for s in range(steps):
-            t = s * dt
-            da = _policy_eval(policy, ya, t)
-            db = _policy_eval(policy, yb, t)
-            ya = ya + np.asarray(model.drift(ya, da), float) * dt + sqdt * z[:, s]
-            yb = yb + np.asarray(model.drift(yb, db), float) * dt + sqdt * z[:, s]
-            dist = np.linalg.norm(ya - yb, axis=-1)
-            ratios = dist / (d0 * cont_factor[s])
-            max_ratio[s] = max(max_ratio[s], float(ratios.max()))
-            min_ratio[s] = min(min_ratio[s], float(ratios.min()))
-            max_ratio_d[s] = max(
-                max_ratio_d[s], float(dist.max() / (d0 * abs(disc_factor[s])))
-            )
-    spread = max_ratio - min_ratio
+    max_dist = np.full(steps, -np.inf)
+    for _, s, y, *_ in _march(model, [policy], starts, steps, dt, mc,
+                              range(1, steps + 1), 0.0):
+        dist = np.linalg.norm(y[0, 0] - y[0, 1], axis=-1)
+        ratios = dist / scale[s - 1]
+        max_ratio[s - 1] = np.maximum(max_ratio[s - 1], ratios.max())
+        min_ratio[s - 1] = np.minimum(min_ratio[s - 1], ratios.min())
+        max_dist[s - 1] = np.maximum(max_dist[s - 1], dist.max())
+    max_ratio_d = max_dist / (
+        d0 * np.abs((1.0 + L2 * dt) ** np.arange(1, steps + 1)))
     return CouplingReport(
         times=times,
         max_ratio=max_ratio,
         max_ratio_discrete=max_ratio_d,
-        path_spread=spread,
+        path_spread=max_ratio - min_ratio,
         worst_ratio=float(max_ratio.max()),
         worst_ratio_discrete=float(max_ratio_d.max()),
         initial_distance=d0,
@@ -322,14 +356,13 @@ def horizon_convergence(model, policy, y0, horizons, mc, kappa_table=None):
     horizons = np.asarray(horizons, float)
     if np.any(np.diff(horizons) <= 0):
         raise ParameterError("horizons must be strictly increasing")
-    batch = simulate_paths(model, policy, y0, float(horizons[-1]), mc,
-                           checkpoints=horizons)
+    batch = simulate_paths(model, [policy], [np.atleast_1d(y0)],
+                           float(horizons[-1]), mc, horizons)
     results = []
     for j in range(len(horizons)):
-        payoff = batch.checkpoint_rewards[:, j]
-        excl = batch.excluded | ~np.isfinite(payoff)
-        res = _reduce(payoff, excl, mc, float(horizons[j]))
-        results.append(res)
+        payoff = batch.reward_integral[0, 0, :, j]
+        excl = batch.excluded[0, 0] | ~np.isfinite(payoff)
+        results.append(_reduce(payoff, excl, mc, float(horizons[j])))
     means = np.array([r.mean for r in results])
     diffs = np.abs(np.diff(means))
     converging = bool(np.all(np.diff(diffs) < 0)) if len(diffs) > 1 else True
@@ -386,6 +419,28 @@ class UniformDiscountBound:
 
 
 @dataclass(frozen=True)
+class DiffusionDiscountBound:
+    """Bound exp(-w t) (1 + sqrt(E|Y_t|^2 envelope)) against E exp(int h) f(Y_t).
+
+    Ito on ``|Y|^2`` with ``y . i(y) <= L2 |y|^2`` (one-sided bound and
+    ``i(0) = 0``) gives ``E|Y_t|^2 <= |y0|^2 e^{2 L2 t} + N (e^{2 L2 t} - 1)
+    / (2 L2)`` (``|y0|^2 + N t`` when ``L2 = 0``); Jensen bounds ``E|Y_t|``
+    by its square root.
+    """
+
+    w: float
+    L2: float
+
+    def value(self, t, y0):
+        y0 = np.atleast_1d(np.asarray(y0, float))
+        growth = t if self.L2 == 0 else np.expm1(2 * self.L2 * t) / (2 * self.L2)
+        second = y0 @ y0 * np.exp(2 * self.L2 * t) + len(y0) * growth
+        return float(np.exp(-self.w * t) * (1.0 + np.sqrt(second)))
+
+    statistic = "discounted_reward"
+
+
+@dataclass(frozen=True)
 class ExponentialEnvelopeBound:
     """Time-uniform envelope K exp(M |y0|) for the discounted moments."""
 
@@ -423,40 +478,25 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
         times = np.linspace(T / 4, T, 4)
     times = np.asarray(times, float)
     rows = []
-    for ci, delta in enumerate(model.controls):
-        policy = lambda y, t, _d=np.array(delta, float): _d
-        batch = simulate_paths(model, policy, y0, T, mc, checkpoints=times)
-        ok = ~batch.excluded
-        n_ok = int(np.count_nonzero(ok))
-        if (len(ok) - n_ok) > _EXCLUSION_BUDGET * len(ok):
-            raise PathExclusionError(len(ok) - n_ok, len(ok))
-        with np.errstate(over="ignore", invalid="ignore"):
-            disc = np.exp(batch.checkpoint_log_discounts)
-        for ti, t in enumerate(times):
-            ys = batch.checkpoint_states[:, ti]
-            ds = batch.checkpoint_deltas[:, ti]
-            if bound_spec.statistic == "discount":
-                samplesets = {"unit": disc[:, ti]}
-            elif bound_spec.statistic == "discounted_reward":
-                fv = np.asarray(model.running_reward(ys, ds), float)
-                samplesets = {"f": disc[:, ti] * fv}
-            else:
-                fv = np.abs(np.asarray(model.running_reward(ys, ds), float))
-                gv = np.abs(np.asarray(model.terminal_reward(ys), float))
-                samplesets = {
-                    "f": disc[:, ti] * np.maximum(fv, 1.0),
-                    "g": disc[:, ti] * np.maximum(gv, 1.0),
-                }
+    for first, excluded, samplesets in discounted_samples(
+            model, constant_policies(model), [y0], T, mc, times,
+            bound_spec.statistic):
+        worst = int(np.count_nonzero(excluded, axis=-1).max())
+        if worst > _EXCLUSION_BUDGET * mc.paths:
+            raise PathExclusionError(worst, mc.paths)
+        for p, ti in np.ndindex(len(excluded), len(times)):
+            ok = ~excluded[p, 0]
+            t = float(times[ti])
             for factor, samples in samplesets.items():
-                samples = samples[ok]
+                samples = samples[p, 0, :, ti][ok]
                 est = float(np.mean(samples))
                 se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
-                bound = bound_spec.value(float(t), y0)
+                bound = bound_spec.value(t, y0)
                 allowance = bound * (1.0 + 3.0 * se / est) if est > 0 else bound
                 margin = (allowance - est) / bound if bound != 0 else -np.inf
                 rows.append({
-                    "t": float(t),
-                    "control_index": ci,
+                    "t": t,
+                    "control_index": first + p,
                     "factor": factor,
                     "estimate": est,
                     "std_error": se,

@@ -3,7 +3,8 @@
 Each test covers one numbered criterion and reports a single PASS/FAIL
 line in the terminal summary.  Criterion 6 checks a decay envelope that
 the diffusion provably exceeds; it is implemented faithfully and is
-expected to fail (see the test's docstring).
+expected to fail (see the test's docstring).  Criterion 11 checks the
+diffusion-aware envelope beside it on the same scenario and seed.
 """
 
 import json
@@ -70,11 +71,12 @@ def test_criterion_3_pde_mc_cross_validation(merton_market):
     policy = pf.as_policy()
     mc = hk.MonteCarloConfig(paths=100000, dt=1e-3, seed=20)
     probes = [-0.6, -0.3, 0.0, 0.3, 0.6]
+    nodes = [int(np.argmin(np.abs(grid.ys - y))) for y in probes]
+    ests = hk.estimate_value(model, policy, grid.ys[nodes][:, None], 0.0,
+                             1.0, mc)
     ok = True
-    for y in probes:
-        node = int(np.argmin(np.abs(grid.ys - y)))
+    for node, est in zip(nodes, ests):
         u_pde = float(vf.layer(0.0)[node])
-        est = hk.estimate_value(model, policy, [grid.ys[node]], 0.0, 1.0, mc)
         if abs(u_pde - est.mean) > 3 * est.std_error + 5e-3:
             ok = False
     record(3, "PDE-MC cross-validation", ok)
@@ -148,6 +150,30 @@ def test_criterion_6_uniform_discount_bound():
     mc = hk.MonteCarloConfig(paths=100000, dt=2e-3, seed=6)
     rep = hk.verify_bounds(m, spec, [1.0], 2.0, mc, times=[0.5, 1.0, 2.0])
     record(6, "uniform discount bound", rep.met)
+
+
+def test_criterion_11_diffusion_discount_bound():
+    """Diffusion-aware envelope on criterion 6's scenario and seed.
+
+    Ito on |Y|^2 with the one-sided drift bound gives the second moment
+    |y0|^2 e^{2 L2 t} + N (1 - e^{2 L2 t}) / (-2 L2) (exact for this
+    mean-reverting factor); Jensen bounds E|Y_t| by its square root.
+    """
+
+    def drift(y, d):
+        return -np.asarray(y, float)
+
+    m = hk.ControlModel(
+        dim=1, drift=drift,
+        discount_rate=lambda y, d: np.full(np.asarray(y).shape[:-1], -1.0),
+        running_reward=lambda y, d: 1.0 + np.abs(
+            np.sum(np.asarray(y, float), axis=-1)),
+        terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+        controls=np.array([[0.0]]), lip_L1=1.0, lip_L2=-1.0)
+    spec = hk.DiffusionDiscountBound(w=1.0, L2=-1.0)
+    mc = hk.MonteCarloConfig(paths=100000, dt=2e-3, seed=6)
+    rep = hk.verify_bounds(m, spec, [1.0], 2.0, mc, times=[0.5, 1.0, 2.0])
+    record(11, "diffusion-aware discount bound", rep.met)
 
 
 def test_criterion_7_horizon_convergence():

@@ -89,6 +89,35 @@ class TestVerify:
         rep = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert all(row["met"] for row in rep["field_probes"])
 
+    def test_factor_market_probes_have_variance(self, tmp_path):
+        # affine excess drift in y and a mean-reverting factor: the solved
+        # policy varies with y and the Monte Carlo payoff is noisy
+        market = tmp_path / "factor_market.json"
+        market.write_text(json.dumps({
+            "short_rate": 0.02, "volatility": 0.2, "correlation": 0.5,
+            "excess_drift": {"kind": "affine", "const": 0.04,
+                             "y_coeff": [0.03]},
+            "factor_drift": {"kind": "affine", "const": 0.0,
+                             "y_coeff": [-1.0]},
+            "risk_aversion": 0.5, "discount": 0.1, "position_cap": 2.0,
+            "consumption_cap": 1.0}))
+        controls = ("--market", market, "--npi", 5, "--nc", 5)
+        solved = tmp_path / "solve"
+        assert run("solve", *controls, "--out", solved, "--nodes", 41,
+                   "--grid-min", -2, "--grid-max", 2, "--horizon", 1,
+                   "--steps", 300, "--slice-stride", 100) == 0
+        code = run("verify", *controls, "--out", tmp_path / "v",
+                   "--field", solved / "value.csv",
+                   "--policy", solved / "policy.csv",
+                   "--probes=-1,-0.5,0,0.5,1", "--horizon", 1,
+                   "--paths", 1000, "--dt-sim", 1e-2, "--seed", 1)
+        assert code == 0
+        rows = json.loads((tmp_path / "v" / "verify_report.json")
+                          .read_text())["field_probes"]
+        assert [row["y"] for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert all(row["met"] for row in rows)
+        assert all(row["std_error"] > 0 for row in rows)
+
     def test_corrupted_field_fails(self, tmp_path, solved):
         lines = (solved / "value.csv").read_text().splitlines()
         out = []

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
+from hjbkit import finance
+from hjbkit import simulate as sim
 from hjbkit.errors import CoefficientError, ParameterError
 
 from conftest import ou_model
@@ -218,6 +222,42 @@ class TestEstimateKappa:
         b = hk.estimate_kappa(m, 1, 2.0, hk.constant_policies(m), mc)
         assert np.array_equal(a.kappa, b.kappa)
         assert a.integral_kappa == b.integral_kappa
+
+    def test_policy_groups_match_one_call(self, monkeypatch):
+        # f = 1 + |y|^2: the last control (drift towards 1) sets the envelope
+        base = ou_model()
+        m = hk.ControlModel(
+            dim=1, drift=base.drift, discount_rate=base.discount_rate,
+            running_reward=lambda y, d: 1.0 + np.sum(np.asarray(y) ** 2, -1),
+            terminal_reward=base.terminal_reward, controls=base.controls,
+            lip_L1=2.0, lip_L2=-1.0)
+        mc = hk.MonteCarloConfig(paths=200, dt=2e-2, seed=3)
+        whole = hk.estimate_kappa(m, 1, 2.0, hk.constant_policies(m), mc)
+        assert np.all(whole.policy_ids == 2)
+        # a budget below one policy's records: one policy per group
+        monkeypatch.setattr(sim, "_RECORD_BYTES", 1)
+        grouped = hk.estimate_kappa(m, 1, 2.0, hk.constant_policies(m), mc)
+        for name, value in vars(whole).items():
+            assert np.array_equal(getattr(grouped, name), value), name
+
+    def test_memory_flat_in_control_count(self, monkeypatch, merton_market):
+        # one call for all 21 x 21 policies would hold 441 policies x 7
+        # starts x 8 paths x 17 records x 5 floats = 17 MB of records
+        mc = hk.MonteCarloConfig(paths=8, dt=0.1, seed=1)
+        budget = 1 << 20
+        monkeypatch.setattr(sim, "_RECORD_BYTES", budget)
+
+        def peak(resolution):
+            m = finance.to_control_model(merton_market, resolution)
+            policies = hk.constant_policies(m)
+            tracemalloc.start()
+            try:
+                hk.estimate_kappa(m, 2, 1.0, policies, mc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak((21, 21)) <= peak((3, 3)) + 4 * budget
 
 
 def test_constant_policies_cover_control_list():

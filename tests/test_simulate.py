@@ -1,11 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjbkit as hk
+from hjbkit import simulate as sim
 from hjbkit.errors import ParameterError, PathExclusionError
 from hjbkit.simulate import _reduce, simulate_paths
 
 from conftest import constant_model, ou_model, zero_policy
+
+RECORDS = ("states", "log_discount", "reward_integral", "deltas", "excluded")
 
 
 class TestPathGeneration:
@@ -13,67 +20,161 @@ class TestPathGeneration:
         # E Y_T = y0 e^{-T} for the mean-reverting factor, oracle 2/e
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=20000, dt=2e-3, seed=0)
-        batch = simulate_paths(m, zero_policy(), [2.0], 1.0, mc)
-        est = float(np.mean(batch.y_final))
-        se = float(np.std(batch.y_final) / np.sqrt(mc.paths))
+        batch = simulate_paths(m, [zero_policy()], [[2.0]], 1.0, mc)
+        y_final = batch.states[0, 0, :, -1]
+        est = float(np.mean(y_final))
+        se = float(np.std(y_final) / np.sqrt(mc.paths))
         assert abs(est - 0.7357588823428847) < 4 * se + 2e-3
 
     def test_ou_variance_matches_closed_form(self):
         # Var Y_T = (1 - e^{-2T}) / 2
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=20000, dt=2e-3, seed=1)
-        batch = simulate_paths(m, zero_policy(), [0.0], 1.0, mc)
-        var = float(np.var(batch.y_final))
+        batch = simulate_paths(m, [zero_policy()], [[0.0]], 1.0, mc)
+        var = float(np.var(batch.states[0, 0, :, -1]))
         assert var == pytest.approx((1 - np.exp(-2.0)) / 2, rel=0.05)
 
     def test_constant_discount_is_exact(self):
         m = constant_model(h=-1.0)
         mc = hk.MonteCarloConfig(paths=50, dt=1e-2, seed=0)
-        batch = simulate_paths(m, zero_policy(), [0.0], 1.0, mc)
-        assert np.allclose(batch.log_discount, -1.0, atol=1e-12)
+        batch = simulate_paths(m, [zero_policy()], [[0.0]], 1.0, mc)
+        assert np.allclose(batch.log_discount[0, 0, :, -1], -1.0, atol=1e-12)
 
     def test_undiscounted_unit_reward_is_exact(self):
         m = constant_model(f=1.0, h=0.0)
         mc = hk.MonteCarloConfig(paths=50, dt=1e-2, seed=0)
-        batch = simulate_paths(m, zero_policy(), [0.0], 1.0, mc)
-        assert np.allclose(batch.reward_integral, 1.0, atol=1e-12)
+        batch = simulate_paths(m, [zero_policy()], [[0.0]], 1.0, mc)
+        assert np.allclose(batch.reward_integral[0, 0, :, -1], 1.0, atol=1e-12)
 
     def test_checkpoints_recorded(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=100, dt=1e-2, seed=0)
-        batch = simulate_paths(m, zero_policy(), [1.0], 1.0, mc,
-                               checkpoints=[0.5, 1.0])
-        assert batch.checkpoint_states.shape == (100, 2, 1)
-        assert np.array_equal(batch.checkpoint_states[:, 1, 0],
-                              batch.y_final[:, 0])
+        batch = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc,
+                               times=[0.5, 1.0])
+        final = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
+        assert batch.states[0, 0].shape == (100, 2, 1)
+        assert np.array_equal(batch.states[0, 0, :, 1, 0],
+                              final.states[0, 0, :, -1, 0])
+
+
+def _clipped_policy(y, t):
+    # one control per row, varying with the state and the time
+    return np.clip(np.asarray(y, float) + t, 0.0, 1.0)
+
+
+def _noise_model(dim):
+    """Zero drift, discount and rewards: the states are the summed noise."""
+    return hk.ControlModel(
+        dim=dim, drift=lambda y, d: np.zeros(np.asarray(y).shape),
+        discount_rate=lambda y, d: np.zeros(np.asarray(y).shape[:-1]),
+        running_reward=lambda y, d: np.zeros(np.asarray(y).shape[:-1]),
+        terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+        controls=np.array([[0.0]]), lip_L1=1.0, lip_L2=1e-6)
+
+
+class TestKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(block=st.integers(1, 7), chunk=st.integers(1, 5),
+           steps=st.integers(1, 12), pairs=st.integers(1, 5),
+           antithetic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           starts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+           data=st.data())
+    def test_batched_slices_equal_single_runs(self, block, chunk, steps, pairs,
+                                              antithetic, seed, starts, data):
+        m = ou_model(reward="bounded")
+        policies = [lambda y, t: np.array([0.5]), _clipped_policy,
+                    zero_policy()]
+        mc = hk.MonteCarloConfig(paths=2 * pairs, dt=0.05, seed=seed,
+                                 antithetic=antithetic)
+        T = 0.05 * steps
+        times = [0.05 * data.draw(st.integers(1, steps))]
+        starts = np.array(starts)[:, None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_BLOCK", block)
+            mp.setattr(sim, "_CHUNK", chunk)
+            batch = simulate_paths(m, policies, starts, T, mc, times)
+            for p, policy in enumerate(policies):
+                for s, y0 in enumerate(starts):
+                    one = simulate_paths(m, [policy], [y0], T, mc, times)
+                    assert np.array_equal(one.times, batch.times)
+                    for name in RECORDS:
+                        assert np.array_equal(getattr(one, name)[0, 0],
+                                              getattr(batch, name)[p, s])
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_chunked_increments_equal_bulk_draws(self, monkeypatch,
+                                                 antithetic):
+        monkeypatch.setattr(sim, "_BLOCK", 3)
+        monkeypatch.setattr(sim, "_CHUNK", 4)
+        steps, dim, seed = 10, 2, 7
+        mc = hk.MonteCarloConfig(paths=8, dt=0.1, seed=seed,
+                                 antithetic=antithetic)
+        batch = simulate_paths(_noise_model(dim), [zero_policy()],
+                               np.zeros((1, dim)), 1.0, mc,
+                               0.1 * np.arange(1, steps + 1))
+        for p in range(mc.paths):
+            stream = p // 2 if antithetic else p
+            z = np.random.Generator(np.random.Philox(key=[seed, stream])) \
+                .standard_normal((steps, dim))
+            if antithetic and p % 2:
+                z = -z
+            y, expected = np.zeros(dim), []
+            for s in range(steps):
+                y = y + np.sqrt(1.0 / steps) * z[s]
+                expected.append(y)
+            assert np.array_equal(batch.states[0, 0, p], expected)
+
+    def test_memory_flat_in_horizon(self):
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=2000, dt=1e-2, seed=0)
+
+        def peak(T):
+            tracemalloc.start()
+            try:
+                simulate_paths(m, [zero_policy()], [[1.0]], T, mc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # both horizons span more than one chunk of increments
+        T = 3.0
+        assert T / mc.dt > sim._CHUNK
+        simulate_paths(m, [zero_policy()], [[1.0]], T, mc)  # warm caches
+        short, long = peak(T), peak(8 * T)
+        # allowance for the Python ints and floats of the longer loop; a
+        # bulk draw of the increments would add 2000 * 2100 * 8 B = 34 MB
+        assert long <= short + 16 * 1024
 
 
 class TestReproducibility:
     def test_same_seed_bitwise_identical(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=500, dt=1e-2, seed=42)
-        a = simulate_paths(m, zero_policy(), [1.0], 1.0, mc)
-        b = simulate_paths(m, zero_policy(), [1.0], 1.0, mc)
-        assert np.array_equal(a.y_final, b.y_final)
-        assert np.array_equal(a.reward_integral, b.reward_integral)
+        a = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
+        b = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
+        assert np.array_equal(a.states[0, 0, :, -1], b.states[0, 0, :, -1])
+        assert np.array_equal(a.reward_integral[0, 0, :, -1],
+                              b.reward_integral[0, 0, :, -1])
 
     def test_different_seed_differs(self):
         m = ou_model()
-        a = simulate_paths(m, zero_policy(), [1.0], 1.0,
+        a = simulate_paths(m, [zero_policy()], [[1.0]], 1.0,
                            hk.MonteCarloConfig(paths=100, dt=1e-2, seed=1))
-        b = simulate_paths(m, zero_policy(), [1.0], 1.0,
+        b = simulate_paths(m, [zero_policy()], [[1.0]], 1.0,
                            hk.MonteCarloConfig(paths=100, dt=1e-2, seed=2))
-        assert not np.array_equal(a.y_final, b.y_final)
+        assert not np.array_equal(a.states[0, 0, :, -1],
+                                  b.states[0, 0, :, -1])
 
     def test_path_count_does_not_reshuffle_streams(self):
         # per-path counter streams: the first 100 paths of a larger run
         # coincide bitwise with a 100-path run
         m = ou_model()
-        small = simulate_paths(m, zero_policy(), [1.0], 1.0,
+        small = simulate_paths(m, [zero_policy()], [[1.0]], 1.0,
                                hk.MonteCarloConfig(paths=100, dt=1e-2, seed=9))
-        large = simulate_paths(m, zero_policy(), [1.0], 1.0,
+        large = simulate_paths(m, [zero_policy()], [[1.0]], 1.0,
                                hk.MonteCarloConfig(paths=1000, dt=1e-2, seed=9))
-        assert np.array_equal(large.y_final[:100], small.y_final)
+        assert np.array_equal(large.states[0, 0, :100, -1],
+                              small.states[0, 0, :, -1])
 
 
 class TestAntithetic:
@@ -81,8 +182,9 @@ class TestAntithetic:
         # linear drift: the pair sum is the deterministic recursion
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=5, antithetic=True)
-        batch = simulate_paths(m, zero_policy(), [1.0], 1.0, mc)
-        pair_mean = 0.5 * (batch.y_final[0::2] + batch.y_final[1::2])
+        batch = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
+        y_final = batch.states[0, 0, :, -1]
+        pair_mean = 0.5 * (y_final[0::2] + y_final[1::2])
         det = 1.0 * (1 - mc.dt) ** 100
         assert np.allclose(pair_mean, det, atol=1e-12)
 
@@ -92,12 +194,12 @@ class TestAntithetic:
 
     def test_variance_reduction_on_smooth_payoff(self):
         m = ou_model()
-        plain = hk.estimate_value(m, zero_policy(), [1.0], 0.0, 1.0,
+        plain, = hk.estimate_value(m, zero_policy(), [[1.0]], 0.0, 1.0,
+                                   hk.MonteCarloConfig(paths=4000, dt=5e-3,
+                                                       seed=3))
+        anti, = hk.estimate_value(m, zero_policy(), [[1.0]], 0.0, 1.0,
                                   hk.MonteCarloConfig(paths=4000, dt=5e-3,
-                                                      seed=3))
-        anti = hk.estimate_value(m, zero_policy(), [1.0], 0.0, 1.0,
-                                 hk.MonteCarloConfig(paths=4000, dt=5e-3,
-                                                     seed=3, antithetic=True))
+                                                      seed=3, antithetic=True))
         assert anti.std_error <= plain.std_error
 
 
@@ -132,7 +234,7 @@ class TestExclusion:
             controls=np.array([[0.0]]), lip_L1=1.0, lip_L2=1.0)
         mc = hk.MonteCarloConfig(paths=200, dt=0.5, seed=0)
         with pytest.raises(PathExclusionError) as exc:
-            hk.estimate_value(m, zero_policy(), [3.0], 0.0, 5.0, mc)
+            hk.estimate_value(m, zero_policy(), [[3.0]], 0.0, 5.0, mc)[0]
         assert exc.value.excluded > 0
 
 
@@ -141,27 +243,40 @@ class TestEstimateValue:
         # value = (1 - e^{-T}) exactly; only quadrature bias remains
         m = constant_model()
         mc = hk.MonteCarloConfig(paths=100, dt=1e-3, seed=0)
-        est = hk.estimate_value(m, zero_policy(), [0.0], 0.0, 1.0, mc)
+        est = hk.estimate_value(m, zero_policy(), [[0.0]], 0.0, 1.0, mc)[0]
         assert abs(est.mean - (1 - np.exp(-1.0))) < 1e-3
 
     def test_terminal_reward_included(self):
         m = constant_model(f=0.0, h=-1.0, g=1.0)
         mc = hk.MonteCarloConfig(paths=100, dt=1e-3, seed=0)
-        est = hk.estimate_value(m, zero_policy(), [0.0], 0.0, 1.0, mc)
+        est = hk.estimate_value(m, zero_policy(), [[0.0]], 0.0, 1.0, mc)[0]
         assert est.mean == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_start_time_shortens_the_window(self):
         m = constant_model()
         mc = hk.MonteCarloConfig(paths=100, dt=1e-3, seed=0)
-        est = hk.estimate_value(m, zero_policy(), [0.0], 0.5, 1.0, mc)
+        est = hk.estimate_value(m, zero_policy(), [[0.0]], 0.5, 1.0, mc)[0]
         assert abs(est.mean - (1 - np.exp(-0.5))) < 1e-3
 
     def test_result_serializes(self):
         m = constant_model()
         mc = hk.MonteCarloConfig(paths=100, dt=1e-2, seed=0)
-        est = hk.estimate_value(m, zero_policy(), [0.0], 0.0, 1.0, mc)
+        est = hk.estimate_value(m, zero_policy(), [[0.0]], 0.0, 1.0, mc)[0]
         d = est.as_dict()
         assert set(d) >= {"mean", "std_error", "paths", "seed", "horizon"}
+
+
+def _cubic_model():
+    def drift(y, d):
+        y = np.asarray(y, float)
+        return -y - y ** 3
+
+    return hk.ControlModel(
+        dim=1, drift=drift,
+        discount_rate=lambda y, d: np.full(np.asarray(y).shape[:-1], -1.0),
+        running_reward=lambda y, d: np.ones(np.asarray(y).shape[:-1]),
+        terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+        controls=np.array([[0.0]]), lip_L1=1.0, lip_L2=-1.0)
 
 
 class TestCoupling:
@@ -172,26 +287,49 @@ class TestCoupling:
         assert abs(rep.worst_ratio_discrete - 1.0) < 1e-12
 
     def test_cubic_drift_contracts_within_tolerance(self):
-        def drift(y, d):
-            y = np.asarray(y, float)
-            return -y - y ** 3
-
-        m = hk.ControlModel(
-            dim=1, drift=drift,
-            discount_rate=lambda y, d: np.full(np.asarray(y).shape[:-1], -1.0),
-            running_reward=lambda y, d: np.ones(np.asarray(y).shape[:-1]),
-            terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
-            controls=np.array([[0.0]]), lip_L1=1.0, lip_L2=-1.0)
         mc = hk.MonteCarloConfig(paths=1000, dt=1e-2, seed=0)
-        rep = hk.coupled_contraction(m, zero_policy(), [1.5], [0.5], 2.0, mc)
+        rep = hk.coupled_contraction(_cubic_model(), zero_policy(), [1.5],
+                                     [0.5], 2.0, mc)
         assert rep.worst_ratio <= 1.0 + 10 * mc.dt
         assert rep.initial_distance == pytest.approx(1.0)
+
+    def test_blocks_reduce_like_one_block(self, monkeypatch):
+        # distances differ across paths, so each block's extremes matter
+        mc = hk.MonteCarloConfig(paths=10, dt=0.05, seed=2)
+        args = (_cubic_model(), zero_policy(), [1.5], [0.5], 1.0, mc)
+        whole = hk.coupled_contraction(*args)
+        monkeypatch.setattr(sim, "_BLOCK", 3)
+        monkeypatch.setattr(sim, "_CHUNK", 4)
+        blocks = hk.coupled_contraction(*args)
+        assert np.ptp(whole.path_spread) > 0
+        for name, value in vars(whole).items():
+            assert np.array_equal(getattr(blocks, name), value), name
 
     def test_identical_starts_rejected(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=10, dt=1e-2, seed=0)
         with pytest.raises(ParameterError):
             hk.coupled_contraction(m, zero_policy(), [1.0], [1.0], 1.0, mc)
+
+    def test_memory_flat_in_horizon(self):
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=500, dt=1e-2, seed=0)
+
+        def peak(T):
+            tracemalloc.start()
+            try:
+                hk.coupled_contraction(m, zero_policy(), [1.0], [0.25], T, mc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        T = 3.0
+        hk.coupled_contraction(m, zero_policy(), [1.0], [0.25], T, mc)
+        short, long = peak(T), peak(8 * T)
+        # the report and its reductions hold a few floats per step; a record
+        # of every step would add 2 starts x 500 paths x 4 floats per step
+        extra_steps = 7 * T / mc.dt
+        assert long <= short + 8 * 8 * extra_steps + 16 * 1024
 
 
 class TestHorizonConvergence:
@@ -252,6 +390,24 @@ class TestBoundVerification:
         rep = hk.verify_bounds(m, spec, [1.0], 2.0, mc, times=[0.5, 1.0, 2.0])
         assert not rep.met
         assert any(not r["met"] for r in rep.rows)
+
+    def test_scalar_start(self):
+        m = ou_model()
+        spec = hk.ExponentialEnvelopeBound(K=3.0, M=1.0)
+        mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=0)
+        assert hk.verify_bounds(m, spec, 0.5, 1.0, mc).rows \
+            == hk.verify_bounds(m, spec, [0.5], 1.0, mc).rows
+
+    def test_control_groups_match_one_call(self, monkeypatch):
+        m = ou_model()
+        spec = hk.UniformDiscountBound(w=1.0, L1=1.0, L2=-1.0)
+        mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=0)
+        whole = hk.verify_bounds(m, spec, [0.5], 1.0, mc)
+        # a budget below one control's records: one control per group
+        monkeypatch.setattr(sim, "_RECORD_BYTES", 1)
+        grouped = hk.verify_bounds(m, spec, [0.5], 1.0, mc)
+        assert [r["control_index"] for r in grouped.rows][::4] == [0, 1, 2]
+        assert grouped.rows == whole.rows
 
     def test_envelope_bound(self):
         m = ou_model()
