@@ -14,6 +14,7 @@ from .errors import (
     HjbkitError,
     ParameterError,
     PathExclusionError,
+    PolicyIterationError,
     StabilityError,
 )
 from .finance import (
@@ -48,6 +49,7 @@ from .pde import (
     residual,
     solve_finite_horizon,
     solve_infinite_horizon,
+    solve_stationary,
 )
 from .simulate import (
     DiffusionDiscountBound,

@@ -13,12 +13,14 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import finance, model as model_mod, pde, simulate
-from .errors import HjbkitError, ParameterError, StabilityError
+from .errors import (HjbkitError, ParameterError, PolicyIterationError,
+                     StabilityError)
 
 __all__ = ["main"]
 
@@ -76,6 +78,16 @@ def cmd_check(args):
     return 0 if report.passed else 1
 
 
+def _solve_stationary(mdl, grid, args, override):
+    """Policy iteration, or the long-time march where it does not apply."""
+    try:
+        return pde.solve_stationary(mdl, grid, args.tol_dt,
+                                    control_override=override)
+    except PolicyIterationError:
+        return pde.solve_infinite_horizon(mdl, grid, args.dt, args.tol_dt,
+                                          args.t_max, control_override=override)
+
+
 def cmd_solve(args):
     digest = _config_digest(args)
     os.makedirs(args.out, exist_ok=True)
@@ -90,9 +102,7 @@ def cmd_solve(args):
     grid = _grid(args)
     try:
         if args.infinite:
-            vf, pf, report = pde.solve_infinite_horizon(
-                mdl, grid, args.dt, args.tol_dt, args.t_max,
-                control_override=override)
+            vf, pf, report = _solve_stationary(mdl, grid, args, override)
         else:
             tg = pde.TimeGrid(args.horizon, args.steps)
             vf, pf, report = pde.solve_finite_horizon(
@@ -219,9 +229,8 @@ def cmd_merton(args):
     if not args.skip_solve:
         mdl = finance.to_control_model(market, (args.npi, args.nc))
         grid = _grid(args)
-        vf, _, report = pde.solve_infinite_horizon(
-            mdl, grid, args.dt, args.tol_dt, args.t_max,
-            control_override=finance.control_override(market))
+        vf, _, report = _solve_stationary(mdl, grid, args,
+                                          finance.control_override(market))
         interior = vf.values[0][1:-1]
         rel_err = float(np.max(np.abs(interior - bench.u)) / bench.u)
         payload["solver"] = report.as_dict()
@@ -288,9 +297,12 @@ def build_parser():
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--infinite", action="store_true")
     p.add_argument("--dt", type=float, default=1e-3,
-                   help="time step for the long-time march")
-    p.add_argument("--tol-dt", type=float, default=1e-6)
-    p.add_argument("--t-max", type=float, default=500.0)
+                   help="time step of the long-time march, the --infinite "
+                        "fallback where policy iteration does not apply")
+    p.add_argument("--tol-dt", type=float, default=1e-6,
+                   help="stationary residual tolerance (--infinite)")
+    p.add_argument("--t-max", type=float, default=500.0,
+                   help="time cap of the long-time march fallback")
     p.add_argument("--closed-form", action="store_true",
                    help="use the closed-form market controls")
     p.add_argument("--slice-stride", type=int, default=10 ** 9,
@@ -302,9 +314,7 @@ def build_parser():
     _add_market(p)
     p.add_argument("--field", help="value.csv from solve")
     p.add_argument("--policy", help="policy.csv from solve")
-    p.add_argument("--probes",
-                   help="comma-separated probe states; a list that starts "
-                        "with a negative value is written --probes=-1,...")
+    p.add_argument("--probes", help="comma-separated probe states")
     p.add_argument("--bounds", help="bound scenario file (JSON)")
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--paths", type=int, default=20000)
@@ -316,9 +326,12 @@ def build_parser():
     p = sub.add_parser("merton", help="constant-coefficient benchmark")
     _add_common(p)
     _add_market(p)
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--tol-dt", type=float, default=1e-6)
-    p.add_argument("--t-max", type=float, default=500.0)
+    p.add_argument("--dt", type=float, default=2e-3,
+                   help="time step of the long-time march fallback")
+    p.add_argument("--tol-dt", type=float, default=1e-6,
+                   help="stationary residual tolerance")
+    p.add_argument("--t-max", type=float, default=500.0,
+                   help="time cap of the long-time march fallback")
     p.add_argument("--skip-solve", action="store_true")
     p.add_argument("--emit-reduced", action="store_true",
                    help="embed the reduced model descriptor")
@@ -336,9 +349,21 @@ def build_parser():
     return parser
 
 
+def _join_probes(argv):
+    """``--probes -1,0`` as ``--probes=-1,0``: the list is not an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--probes" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--probes={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_probes(sys.argv[1:] if argv is None
+                                          else argv))
     try:
         return args.func(args)
     except FileNotFoundError as err:

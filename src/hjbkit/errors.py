@@ -41,6 +41,15 @@ class DivergenceError(HjbkitError):
     """
 
 
+class PolicyIterationError(HjbkitError):
+    """Policy iteration does not apply to the model or did not converge.
+
+    Raised for a discount rate ``h >= 0`` under a policy the iteration
+    solves for, a non-finite linear solve, the iteration cap, or a solution
+    the long-time march moves away from; the march is the fallback.
+    """
+
+
 class PathExclusionError(HjbkitError):
     """Too many simulated paths went non-finite to trust the estimate."""
 

@@ -1,9 +1,19 @@
-"""Explicit finite-difference solvers for the scalar HJB problems.
+"""Finite-difference solvers for the scalar HJB problems.
 
 Finite horizon: march backward from the terminal reward.  Infinite
-horizon: march the forward parabolic problem started from zero until the
-discrete time derivative is below tolerance; the limit field is the
-candidate solution of the stationary equation.
+horizon: ``solve_stationary`` solves the discrete stationary equation
+directly by policy iteration (Howard): fix the policy, solve its
+tridiagonal linear system, improve the policy with the same control scan,
+until the march's right-hand side is below tolerance on every row the
+march updates.  It needs ``h < 0`` under every policy it solves for and
+raises ``PolicyIterationError`` where that fails or it does not converge;
+``solve_infinite_horizon`` then marches the forward parabolic problem from
+zero until the discrete time derivative is below tolerance.  Stationary
+reports carry ``error_bound = dvdt_norm / min(-h)`` under the final policy
+(null unless ``sup h < 0``): an a-posteriori estimate from the comparison
+principle of the monotone interior rows, which the one-sided and
+extrapolated edge rows do not share, so near an edge where the drift is
+weak it can be exceeded.
 
 Scheme: explicit Euler in time, centered second difference for the unit
 diffusion, first difference upwinded by the sign of the drift per
@@ -21,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, StabilityError
+from .errors import (DivergenceError, ParameterError, PolicyIterationError,
+                     StabilityError)
 from .hamiltonian import control_tables, maximize
 
 __all__ = [
@@ -32,11 +43,14 @@ __all__ = [
     "SolveReport",
     "solve_finite_horizon",
     "solve_infinite_horizon",
+    "solve_stationary",
     "residual",
     "gradient_bound_check",
 ]
 
 _OVERFLOW_GUARD = 1e10
+_MAX_POLICY_ITERATIONS = 50
+_FINITE_KIND = "finite_horizon_explicit_upwind"
 
 
 @dataclass(frozen=True)
@@ -160,10 +174,11 @@ class SolveReport:
     steps: int
     wall_time: float
     converged: bool = True
+    error_bound: float = None  # stationary solves: dvdt_norm / min(-h)
 
     def as_dict(self):
         # wall time is excluded so artifacts stay byte-reproducible
-        return {
+        out = {
             "scheme": self.scheme,
             "cfl_ratio": float(self.cfl_ratio),
             "residual_norm": float(self.residual_norm),
@@ -171,6 +186,10 @@ class SolveReport:
             "steps": int(self.steps),
             "converged": bool(self.converged),
         }
+        if self.scheme["kind"] != _FINITE_KIND:
+            out["error_bound"] = None if self.error_bound is None \
+                else float(self.error_bound)
+        return out
 
 
 def _second_difference(u, dy, boundary):
@@ -193,43 +212,58 @@ def _centered_gradient(u, dy):
     return grad
 
 
+def _tabulate(model, ys, controls=None):
+    """``(i, i >= 0, h, f)`` of each control on the nodes, controls first."""
+    i, h, f = control_tables(model, ys[:, None], controls)
+    i = i[..., 0]
+    return i, i >= 0.0, h, f
+
+
+def _upwind_max(u, dy, i, upwind, h, f):
+    """Max and first argmax over the controls, drifts upwinded by sign."""
+    # forward differences are d[1:], backward d[:-1]; one-sided at edges
+    d = np.empty(len(u) + 1)
+    d[1:-1] = (u[1:] - u[:-1]) / dy
+    d[0], d[-1] = d[1], d[-2]
+    return maximize(i * np.where(upwind, d[1:], d[:-1]), h, f, u)
+
+
+def _override_tables(model, grid, override, u):
+    """The override's controls from the centred gradient, and their tables."""
+    grad = _centered_gradient(u, grid.spacing)
+    delta = np.asarray(override(grid.ys, u, grad), float)
+    return delta, _tabulate(model, grid.ys, [delta])
+
+
 def _march_hamiltonian(model, grid, dt, span, override):
     """The march's ``u -> (H, policy)`` and a one-item list with its CFL ratio.
 
-    Each control's drift is upwinded by its own sign.  Grid controls are
-    tabulated and checked against the step limit once; a closed-form
-    override is a one-row table per step, each checked against the same
-    limit, so the ratio is the largest over the controls actually applied.
+    Grid controls are tabulated and checked against the step limit once; a
+    closed-form override is a one-row table per step, each checked against
+    the same limit, so the ratio is the largest over the controls actually
+    applied.
     """
     ys, dy = grid.ys, grid.spacing
     cfl = [0.0]
 
-    def tabulate(controls):
-        i, h, f = control_tables(model, ys[:, None], controls)
-        i = i[..., 0]
+    def checked(tables):
+        i, _, h, _ = tables
         dt_max = 1.0 / (1.0 / dy ** 2 + np.abs(i).max() / dy + max(h.max(), 0.0))
         if dt > dt_max * (1.0 + 1e-12):
             raise StabilityError(dt, dt_max, int(np.ceil(span / dt_max)))
         cfl[0] = max(cfl[0], dt / dt_max)
-        return i, i >= 0.0, h, f
-
-    def upwind_max(u, i, upwind, h, f):
-        # forward differences are d[1:], backward d[:-1]; one-sided at edges
-        d = np.empty(len(u) + 1)
-        d[1:-1] = (u[1:] - u[:-1]) / dy
-        d[0], d[-1] = d[1], d[-2]
-        return maximize(i * np.where(upwind, d[1:], d[:-1]), h, f, u)
+        return tables
 
     if override is None:
-        tables = tabulate(None)
+        tables = checked(_tabulate(model, ys))
 
         def hamiltonian(u):
-            H, idx = upwind_max(u, *tables)
+            H, idx = _upwind_max(u, dy, *tables)
             return H, model.controls[idx]
     else:
         def hamiltonian(u):
-            delta = np.asarray(override(ys, u, _centered_gradient(u, dy)), float)
-            return upwind_max(u, *tabulate([delta]))[0], delta
+            delta, tables = _override_tables(model, grid, override, u)
+            return _upwind_max(u, dy, *checked(tables))[0], delta
     return hamiltonian, cfl
 
 
@@ -290,7 +324,7 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     res = residual(model, ValueField(grid, u, 0.0), control_override)
     report = SolveReport(
         scheme={
-            "kind": "finite_horizon_explicit_upwind",
+            "kind": _FINITE_KIND,
             "dt": dt,
             "dy": dy,
             "boundary": grid.boundary,
@@ -350,6 +384,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     pf = PolicyField(grid, pol, t_final)
     del hamiltonian  # release the march tables: residual builds its own
     res = residual(model, vf, control_override)
+    top = float(model.eval_checked("discount_rate", ys[:, None], pol).max())
     report = SolveReport(
         scheme={
             "kind": "infinite_horizon_long_time",
@@ -366,6 +401,171 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
         steps=s,
         wall_time=_time.perf_counter() - t0,
         converged=converged,
+        error_bound=dvdt / -top if top < 0.0 else None,
+    )
+    return vf, pf, report
+
+
+def _solve_policy(grid, i, h, f):
+    """Solve ``(½D² + i·D_upwind + h) u = −f`` for one policy's coefficients.
+
+    The rows are those of the march's fixed point: upwinded drift and the
+    ``_second_difference`` boundary rows, or the extrapolation rows for
+    ``linear_extrapolation``.  Each edge row reaches two nodes inward; it is
+    reduced to tridiagonal form by eliminating with its neighbour row, then
+    the system is solved by the Thomas algorithm without pivoting.
+
+    Also returns whether the determinant, the product of the pivots, has
+    the sign ``(-1)^n`` of a matrix whose eigenvalues all have negative
+    real part.  Otherwise an odd number of them are real and positive: the
+    solution is a fixed point the march moves away from.
+    """
+    dy, n = grid.spacing, grid.nodes
+    a = 0.5 / dy ** 2
+    lo = a + np.maximum(-i, 0.0) / dy       # coefficient of u[j-1]
+    up = a + np.maximum(i, 0.0) / dy        # coefficient of u[j+1]
+    di = h - 2.0 * a - np.abs(i) / dy
+    rhs = -np.asarray(f, float)
+    if grid.boundary == "one_sided":
+        di[0], up[0] = a - i[0] / dy + h[0], -2.0 * a + i[0] / dy
+        di[-1], lo[-1] = a + i[-1] / dy + h[-1], -2.0 * a - i[-1] / dy
+        edge = a                             # coefficient of u[2] and u[-3]
+    else:  # zero curvature: u[0] - 2 u[1] + u[2] = 0
+        di[0] = di[-1] = 1.0
+        up[0] = lo[-1] = -2.0
+        rhs[0] = rhs[-1] = 0.0
+        edge = 1.0
+    m = edge / up[1]
+    di[0], up[0], rhs[0] = (di[0] - m * lo[1], up[0] - m * di[1],
+                            rhs[0] - m * rhs[1])
+    m = edge / lo[-2]
+    di[-1], lo[-1], rhs[-1] = (di[-1] - m * up[-2], lo[-1] - m * di[-2],
+                               rhs[-1] - m * rhs[-2])
+
+    lo, di, up, rhs = lo.tolist(), di.tolist(), up.tolist(), rhs.tolist()
+    try:
+        for j in range(1, n):
+            w = lo[j] / di[j - 1]
+            di[j] -= w * up[j - 1]
+            rhs[j] -= w * rhs[j - 1]
+        u = [0.0] * n
+        u[-1] = rhs[-1] / di[-1]
+        for j in range(n - 2, -1, -1):
+            u[j] = (rhs[j] - up[j] * u[j + 1]) / di[j]
+    except ZeroDivisionError:
+        return np.full(n, np.nan), False
+    return np.array(u), sum(p > 0.0 for p in di) % 2 == 0
+
+
+def _policy_improver(model, grid, override):
+    """The march's scan as ``u -> (H, policy, (i, h, f) of that policy)``.
+
+    Grid controls are tabulated once, an override's controls per call.
+    Raises ``PolicyIterationError`` where a control it may apply has
+    ``h >= 0``: the grid tables once, every override iterate.
+    """
+    ys, dy = grid.ys, grid.spacing
+
+    def discounting(h):
+        if not h.max() < 0.0:
+            raise PolicyIterationError(
+                "discount rate h >= 0 at some node: policy iteration needs "
+                "h < 0 under every policy it solves for")
+
+    if override is None:
+        tables = _tabulate(model, ys)
+        discounting(tables[2])
+        nodes = np.arange(grid.nodes)
+
+        def improve(u):
+            H, idx = _upwind_max(u, dy, *tables)
+            i, _, h, f = tables
+            return H, model.controls[idx], (i[idx, nodes], h[idx, nodes],
+                                            f[idx, nodes])
+    else:
+        def improve(u):
+            delta, (i, upwind, h, f) = _override_tables(model, grid, override,
+                                                        u)
+            discounting(h)
+            return _upwind_max(u, dy, i, upwind, h, f)[0], delta, \
+                (i[0], h[0], f[0])
+    return improve
+
+
+def solve_stationary(model, grid, tol, control_override=None):
+    """Policy iteration for the stationary equation the long-time march solves.
+
+    Starting from the policy the march takes at ``u = 0``, each iteration
+    solves the linear system of the current policy (``_solve_policy``) and
+    improves the policy by the march's control scan: the first-index argmax
+    over the grid controls, or the override's controls from the centred
+    gradient.  It stops when the sup-norm of the march's right-hand side
+    under the improved policy, over every row the march updates (edge rows
+    included for ``one_sided``), is below ``tol``; the report's
+    ``dvdt_norm`` is that residual and ``steps`` the number of linear
+    solves.  ``error_bound`` is ``dvdt_norm / min(-h)`` under the final
+    policy, and the field is stamped with a horizon past which the
+    discounted tail ``max|f| e^{-min(-h) t} / min(-h)`` is below ``tol``.
+
+    Raises ``PolicyIterationError`` when the method does not apply, with
+    ``h >= 0`` at some node of the grid controls or of an override iterate,
+    or fails: a non-finite solve, no convergence within
+    ``_MAX_POLICY_ITERATIONS``, or a solution the march moves away from
+    (the determinant test of ``_solve_policy``).  The edge rows are not
+    monotone: where the drift at an edge is weak, Howard's policies can
+    cycle there, and the edge equation can have a second solution.
+    ``solve_infinite_horizon`` is then the solver to use.
+    """
+    if model.dim != 1:
+        raise ParameterError("grid solver supports dim=1 only")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
+    dy = grid.spacing
+    rows = slice(None) if grid.boundary == "one_sided" else slice(1, -1)
+    improve = _policy_improver(model, grid, control_override)
+
+    t0 = _time.perf_counter()
+    _, pol, coef = improve(np.zeros(grid.nodes))
+    for it in range(1, _MAX_POLICY_ITERATIONS + 1):
+        u, stable = _solve_policy(grid, *coef)
+        if not np.isfinite(u).all():
+            raise PolicyIterationError(
+                f"policy iteration {it}: the linear solve is not finite")
+        H, pol, coef = improve(u)
+        rhs = 0.5 * _second_difference(u, dy, grid.boundary) + H
+        dvdt = float(np.abs(rhs[rows]).max())
+        if dvdt < tol:
+            break
+    else:
+        raise PolicyIterationError(
+            f"policy iteration did not converge in {_MAX_POLICY_ITERATIONS} "
+            "iterations")
+    if not stable:
+        raise PolicyIterationError(
+            "policy iteration converged to a solution the march moves away "
+            "from: the edge rows admit another one")
+
+    _, h, f = coef
+    rate = -float(h.max())
+    horizon = np.log(max(float(np.abs(f).max()) / (rate * tol), np.e)) / rate
+    vf = ValueField(grid, u, horizon)
+    pf = PolicyField(grid, pol, horizon)
+    del improve  # release the grid tables: residual builds its own
+    res = residual(model, vf, control_override)
+    report = SolveReport(
+        scheme={
+            "kind": "stationary_policy_iteration",
+            "dy": dy,
+            "boundary": grid.boundary,
+            "tol": tol,
+            "override": control_override is not None,
+        },
+        cfl_ratio=0.0,
+        residual_norm=float(np.max(np.abs(res))),
+        dvdt_norm=dvdt,
+        steps=it,
+        wall_time=_time.perf_counter() - t0,
+        error_bound=dvdt / rate,
     )
     return vf, pf, report
 

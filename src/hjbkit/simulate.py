@@ -47,6 +47,7 @@ _BLOCK = 1 << 14      # paths per block
 _CHUNK = 128          # steps of increments drawn at a time
 _RECORD_BYTES = 1 << 25   # records per call of the grouped moment checks
 _EXCLUSION_BUDGET = 1e-3
+_STREAM_START = np.random.Philox(key=[0, 0]).state  # key swapped in per path
 
 
 @dataclass(frozen=True)
@@ -107,21 +108,44 @@ def _steps_for(T, dt):
     return steps, T / steps
 
 
-def _march(model, policies, starts, steps, dt, mc, marks, t0):
+def _path_draws(mc, ids, kept):
+    """Each path's ``standard_normal``, from the start of its Philox stream.
+
+    Streams are keyed by ``(seed, path)``, an antithetic pair sharing one.
+    ``kept``, if not None, maps a block's first path to its generators
+    across calls: they are built once (about 25 us each) and later calls
+    rewind them to the start of their streams (about 4 us each).
+    """
+    def key(i):
+        return [mc.seed, i // 2 if mc.antithetic else i]
+
+    gens = None if kept is None else kept.get(ids.start)
+    if gens is None:
+        gens = [np.random.Generator(np.random.Philox(key=key(i))) for i in ids]
+        if kept is not None:
+            kept[ids.start] = gens
+    else:
+        start = dict(_STREAM_START, state=dict(_STREAM_START["state"]))
+        for gen, i in zip(gens, ids):
+            start["state"]["key"] = np.array(key(i), np.uint64)
+            gen.bit_generator.state = start
+    return [gen.standard_normal for gen in gens]
+
+
+def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
     """The Euler loop over blocks of paths, for every (policy, start) pair.
 
     Yields ``(lo, step, y, d, ld, rw)`` after every step in ``marks``: the
     block's first path and live ``(P, S, m, ...)`` views of the states,
     controls, log-discounts and reward integrals, to be copied or reduced.
+    ``kept`` carries the path generators across calls (``_path_draws``).
     """
     P, S, N = len(policies), len(starts), model.dim
     sqdt = np.sqrt(dt)
     for lo in range(0, mc.paths, _BLOCK):
         ids = range(lo, min(lo + _BLOCK, mc.paths))
         m = len(ids)
-        draws = [np.random.Generator(np.random.Philox(
-            key=[mc.seed, i // 2 if mc.antithetic else i])).standard_normal
-            for i in ids]
+        draws = _path_draws(mc, ids, kept)
         z = np.empty((m, min(_CHUNK, steps), N))
         rows = list(z)
         y = np.empty((P, S * m, N))
@@ -167,6 +191,11 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0):
     taken at ``times`` (in ``(0, T]``) and at ``T``; they take
     ``P * S * paths * records * (N + k + 2)`` floats.
     """
+    return _records(model, policies, starts, T, mc, times, t0, None)
+
+
+def _records(model, policies, starts, T, mc, times, t0, kept):
+    """``simulate_paths``, with the path generators of ``kept`` (``_march``)."""
     if not T > 0:
         raise ParameterError("T must be positive")
     steps, dt = _steps_for(T, mc.dt)
@@ -185,7 +214,7 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0):
     log_discount = np.empty(shape)
     reward = np.empty(shape)
     for lo, s, y, d, ld, rw in _march(model, policies, starts, steps, dt, mc,
-                                      set(marks.tolist()), t0):
+                                      set(marks.tolist()), t0, kept):
         hi = lo + y.shape[2]
         for r in np.flatnonzero(marks == s):
             states[:, :, r, lo:hi] = y
@@ -258,14 +287,17 @@ def discounted_samples(model, policies, starts, T, mc, times, statistic):
     of ``statistic`` to its values at every record: ``e^{int h}``
     ("discount"), ``e^{int h} f`` ("discounted_reward"), or ``e^{int h}
     max(|f|, 1)`` and ``e^{int h} max(|g|, 1)`` ("discounted_moments").
-    Each group's records fit in ``_RECORD_BYTES``.
+    Each group's records fit in ``_RECORD_BYTES``; with more than one
+    group, the groups rewind the same path generators instead of building
+    them again.
     """
     floats = model.dim + model.controls.shape[1] + 2
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
     size = max(1, _RECORD_BYTES // per_policy)
+    kept = {} if len(policies) > size else None
     for first in range(0, len(policies), size):
-        batch = simulate_paths(model, policies[first:first + size], starts, T,
-                               mc, times)
+        batch = _records(model, policies[first:first + size], starts, T, mc,
+                         times, 0.0, kept)
         shape = batch.log_discount.shape
         y = batch.states.reshape(-1, model.dim)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hjbkit import pde
 from hjbkit.cli import main
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
@@ -118,6 +119,34 @@ class TestVerify:
         assert all(row["met"] for row in rows)
         assert all(row["std_error"] > 0 for row in rows)
 
+    def test_default_horizon_of_stationary_field(self, tmp_path, solved):
+        # the stationary field is stamped log(max|f| / (min(-h) tol)) = log(1e5)
+        lines = (solved / "value.csv").read_text().splitlines()
+        assert float(lines[3].split(",")[1]) == pytest.approx(np.log(1e5))
+        code = run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--field", solved / "value.csv",
+                   "--policy", solved / "policy.csv", "--probes", "0.0,1.0",
+                   "--paths", 2000, "--dt-sim", 1e-2, "--seed", 2)
+        assert code == 0
+        rows = json.loads((tmp_path / "v" / "verify_report.json")
+                          .read_text())["field_probes"]
+        assert len(rows) == 2 and all(row["met"] for row in rows)
+
+    @pytest.mark.parametrize("probes", [("--probes", "-1,0,1"),
+                                        ("--probes=-1,0,1",),
+                                        ("--probes", "-.1e1,2")])
+    def test_probes_with_leading_negative_value(self, tmp_path, solved,
+                                                probes):
+        code = run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--field", solved / "value.csv",
+                   "--policy", solved / "policy.csv", *probes,
+                   "--paths", 200, "--dt-sim", 5e-2, "--tol", 1.0)
+        assert code == 0
+        rows = json.loads((tmp_path / "v" / "verify_report.json")
+                          .read_text())["field_probes"]
+        expected = [float(v) for v in probes[-1].split("=")[-1].split(",")]
+        assert [row["y"] for row in rows] == pytest.approx(expected)
+
     def test_corrupted_field_fails(self, tmp_path, solved):
         lines = (solved / "value.csv").read_text().splitlines()
         out = []
@@ -166,6 +195,37 @@ class TestMerton:
         rep = json.loads((tmp_path / "merton.json").read_text())
         assert rep["relative_error"] < 1e-3
         assert rep["reduced_model"]["dim"] == 1
+
+
+class TestStationarySelection:
+    MERTON = ("merton", "--market", MARKET, "--grid-min", -1, "--grid-max", 1,
+              "--nodes", 21, "--dt", 4e-3, "--tol-dt", 1e-5, "--t-max", 300)
+
+    def test_policy_iteration_then_march_at_the_cap(self, tmp_path,
+                                                    monkeypatch):
+        assert run(*self.MERTON, "--out", tmp_path / "a") == 0
+        rep = json.loads((tmp_path / "a" / "merton.json").read_text())
+        assert rep["solver"]["scheme"]["kind"] == "stationary_policy_iteration"
+        assert rep["solver"]["steps"] > 1
+        monkeypatch.setattr(pde, "_MAX_POLICY_ITERATIONS", 1)
+        assert run(*self.MERTON, "--out", tmp_path / "b") == 0
+        rep = json.loads((tmp_path / "b" / "merton.json").read_text())
+        assert rep["solver"]["scheme"]["kind"] == "infinite_horizon_long_time"
+        assert rep["relative_error"] < 1e-3
+        assert rep["solver"]["error_bound"] > 0
+
+    def test_positive_discount_rate_exits_through_the_march(self, tmp_path,
+                                                            capsys):
+        doc = json.loads(open(MODEL).read())
+        doc["discount_rate"] = {"kind": "constant", "value": 0.5}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = run("solve", "--model", model, "--out", tmp_path / "o",
+                   "--infinite", "--grid-min", -1, "--grid-max", 1,
+                   "--nodes", 21, "--dt", 5e-3, "--tol-dt", 1e-9,
+                   "--t-max", 1000)
+        assert code == 1
+        assert "long-time march diverged" in capsys.readouterr().err
 
 
 class TestKappa:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hjbkit as hk
-from hjbkit.errors import DivergenceError, ParameterError, StabilityError
+from hjbkit import pde
+from hjbkit.errors import (DivergenceError, ParameterError,
+                           PolicyIterationError, StabilityError)
 
 from conftest import constant_model, ou_model
 
@@ -227,6 +231,255 @@ class TestInfiniteHorizon:
         _, pf, _ = hk.solve_infinite_horizon(m, g, 2.5e-3, 1e-5, 100.0)
         # reward 1 - delta^2 with a flat value: no action is optimal
         assert np.all(pf.controls[0][5:-5] == 0.0)
+
+
+def _random_model(params):
+    """One control per row ``(s, b, c, p, q)`` of ``params``, valued its index.
+
+    Drift ``b (s - y)``, discount ``-0.3 - c (1 + cos y)``, reward
+    ``p + q sin 2y``, terminal 0.
+    """
+    table = np.asarray(params, float)
+
+    def split(y, d):
+        j = np.rint(np.asarray(d, float)[..., 0]).astype(int)
+        return (np.asarray(y, float)[..., 0], *table[j].T)
+
+    def drift(y, d):
+        y, s, b, c, p, q = split(y, d)
+        return (b * (s - y))[..., None]
+
+    def discount(y, d):
+        y, s, b, c, p, q = split(y, d)
+        return -0.3 - c * (1.0 + np.cos(y))
+
+    def reward(y, d):
+        y, s, b, c, p, q = split(y, d)
+        return p + q * np.sin(2.0 * y)
+
+    return hk.ControlModel(
+        dim=1, drift=drift, discount_rate=discount, running_reward=reward,
+        terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+        controls=np.arange(len(table), dtype=float)[:, None],
+        lip_L1=1.0, lip_L2=-0.5)
+
+
+def _march_rhs(model, grid, u):
+    """The march's right-hand side at ``u``, scanned control by control."""
+    ys, dy = grid.ys, grid.spacing
+    diff = np.diff(u) / dy
+    fwd, bwd = np.append(diff, diff[-1]), np.insert(diff, 0, diff[0])
+    best = np.full(len(u), -np.inf)
+    for d in model.controls:
+        i = model.drift(ys[:, None], d)[:, 0]
+        cand = i * np.where(i >= 0, fwd, bwd) + \
+            model.discount_rate(ys[:, None], d) * u + \
+            model.running_reward(ys[:, None], d)
+        best = np.maximum(best, cand)
+    d2 = np.empty(len(u))
+    d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy ** 2
+    d2[0], d2[-1] = d2[1], d2[-2]
+    return 0.5 * d2 + best
+
+
+_controls = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.5), st.floats(0.0, 1.0),
+              st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    min_size=1, max_size=4)
+
+
+class TestStationary:
+    @settings(max_examples=30, deadline=None)
+    @given(params=_controls, nodes=st.integers(11, 41),
+           boundary=st.sampled_from(["one_sided", "linear_extrapolation"]))
+    # the third solve changes the control at node 0 only: a stop rule that
+    # reads interior rows stops one solve early, 1e-2 away from the march
+    @example(params=[(0.5, 1.1, 0.3, -0.9, 0.1), (0.8, 2.2, 0.3, -0.7, -1.0)],
+             nodes=17, boundary="one_sided")
+    def test_matches_march(self, params, nodes, boundary):
+        """Policy iteration finds the march's limit and solves its equation.
+
+        Every updated row meets ``tol`` under the march's right-hand side,
+        and the field lies within ``tol / min(-h)`` of the march run to
+        ``1e-3 tol``.  Every control's rest point lies at least 1 from the
+        edges of [-2, 2], so the drift points firmly into the grid there.
+        Where it is weak at a one-sided edge, the edge equation can have
+        two stable solutions (``test_one_sided_edges_admit_two_solutions``).
+        Howard's policies cycle on about 1.5% of the one-sided draws, or end
+        on a solution the march leaves; the iteration then raises and the
+        CLI falls back to the march.
+        """
+        m = _random_model(params)
+        g = hk.Grid1D(-2.0, 2.0, nodes, boundary=boundary)
+        tol = 1e-5
+        try:
+            vs, ps, rs = hk.solve_stationary(m, g, tol)
+        except PolicyIterationError:
+            assert boundary == "one_sided"
+            return
+        u = vs.values[0]
+        rhs = _march_rhs(m, g, u)
+        if boundary == "one_sided":
+            assert np.abs(rhs).max() < tol
+        else:
+            assert np.abs(rhs[1:-1]).max() < tol
+            scale = 1e-12 * max(np.abs(u).max(), 1.0)
+            assert abs(u[0] - 2 * u[1] + u[2]) <= scale
+            assert abs(u[-1] - 2 * u[-2] + u[-3]) <= scale
+        assert rs.dvdt_norm < tol and rs.converged
+
+        i, h, _ = hk.hamiltonian.control_tables(m, g.ys[:, None])
+        dt = 0.99 / (1.0 / g.spacing ** 2 + np.abs(i).max() / g.spacing)
+        vm, _, rm = hk.solve_infinite_horizon(m, g, dt, 1e-3 * tol, 1000.0)
+        assert rm.converged
+        assert np.abs(vs.values - vm.values).max() <= tol / -h.max() + 1e-12
+
+    def test_cycling_edge_policies_raise(self):
+        # at the right edge Howard alternates between the two controls
+        # for ever; the march converges
+        m = _random_model([(1.2, 0.8, 0.2, 0.2, -0.9),
+                           (-0.1, 2.0, 0.1, 0.8, 0.6)])
+        g = hk.Grid1D(-2.0, 2.0, 11)
+        with pytest.raises(PolicyIterationError, match="did not converge"):
+            hk.solve_stationary(m, g, 1e-5)
+        assert hk.solve_infinite_horizon(m, g, 5e-3, 1e-5, 100.0)[2].converged
+
+    def test_solution_the_march_leaves_raises(self):
+        # at node 0 the weak-drift control 2 gives a second solution of the
+        # edge equation, 0.145 from the march's; the march moves away from it
+        m = _random_model([(0.0, 1.0, 1.0, 1.0, 0.0),
+                           (0.0, 2.0, 0.0625, 1.0, 0.0),
+                           (0.0, 0.5, 0.0, 0.0, 1.0)])
+        g = hk.Grid1D(-2.0, 2.0, 16)
+        with pytest.raises(PolicyIterationError, match="moves away"):
+            hk.solve_stationary(m, g, 1e-5)
+
+    def test_one_sided_edges_admit_two_solutions(self):
+        """A known limit of the one-sided edge rows, not of the solver.
+
+        With a weak inward drift at the right edge under control 0, the
+        march's equation has two stable solutions 0.21 apart there: policy
+        iteration ends on one, the march from zero on the other.  A better
+        edge scheme should turn this into an agreement test.
+        """
+        m = _random_model([(1.5, 1.0, 0.0, 0.0, 0.0),
+                           (-1.0, 1.0, 1.0, 0.0, 1.0)])
+        g = hk.Grid1D(-2.0, 2.0, 11)
+        vs, _, _ = hk.solve_stationary(m, g, 1e-10)
+        vm, _, _ = hk.solve_infinite_horizon(m, g, 2e-2, 1e-10, 100.0)
+        for u in (vs.values[0], vm.values[0]):
+            assert np.abs(_march_rhs(m, g, u)).max() < 1e-9
+        assert np.abs(vs.values - vm.values).max() > 0.2
+
+    @pytest.mark.parametrize("boundary", ["one_sided", "linear_extrapolation"])
+    def test_policy_solve_matches_dense_oracle(self, boundary):
+        rng = np.random.default_rng(3)
+        g = hk.Grid1D(-1.0, 2.0, 23, boundary=boundary)
+        i = rng.uniform(-3.0, 3.0, g.nodes)
+        h = rng.uniform(-2.0, -0.3, g.nodes)
+        f = rng.uniform(-1.0, 1.0, g.nodes)
+        # column k of the dense operator: the policy's right-hand side at e_k
+        m = hk.ControlModel(
+            dim=1, drift=lambda y, d: i[:, None], discount_rate=lambda y, d: h,
+            running_reward=lambda y, d: np.zeros(len(h)),
+            terminal_reward=lambda y: np.zeros(len(h)),
+            controls=np.zeros((1, 1)), lip_L1=1.0, lip_L2=-1.0)
+        A = np.column_stack([_march_rhs(m, g, e) for e in np.eye(g.nodes)])
+        b = -f.copy()
+        if boundary == "linear_extrapolation":
+            A[0], A[-1] = 0.0, 0.0
+            A[0, :3] = A[-1, -3:] = [1.0, -2.0, 1.0]
+            b[0] = b[-1] = 0.0
+        u, stable = pde._solve_policy(g, i, h, f)
+        oracle = np.linalg.solve(A, b)
+        assert np.abs(u - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+    def test_positive_discount_rate_raises(self):
+        g = hk.Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(PolicyIterationError, match="h >= 0"):
+            hk.solve_stationary(constant_model(h=0.5), g, 1e-6)
+
+        # an override iterate is checked as well: grid controls are fine,
+        # the override's second iterate is not
+        calls = []
+
+        def override(ys, u, grad):
+            calls.append(1)
+            return np.full((len(ys), 1), 0.0 if len(calls) == 1 else 5.0)
+
+        m = ou_model()
+        m = hk.ControlModel(
+            dim=1, drift=m.drift,
+            discount_rate=lambda y, d: np.asarray(d, float)[..., 0] - 1.0
+            + np.zeros(np.asarray(y).shape[:-1]),
+            running_reward=m.running_reward, terminal_reward=m.terminal_reward,
+            controls=np.array([[0.0]]), lip_L1=2.0, lip_L2=-1.0)
+        hk.solve_stationary(m, g, 1e-6)
+        with pytest.raises(PolicyIterationError, match="h >= 0"):
+            hk.solve_stationary(m, g, 1e-6, control_override=override)
+        assert len(calls) == 2
+
+    def test_report_and_time_stamp(self):
+        m = ou_model()
+        g = hk.Grid1D(-3.0, 3.0, 61)
+        vf, pf, rep = hk.solve_stationary(m, g, 1e-6)
+        doc = rep.as_dict()
+        assert doc["scheme"]["kind"] == "stationary_policy_iteration"
+        assert doc["cfl_ratio"] == 0.0 and doc["converged"] is True
+        assert doc["steps"] == 1  # the no-action policy is optimal at once
+        # h = -1, f = 1 under the final policy
+        assert doc["error_bound"] == doc["dvdt_norm"]
+        assert vf.time_stamps[0] == pytest.approx(np.log(1e6))
+        assert np.array_equal(pf.time_stamps, vf.time_stamps)
+        assert np.abs(vf.values[0] - 1.0).max() < 1e-12
+        # stamp of at least 1/min(-h) when max|f| is below the tolerance
+        vf, _, _ = hk.solve_stationary(constant_model(f=1e-9, h=-2.0), g, 1e-6)
+        assert vf.time_stamps[0] == pytest.approx(0.5)
+
+    def test_error_bound_only_on_stationary_reports(self):
+        m = ou_model()
+        g = hk.Grid1D(-3.0, 3.0, 31)
+        _, _, fin = hk.solve_finite_horizon(m, g, hk.TimeGrid(0.5, 500))
+        assert "error_bound" not in fin.as_dict()
+        _, _, rep = hk.solve_infinite_horizon(m, g, 5e-3, 1e-5, 100.0)
+        assert rep.as_dict()["error_bound"] == rep.dvdt_norm  # h = -1
+        g = hk.Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(DivergenceError):
+            hk.solve_infinite_horizon(constant_model(h=0.5), g, 2e-3, 1e-9,
+                                      1000.0)
+        _, _, rep = hk.solve_infinite_horizon(constant_model(h=0.0), g, 2e-3,
+                                              1e-9, 0.5)
+        assert rep.as_dict()["error_bound"] is None
+
+    def test_merton_override(self, merton_market):
+        model = hk.to_control_model(merton_market, (21, 21))
+        bench = hk.merton_benchmark(merton_market)
+        ov = hk.control_override(merton_market)
+        g = hk.Grid1D(-5.0, 5.0, 41)
+        vf, _, rep = hk.solve_stationary(model, g, 1e-6, control_override=ov)
+        assert rep.steps <= 6
+        assert np.abs(vf.values[0] - bench.u).max() / bench.u < 1e-9
+        vm, _, rm = hk.solve_infinite_horizon(model, g, 3.2e-2, 1e-6, 400.0,
+                                              control_override=ov)
+        assert np.abs(vf.values - vm.values).max() <= rm.error_bound
+
+    def test_grid_refinement_order(self):
+        # drift -y, h = -1, f = y^2: u = (y^2 + 1) / 3 exactly
+        m = hk.ControlModel(
+            dim=1, drift=lambda y, d: -np.asarray(y, float),
+            discount_rate=lambda y, d: np.full(np.asarray(y).shape[:-1], -1.0),
+            running_reward=lambda y, d: np.asarray(y, float)[..., 0] ** 2,
+            terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+            controls=np.zeros((1, 1)), lip_L1=1.0, lip_L2=-1.0)
+        errors = []
+        for nodes in (251, 501, 1001, 2001):
+            g = hk.Grid1D(-2.0, 2.0, nodes)
+            vf, _, _ = hk.solve_stationary(m, g, 1e-8)
+            inside = np.abs(g.ys) <= 1.0
+            exact = (g.ys[inside] ** 2 + 1.0) / 3.0
+            errors.append(np.abs(vf.values[0][inside] - exact).max())
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
 
 
 class TestResidual:

@@ -409,6 +409,38 @@ class TestBoundVerification:
         assert [r["control_index"] for r in grouped.rows][::4] == [0, 1, 2]
         assert grouped.rows == whole.rows
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_control_groups_build_each_stream_once(self, monkeypatch,
+                                                   antithetic):
+        m = ou_model(controls=((0.0,), (1.0,)), reward="bounded")
+        policies = hk.constant_policies(m)
+        mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=4,
+                                 antithetic=antithetic)
+
+        def samples():
+            return [(first, excl, s["f"]) for first, excl, s in
+                    sim.discounted_samples(m, policies, [[0.5]], 1.0, mc,
+                                           [0.5], "discounted_reward")]
+
+        whole = samples()
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["key"])
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(sim.np.random, "Philox", counted)
+        monkeypatch.setattr(sim, "_BLOCK", 64)  # four blocks of paths
+        monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one control per group
+        grouped = samples()
+        assert [first for first, _, _ in grouped] == [0, 1]
+        assert len(built) == mc.paths
+        assert np.array_equal(np.concatenate([e for _, e, _ in grouped]),
+                              whole[0][1])
+        assert np.array_equal(np.concatenate([f for _, _, f in grouped]),
+                              whole[0][2])
+
     def test_envelope_bound(self):
         m = ou_model()
         spec = hk.ExponentialEnvelopeBound(K=3.0, M=1.0)
