@@ -10,6 +10,7 @@ fixed seed reruns are byte-identical.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,10 +47,6 @@ def _write_json(path, payload, digest, seed):
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _provenance_lines(digest, seed):
-    return [f"config_digest={digest}", f"seed={seed}"]
 
 
 def _load_model(args):
@@ -111,7 +108,7 @@ def cmd_solve(args):
     except StabilityError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    header = _provenance_lines(digest, args.seed)
+    header = [f"config_digest={digest}", f"seed={args.seed}"]
     vf.to_csv(os.path.join(args.out, "value.csv"), header)
     pf.to_csv(os.path.join(args.out, "policy.csv"), header)
     _write_json(os.path.join(args.out, "solve_report.json"),
@@ -192,11 +189,8 @@ def cmd_verify(args):
         probes = [float(v) for v in args.probes.split(",")] if args.probes \
             else list(fld.grid.ys[fld.grid.nodes // 4::max(1, fld.grid.nodes // 4)])
         rows = []
-        cmp_model = mdl if finite else model_mod.ControlModel(
-            dim=mdl.dim, drift=mdl.drift, discount_rate=mdl.discount_rate,
-            running_reward=mdl.running_reward,
-            terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
-            controls=mdl.controls, lip_L1=mdl.lip_L1, lip_L2=mdl.lip_L2)
+        cmp_model = mdl if finite else dataclasses.replace(
+            mdl, terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]))
         nodes = [int(np.argmin(np.abs(fld.grid.ys - y))) for y in probes]
         ests = simulate.estimate_value(cmp_model, policy,
                                        fld.grid.ys[nodes][:, None], 0.0,
@@ -278,6 +272,14 @@ def _add_market(p):
                    help="consumption-grid resolution")
 
 
+def _add_stationary(p, dt, dt_help):
+    p.add_argument("--dt", type=float, default=dt, help=dt_help)
+    p.add_argument("--tol-dt", type=float, default=1e-6,
+                   help="stationary residual tolerance")
+    p.add_argument("--t-max", type=float, default=500.0,
+                   help="time cap of the long-time march fallback")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hjbkit",
@@ -296,13 +298,8 @@ def build_parser():
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--infinite", action="store_true")
-    p.add_argument("--dt", type=float, default=1e-3,
-                   help="time step of the long-time march, the --infinite "
-                        "fallback where policy iteration does not apply")
-    p.add_argument("--tol-dt", type=float, default=1e-6,
-                   help="stationary residual tolerance (--infinite)")
-    p.add_argument("--t-max", type=float, default=500.0,
-                   help="time cap of the long-time march fallback")
+    _add_stationary(p, 1e-3, "time step of the long-time march, the "
+                    "--infinite fallback where policy iteration does not apply")
     p.add_argument("--closed-form", action="store_true",
                    help="use the closed-form market controls")
     p.add_argument("--slice-stride", type=int, default=10 ** 9,
@@ -326,12 +323,7 @@ def build_parser():
     p = sub.add_parser("merton", help="constant-coefficient benchmark")
     _add_common(p)
     _add_market(p)
-    p.add_argument("--dt", type=float, default=2e-3,
-                   help="time step of the long-time march fallback")
-    p.add_argument("--tol-dt", type=float, default=1e-6,
-                   help="stationary residual tolerance")
-    p.add_argument("--t-max", type=float, default=500.0,
-                   help="time cap of the long-time march fallback")
+    _add_stationary(p, 2e-3, "time step of the long-time march fallback")
     p.add_argument("--skip-solve", action="store_true")
     p.add_argument("--emit-reduced", action="store_true",
                    help="embed the reduced model descriptor")

@@ -9,6 +9,14 @@ numpy-vectorized callable:
   and ``delta`` of shape ``(k,)`` or ``(..., k)``, returning shape ``(...)``;
 * the terminal reward takes ``y`` only;
 * the drift returns shape ``(..., N)``.
+
+The library evaluates a whole control family per call: the grid tables,
+the assumption screen and the Monte Carlo step stack their (control, state)
+pairs as rows, so a callable gets ``(rows, N)`` states and ``(rows, k)``
+controls and returns one value per row (the drift one ``N``-vector).  A
+row's value must not depend on the other rows, so the builders contract
+with ``np.sum`` over the last axis, not ``@``, whose rounding changes with
+the batch shape.
 """
 
 import numpy as np
@@ -115,10 +123,9 @@ def build_drift(desc, dim):
 
         def drift(y, delta):
             y = np.asarray(y, float)
-            out = const + y @ y_matrix.T
+            out = const + _dot(y[..., None, :], y_matrix)
             if d_matrix is not None:
-                delta = np.asarray(delta, float)
-                out = out + delta @ d_matrix.T
+                out = out + _dot(np.asarray(delta, float)[..., None, :], d_matrix)
             return np.broadcast_to(out, y.shape).copy() if out.shape != y.shape else out
 
         return drift

@@ -148,12 +148,10 @@ def to_control_model(market, control_resolution):
     cs = np.linspace(0.0, m, n_c)
     controls = np.array([(p, c) for p in pis for c in cs])
     drift, h, f, g = _reduced_coefficients(market)
-    L1 = market.lip_L1
-    L2 = market.lip_L2
+    L1, L2 = market.lip_L1, market.lip_L2
     if L1 is None or L2 is None:
         est1, est2 = _estimate_lipschitz(market)
-        L1 = est1 if L1 is None else L1
-        L2 = est2 if L2 is None else L2
+        L1, L2 = (est1 if L1 is None else L1), (est2 if L2 is None else L2)
     cm = ControlModel(
         dim=1,
         drift=drift,
@@ -174,27 +172,36 @@ def to_control_model(market, control_resolution):
     return cm
 
 
+def _maximizers(market, y, u, u_y):
+    """``(pi, c)`` of ``closed_form_controls`` for arrays, without the checks."""
+    ycol = np.asarray(y, float).reshape(-1, 1)
+    gamma = market.risk_aversion
+    s = market.sigma(ycol)
+    b = market.b(ycol)
+    pi = (market.correlation * s * np.asarray(u_y, float) + gamma * b * u) \
+        / ((gamma - gamma ** 2) * s ** 2 * u)
+    pi = np.clip(pi, -market.position_cap, market.position_cap)
+    # u ~ 0 early in the long-time march: the power overflows but the clip
+    # pins it at the cap, so the warning is spurious
+    with np.errstate(over="ignore"):
+        c = np.clip(u ** (1.0 / (gamma - 1.0)), 0.0, market.consumption_cap)
+    return pi, c
+
+
 def closed_form_controls(y, u, u_y, market):
     """Clipped maximizers of the reduced Hamiltonian at one (y, u, u_y).
 
     The portfolio weight is the vertex of the concave quadratic in pi,
     clipped to [-R, R]; consumption is the stationary point of the strictly
-    concave consumption term, clipped to [0, m].  Requires u > 0.
+    concave consumption term, clipped to [0, m].  Requires u > 0; floats
+    for a scalar ``u``.
     """
     u_arr = np.asarray(u, float)
     if np.any(u_arr <= 0):
         raise ParameterError("closed-form controls require u > 0")
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    ycol = np.atleast_1d(np.asarray(y, float)).reshape(-1, 1)
-    gamma = market.risk_aversion
-    s = market.sigma(ycol)
-    b = market.b(ycol)
-    pi = (market.correlation * s * np.asarray(u_y, float) + gamma * b * u_arr) \
-        / ((gamma - gamma ** 2) * s ** 2 * u_arr)
-    pi = np.clip(pi, -market.position_cap, market.position_cap)
-    c = np.clip(u_arr ** (1.0 / (gamma - 1.0)), 0.0, market.consumption_cap)
-    if scalar:
-        return float(np.ravel(pi)[0]), float(np.ravel(c)[0] if np.ndim(c) else c)
+    pi, c = _maximizers(market, y, u_arr, u_y)
+    if np.ndim(u) == 0:
+        return float(np.ravel(pi)[0]), float(np.ravel(c)[0])
     return pi, np.broadcast_to(c, np.shape(pi)).copy()
 
 
@@ -202,22 +209,8 @@ def control_override(market):
     """Vectorized (y, u, p) -> (pi*, c*) map for the grid solvers."""
 
     def override(ys, u, grad):
-        ycol = np.asarray(ys, float)[:, None]
-        gamma = market.risk_aversion
-        s = market.sigma(ycol)
-        b = market.b(ycol)
         uu = np.maximum(np.asarray(u, float), 1e-300)
-        pi = (market.correlation * s * np.asarray(grad, float) + gamma * b * uu) \
-            / ((gamma - gamma ** 2) * s ** 2 * uu)
-        pi = np.clip(pi, -market.position_cap, market.position_cap)
-        # u ~ 0 early in the long-time march: the power overflows but the
-        # clip pins it at the cap, so the warning is spurious
-        with np.errstate(over="ignore"):
-            c = np.where(uu > 0,
-                         np.clip(uu ** (1.0 / (gamma - 1.0)), 0.0,
-                                 market.consumption_cap),
-                         market.consumption_cap)
-        return np.stack([pi, c], axis=-1)
+        return np.stack(_maximizers(market, ys, uu, grad), axis=-1)
 
     return override
 
@@ -333,18 +326,13 @@ def discount_admissible(market, alpha, beta, P, Q, box=(-5.0, 5.0),
         rng.uniform(box[0], box[1], samples), np.asarray(box, float)]))
     ycol = ys[:, None]
     witnesses = []
-    iv = market.i(ycol)
-    bad = iv > -alpha * ys + beta + 1e-12
-    for j in np.nonzero(bad)[0][:5]:
-        witnesses.append({"condition": "factor_drift", "y": float(ys[j]),
-                          "value": float(iv[j]),
-                          "bound": float(-alpha * ys[j] + beta)})
-    rv = gamma * market.r(ycol) - w
-    bad = rv > -P + Q * ys + 1e-12
-    for j in np.nonzero(bad)[0][:5]:
-        witnesses.append({"condition": "short_rate", "y": float(ys[j]),
-                          "value": float(rv[j]),
-                          "bound": float(-P + Q * ys[j])})
+    for condition, value, bound in (
+            ("factor_drift", market.i(ycol), -alpha * ys + beta),
+            ("short_rate", gamma * market.r(ycol) - w, -P + Q * ys)):
+        for j in np.nonzero(value > bound + 1e-12)[0][:5]:
+            witnesses.append({"condition": condition, "y": float(ys[j]),
+                              "value": float(value[j]),
+                              "bound": float(bound[j])})
 
     linear_rate = gamma * Q * beta / alpha - gamma * P
     prefactor = gamma * Q / alpha

@@ -2,6 +2,7 @@
 
 ``H(y, u, p) = max over the control list of  i(y,d).p + h(y,d) u + f(y,d)``.
 
+``control_tables`` tabulates a control family, one call per coefficient.
 ``maximize`` is the one operator behind the grid marches, the residual
 audit, ``scan`` and ``eval_H``; each caller contracts the drift with its
 own gradient.  The maximum is an exact scan over the finite control list;
@@ -26,13 +27,24 @@ class HamiltonianValue:
 
 
 def control_tables(model, y, controls=None):
-    """``(i, h, f)`` of each control on the points ``y``, control axis first.
+    """``(i, h, f)`` of a control family on the points ``y``, control axis first.
 
-    A control may also hold one control per point, as an override returns.
+    ``controls`` is ``(C, k)``, each control at every point (the model's
+    list by default), or ``(C, n, k)``, one per point as an override
+    returns.  The ``C·n`` (control, point) pairs are the rows of one
+    ``eval_checked`` call per coefficient; the tables are shaped ``(C,) +
+    y.shape[:-1]``, the drift with a last axis ``N``.
     """
-    controls = model.controls if controls is None else controls
-    return tuple(np.array([model.eval_checked(name, y, d) for d in controls])
-                 for name in ("drift", "discount_rate", "running_reward"))
+    y = np.asarray(y, float)
+    d = model.controls if controls is None else np.asarray(controls, float)
+    pairs = (len(d), y.size // y.shape[-1])
+    states = np.broadcast_to(y.reshape(-1, y.shape[-1]), pairs + y.shape[-1:])
+    deltas = np.broadcast_to(d if d.ndim == 3 else d[:, None], pairs + d.shape[-1:])
+    rows = states.reshape(-1, y.shape[-1]), deltas.reshape(-1, d.shape[-1])
+    shape = (len(d),) + y.shape[:-1]
+    return (model.eval_checked("drift", *rows).reshape(shape + y.shape[-1:]),
+            model.eval_checked("discount_rate", *rows).reshape(shape),
+            model.eval_checked("running_reward", *rows).reshape(shape))
 
 
 def maximize(drift_term, h, f, u):

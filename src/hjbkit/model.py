@@ -14,6 +14,7 @@ import numpy as np
 
 from . import coefficients
 from .errors import CoefficientError, ParameterError
+from .hamiltonian import control_tables
 
 __all__ = [
     "ControlModel",
@@ -31,6 +32,10 @@ RATIO_TOL = 1e-9
 
 #: estimator values beyond this are treated as divergence
 OVERFLOW_GUARD = 1e12
+
+#: rows of one screen table, controls x both sides of every pair; all
+#: 441 x 2 x 129 rows of a 21 x 21 market at once add 5 MB of peak memory
+_SCREEN_ROWS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,16 +71,28 @@ class ControlModel:
         return len(self.controls)
 
     def eval_checked(self, name, y, delta=None):
-        """Evaluate one coefficient and raise if it returns non-finite values."""
+        """One coefficient on the rows of ``y``, one control or one per row.
+
+        The output must broadcast to one value per row (an ``N``-vector for
+        the drift), else a ``ParameterError`` names the coefficient, and be
+        finite, else a ``CoefficientError`` names the first bad row.
+        """
+        y = np.asarray(y, float)
         fn = getattr(self, name)
         out = np.asarray(fn(y) if delta is None else fn(y, delta), float)
+        shape = y.shape if name == "drift" else y.shape[:-1]
+        if out.shape != shape:
+            try:
+                out = np.broadcast_to(out, shape).copy()
+            except ValueError:
+                raise ParameterError(f"coefficient {name!r} returned shape "
+                                     f"{out.shape} for {shape} rows") from None
         if not np.isfinite(out).all():
-            bad = np.argwhere(~np.isfinite(out))
-            idx = tuple(bad[0]) if bad.size else ()
-            y_arr = np.asarray(y, float)
-            point = y_arr[idx[: y_arr.ndim - 1]] if y_arr.ndim > 1 else y_arr
-            raise CoefficientError(name, np.asarray(point).tolist(),
-                                   None if delta is None else np.asarray(delta).tolist())
+            row = tuple(np.argwhere(~np.isfinite(out))[0][:y.ndim - 1])
+            if np.ndim(delta) > 1:
+                delta = np.broadcast_to(delta, y.shape[:-1] + np.shape(delta)[-1:])[row]
+            raise CoefficientError(name, y[row].tolist(), None if delta is None
+                                   else np.asarray(delta, float).tolist())
         return out
 
 
@@ -140,39 +157,38 @@ def check_assumption1(model, box, samples, seed):
     keep = dist > 0
     ya, yb, diff, dist = ya[keep], yb[keep], diff[keep], dist[keep]
 
-    ratios = {}
     witnesses = {}
     L1, L2 = model.lip_L1, model.lip_L2
 
-    def record(name, ratio_arr, delta=None):
-        j = int(np.argmax(ratio_arr))
-        r = float(ratio_arr[j])
-        if name not in ratios or r > ratios[name]:
-            ratios[name] = r
+    def record(name, ratio, first=None):
+        # ratios (pairs,) or (controls from ``first``, pairs): the first
+        # control, then the first pair, that reaches the maximum is the witness
+        at = int(np.argmax(ratio))
+        c, j = divmod(at, len(dist))
+        r = float(ratio.flat[at])
+        if name not in witnesses or r > witnesses[name]["ratio"]:
             witnesses[name] = {
                 "coefficient": name,
                 "y": ya[j].tolist(),
                 "y_bar": yb[j].tolist(),
-                "delta": None if delta is None else np.asarray(delta).tolist(),
+                "delta": None if first is None else model.controls[first + c].tolist(),
                 "ratio": r,
             }
 
-    ga = model.eval_checked("terminal_reward", ya)
-    gb = model.eval_checked("terminal_reward", yb)
+    ga, gb = (model.eval_checked("terminal_reward", y) for y in (ya, yb))
     record("terminal_reward", np.abs(ga - gb) / (L1 * dist))
 
-    for delta in model.controls:
-        for name in ("running_reward", "discount_rate"):
-            va = model.eval_checked(name, ya, delta)
-            vb = model.eval_checked(name, yb, delta)
-            record(name, np.abs(va - vb) / (L1 * dist), delta)
-        ia = model.eval_checked("drift", ya, delta)
-        ib = model.eval_checked("drift", yb, delta)
-        s = np.sum(diff * (ia - ib), axis=-1) / dist ** 2
+    step = max(1, _SCREEN_ROWS // (2 * len(dist)))
+    for first in range(0, model.n_controls, step):
+        i, h, f = control_tables(model, np.stack([ya, yb]),
+                                 model.controls[first:first + step])
+        record("running_reward", np.abs(f[:, 0] - f[:, 1]) / (L1 * dist), first)
+        record("discount_rate", np.abs(h[:, 0] - h[:, 1]) / (L1 * dist), first)
+        s = np.sum(diff * (i[:, 0] - i[:, 1]), axis=-1) / dist ** 2
         # normalize the one-sided bound s <= L2 so that equality reads 1
-        drift_ratio = s / L2 if L2 > 0 else 2.0 - s / L2
-        record("drift", drift_ratio, delta)
+        record("drift", s / L2 if L2 > 0 else 2.0 - s / L2, first)
 
+    ratios = {name: w["ratio"] for name, w in witnesses.items()}
     worst_name = max(ratios, key=ratios.get)
     worst = ratios[worst_name]
     return AssumptionReport(

@@ -93,6 +93,17 @@ class TimeGrid:
         return self.horizon / self.steps
 
 
+def _write_csv(path, header_lines, grid, stamps, columns, table):
+    """``y,t,<columns>`` rows of a ``(layers, nodes, columns)`` table."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(["y", "t"] + columns) + "\n")
+        for t, layer in zip(stamps, table):
+            for y, row in zip(grid.ys, layer):
+                fh.write(",".join(repr(float(v)) for v in (y, t, *row)) + "\n")
+
+
 @dataclass
 class ValueField:
     grid: Grid1D
@@ -114,14 +125,8 @@ class ValueField:
         return self.values[j]
 
     def to_csv(self, path, header_lines=()):
-        ys = self.grid.ys
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("y,t,u\n")
-            for j, t in enumerate(self.time_stamps):
-                for y, u in zip(ys, self.values[j]):
-                    fh.write(f"{float(y)!r},{float(t)!r},{float(u)!r}\n")
+        _write_csv(path, header_lines, self.grid, self.time_stamps,
+                   ["u"], self.values[..., None])
 
 
 @dataclass
@@ -152,17 +157,9 @@ class PolicyField:
         return policy
 
     def to_csv(self, path, header_lines=()):
-        ys = self.grid.ys
-        k = self.controls.shape[-1]
-        cols = ",".join(f"delta_star_{j}" for j in range(k))
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(f"y,t,{cols}\n")
-            for j, t in enumerate(self.time_stamps):
-                for i, y in enumerate(ys):
-                    vals = ",".join(repr(float(v)) for v in self.controls[j, i])
-                    fh.write(f"{float(y)!r},{float(t)!r},{vals}\n")
+        columns = [f"delta_star_{j}" for j in range(self.controls.shape[-1])]
+        _write_csv(path, header_lines, self.grid, self.time_stamps, columns,
+                   self.controls)
 
 
 @dataclass
@@ -228,22 +225,34 @@ def _upwind_max(u, dy, i, upwind, h, f):
     return maximize(i * np.where(upwind, d[1:], d[:-1]), h, f, u)
 
 
-def _override_tables(model, grid, override, u):
-    """The override's controls from the centred gradient, and their tables."""
-    grad = _centered_gradient(u, grid.spacing)
-    delta = np.asarray(override(grid.ys, u, grad), float)
-    return delta, _tabulate(model, grid.ys, [delta])
+def _scanner(model, grid, override, admissible):
+    """The march's control scan as ``u -> (H, policy, argmax, tables)``.
+
+    Grid controls are tabulated once, an override's controls (from the
+    centred gradient) per call; each table first passes ``admissible``.
+    """
+    if model.dim != 1:
+        raise ParameterError("grid solver supports dim=1 only")
+    dy = grid.spacing
+    if override is None:
+        tables = admissible(_tabulate(model, grid.ys))
+
+    def scan(u):
+        if override is None:
+            H, idx = _upwind_max(u, dy, *tables)
+            return H, model.controls[idx], idx, tables
+        delta = np.asarray(override(grid.ys, u, _centered_gradient(u, dy)), float)
+        one = admissible(_tabulate(model, grid.ys, delta[None]))
+        H, idx = _upwind_max(u, dy, *one)
+        return H, delta, idx, one
+
+    return scan
 
 
 def _march_hamiltonian(model, grid, dt, span, override):
-    """The march's ``u -> (H, policy)`` and a one-item list with its CFL ratio.
-
-    Grid controls are tabulated and checked against the step limit once; a
-    closed-form override is a one-row table per step, each checked against
-    the same limit, so the ratio is the largest over the controls actually
-    applied.
-    """
-    ys, dy = grid.ys, grid.spacing
+    """The march's ``u -> (H, policy)`` and a one-item list with its CFL
+    ratio, the largest over the tables of the controls actually applied."""
+    dy = grid.spacing
     cfl = [0.0]
 
     def checked(tables):
@@ -254,17 +263,8 @@ def _march_hamiltonian(model, grid, dt, span, override):
         cfl[0] = max(cfl[0], dt / dt_max)
         return tables
 
-    if override is None:
-        tables = checked(_tabulate(model, ys))
-
-        def hamiltonian(u):
-            H, idx = _upwind_max(u, dy, *tables)
-            return H, model.controls[idx]
-    else:
-        def hamiltonian(u):
-            delta, tables = _override_tables(model, grid, override, u)
-            return _upwind_max(u, dy, *checked(tables))[0], delta
-    return hamiltonian, cfl
+    scan = _scanner(model, grid, override, checked)
+    return (lambda u: scan(u)[:2]), cfl
 
 
 def _apply_boundary(u, boundary):
@@ -283,8 +283,6 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     report.  ``terminal_values`` overrides the model's terminal reward on
     the grid (used for split-interval solves).
     """
-    if model.dim != 1:
-        raise ParameterError("grid solver supports dim=1 only")
     ys, dy, dt = grid.ys, grid.spacing, time.dt
     hamiltonian, cfl = _march_hamiltonian(model, grid, dt, time.horizon,
                                           control_override)
@@ -349,8 +347,6 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     guard raises: the discounted reward appears non-integrable over an
     infinite horizon for this model.
     """
-    if model.dim != 1:
-        raise ParameterError("grid solver supports dim=1 only")
     if not tol_dt > 0:
         raise ParameterError("tol_dt must be positive")
     ys, dy = grid.ys, grid.spacing
@@ -460,35 +456,24 @@ def _solve_policy(grid, i, h, f):
 def _policy_improver(model, grid, override):
     """The march's scan as ``u -> (H, policy, (i, h, f) of that policy)``.
 
-    Grid controls are tabulated once, an override's controls per call.
     Raises ``PolicyIterationError`` where a control it may apply has
     ``h >= 0``: the grid tables once, every override iterate.
     """
-    ys, dy = grid.ys, grid.spacing
+    nodes = np.arange(grid.nodes)
 
-    def discounting(h):
-        if not h.max() < 0.0:
+    def discounting(tables):
+        if not tables[2].max() < 0.0:
             raise PolicyIterationError(
                 "discount rate h >= 0 at some node: policy iteration needs "
                 "h < 0 under every policy it solves for")
+        return tables
 
-    if override is None:
-        tables = _tabulate(model, ys)
-        discounting(tables[2])
-        nodes = np.arange(grid.nodes)
+    scan = _scanner(model, grid, override, discounting)
 
-        def improve(u):
-            H, idx = _upwind_max(u, dy, *tables)
-            i, _, h, f = tables
-            return H, model.controls[idx], (i[idx, nodes], h[idx, nodes],
-                                            f[idx, nodes])
-    else:
-        def improve(u):
-            delta, (i, upwind, h, f) = _override_tables(model, grid, override,
-                                                        u)
-            discounting(h)
-            return _upwind_max(u, dy, i, upwind, h, f)[0], delta, \
-                (i[0], h[0], f[0])
+    def improve(u):
+        H, pol, idx, (i, _, h, f) = scan(u)
+        return H, pol, (i[idx, nodes], h[idx, nodes], f[idx, nodes])
+
     return improve
 
 
@@ -516,8 +501,6 @@ def solve_stationary(model, grid, tol, control_override=None):
     cycle there, and the edge equation can have a second solution.
     ``solve_infinite_horizon`` is then the solver to use.
     """
-    if model.dim != 1:
-        raise ParameterError("grid solver supports dim=1 only")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     dy = grid.spacing

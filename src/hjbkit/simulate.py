@@ -1,7 +1,10 @@
 """Euler-Maruyama simulation and Monte Carlo verification.
 
 One Euler loop, ``_march``, steps the controlled SDE for every (policy,
-start) pair of a call on the same Gaussian increments.  ``simulate_paths``
+start) pair of a call on the same Gaussian increments.  A step calls each
+policy once on its own ``(S·m, N)`` rows (``S`` starts, ``m`` paths of a
+block), then the drift, the discount rate and the running reward once each
+on all ``P·S·m`` rows of states and controls.  ``simulate_paths``
 collects its states, controls, discount integral and discounted reward
 integral at requested times; value estimates, horizon studies, bound checks
 and the kappa envelopes reduce those records, and ``coupled_contraction``
@@ -140,7 +143,7 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
     controls, log-discounts and reward integrals, to be copied or reduced.
     ``kept`` carries the path generators across calls (``_path_draws``).
     """
-    P, S, N = len(policies), len(starts), model.dim
+    P, S, N, k = len(policies), len(starts), model.dim, model.controls.shape[1]
     sqdt = np.sqrt(dt)
     for lo in range(0, mc.paths, _BLOCK):
         ids = range(lo, min(lo + _BLOCK, mc.paths))
@@ -148,11 +151,12 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
         draws = _path_draws(mc, ids, kept)
         z = np.empty((m, min(_CHUNK, steps), N))
         rows = list(z)
-        y = np.empty((P, S * m, N))
+        # row (p, s, path) of the P*S*m rows that every coefficient call takes
+        y = np.empty((P * S * m, N))
         y.reshape(P, S, m, N)[:] = starts[:, None]
-        ld = np.zeros((P, S * m))
-        rw = np.zeros((P, S * m))
-        d = np.empty((P, S * m, model.controls.shape[1]))
+        ld = np.zeros(P * S * m)
+        rw = np.zeros(P * S * m)
+        d = np.empty((P, S * m, k))
         for s in range(steps):
             if s % _CHUNK == 0:
                 if steps - s < len(rows[0]):
@@ -162,22 +166,19 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
                 if mc.antithetic:
                     odd = z[(lo + 1) % 2::2]
                     np.negative(odd, out=odd)
-            noise = np.tile(sqdt * z[:, s % _CHUNK], (S, 1))
+            noise = np.tile(sqdt * z[:, s % _CHUNK], (P * S, 1))
             t = t0 + s * dt
-            mark = s + 1 in marks
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for p, policy in enumerate(policies):
-                    dp = np.asarray(policy(y[p], t), float)
-                    if mark:
-                        d[p] = dp
-                    drift = np.asarray(model.drift(y[p], dp), float)
-                    hv = np.asarray(model.discount_rate(y[p], dp), float)
-                    fv = np.asarray(model.running_reward(y[p], dp), float)
-                    rw[p] += np.exp(ld[p]) * fv * dt
-                    ld[p] += hv * dt
-                    y[p] = y[p] + drift * dt + noise
-            if mark:
-                yield (lo, s + 1, y.reshape(P, S, m, N), d.reshape(P, S, m, -1),
+                    d[p] = policy(y.reshape(P, S * m, N)[p], t)
+                drift = np.asarray(model.drift(y, d.reshape(-1, k)), float)
+                hv = np.asarray(model.discount_rate(y, d.reshape(-1, k)), float)
+                fv = np.asarray(model.running_reward(y, d.reshape(-1, k)), float)
+                rw += np.exp(ld) * fv * dt
+                ld += hv * dt
+                y = y + drift * dt + noise
+            if s + 1 in marks:
+                yield (lo, s + 1, y.reshape(P, S, m, N), d.reshape(P, S, m, k),
                        ld.reshape(P, S, m), rw.reshape(P, S, m))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hjbkit as hk
-from hjbkit.errors import ParameterError
-from hjbkit.hamiltonian import maximize, scan
+from hjbkit.errors import CoefficientError, ParameterError
+from hjbkit.hamiltonian import control_tables, maximize, scan
 
 from conftest import ou_model
+from families import family_models
 
 
 def brute_force(model, y, u, p):
@@ -158,3 +161,82 @@ def test_operator_one_row():
     value, idx = maximize(drift_term, h, f, u)
     assert np.array_equal(value, [1.5, 2.0])
     assert np.array_equal(idx, [0, 0])
+
+
+COEFFICIENTS = ("drift", "discount_rate", "running_reward")
+
+
+@settings(max_examples=400, deadline=None)
+@given(model=family_models(), data=st.data())
+def test_tables_equal_per_control_and_per_point_calls(model, data):
+    n = data.draw(st.integers(1, 6))
+    y = np.random.default_rng(n).uniform(-2.5, 2.5, (n, model.dim))
+    tables = control_tables(model, y)
+    for name, table in zip(COEFFICIENTS, tables):
+        coef = getattr(model, name)
+        loop = np.array([np.asarray(coef(y, d), float) for d in model.controls])
+        assert table.shape == loop.shape
+        assert np.array_equal(table, loop)
+    # one control per point, as an override returns
+    pick = data.draw(st.lists(st.integers(0, model.n_controls - 1),
+                              min_size=n, max_size=n))
+    delta = model.controls[pick]
+    tables = control_tables(model, y, delta[None])
+    for name, table in zip(COEFFICIENTS, tables):
+        coef = getattr(model, name)
+        loop = np.array([np.asarray(coef(y[j:j + 1], delta[j]), float)[0]
+                         for j in range(n)])
+        assert np.array_equal(table[0], loop)
+
+
+def test_tables_take_one_call_per_coefficient():
+    m = ou_model(controls=[[0.0], [0.25], [0.5], [1.0]])
+    seen = {name: [] for name in COEFFICIENTS}
+
+    def spy(name):
+        fn = getattr(m, name)
+
+        def coef(y, d):
+            seen[name].append((np.shape(y), np.shape(d)))
+            return fn(y, d)
+        return coef
+
+    spied = dataclasses.replace(m, **{name: spy(name) for name in COEFFICIENTS})
+    i, h, f = control_tables(spied, np.linspace(-1, 1, 7)[:, None])
+    assert i.shape == (4, 7, 1) and h.shape == f.shape == (4, 7)
+    assert all(calls == [((28, 1), (28, 1))] for calls in seen.values())
+
+
+@pytest.mark.parametrize("name", COEFFICIENTS)
+def test_unbroadcastable_output_names_the_coefficient(name):
+    m = ou_model()
+    # three values whatever the rows: one per control, not one per row
+    wrong = {"drift": lambda y, d: np.zeros((3, 1)),
+             "discount_rate": lambda y, d: -np.ones(3),
+             "running_reward": lambda y, d: np.ones(3)}[name]
+    bad = dataclasses.replace(m, **{name: wrong})
+    with pytest.raises(ParameterError, match=name):
+        control_tables(bad, np.linspace(-1, 1, 5)[:, None])
+
+
+def test_override_coefficient_error_names_the_bad_node():
+    # the override's control at one node makes h non-finite there
+    m = ou_model()
+    bad = dataclasses.replace(m, discount_rate=lambda y, d: np.where(
+        np.asarray(d, float)[..., 0] == 0.75, np.nan, -1.0))
+    grid = hk.Grid1D(-1.0, 1.0, 9)
+
+    def override(ys, u, grad):
+        delta = np.zeros((len(ys), 1))
+        delta[6] = 0.75
+        return delta
+
+    with pytest.raises(CoefficientError) as err:
+        control_tables(bad, grid.ys[:, None], override(grid.ys, 0, 0)[None])
+    assert err.value.name == "discount_rate"
+    assert err.value.y == [grid.ys[6]]
+    assert err.value.delta == [0.75]
+    with pytest.raises(CoefficientError) as err:
+        hk.solve_finite_horizon(bad, grid, hk.TimeGrid(0.1, 10),
+                                control_override=override)
+    assert (err.value.y, err.value.delta) == ([grid.ys[6]], [0.75])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit import finance
+from hjbkit import model as model_mod
 from hjbkit import simulate as sim
 from hjbkit.errors import CoefficientError, ParameterError
 
 from conftest import ou_model
+from families import family_models
 
 
 def test_controls_must_be_nonempty():
@@ -309,3 +312,100 @@ class TestLoadModel:
                "L1": 1.0, "L2": -1.0}
         with pytest.raises(ValueError):
             hk.load_model(doc)
+
+
+def loop_screen(model, box, samples, seed):
+    """The Assumption-1 screen with one coefficient call per control: the oracle."""
+    box = np.asarray(box, float)
+    rng = np.random.default_rng(seed)
+    ya = rng.uniform(box[:, 0], box[:, 1], size=(samples, model.dim))
+    yb = rng.uniform(box[:, 0], box[:, 1], size=(samples, model.dim))
+    corners = np.array(np.meshgrid(*box, indexing="ij")).reshape(model.dim, -1).T
+    ii, jj = np.triu_indices(len(corners), k=1)
+    ya, yb = np.vstack([ya, corners[ii]]), np.vstack([yb, corners[jj]])
+    dist = np.linalg.norm(ya - yb, axis=-1)
+    keep = dist > 0
+    ya, yb, dist = ya[keep], yb[keep], dist[keep]
+    L1, L2 = model.lip_L1, model.lip_L2
+    ratios, witnesses = {}, {}
+
+    def record(name, ratio, delta=None):
+        j = int(np.argmax(ratio))
+        if name not in ratios or ratio[j] > ratios[name]:
+            ratios[name] = float(ratio[j])
+            witnesses[name] = {"coefficient": name, "y": ya[j].tolist(),
+                               "y_bar": yb[j].tolist(),
+                               "delta": None if delta is None else delta.tolist(),
+                               "ratio": float(ratio[j])}
+
+    g = model.terminal_reward
+    record("terminal_reward", np.abs(g(ya) - g(yb)) / (L1 * dist))
+    for delta in model.controls:
+        for name in ("running_reward", "discount_rate"):
+            c = getattr(model, name)
+            record(name, np.abs(c(ya, delta) - c(yb, delta)) / (L1 * dist), delta)
+        s = np.sum((ya - yb) * (model.drift(ya, delta) - model.drift(yb, delta)),
+                   axis=-1) / dist ** 2
+        record("drift", s / L2 if L2 > 0 else 2.0 - s / L2, delta)
+    worst = max(ratios, key=ratios.get)
+    return hk.AssumptionReport(passed=bool(ratios[worst] <= 1.0 + 1e-9),
+                               worst_ratio=ratios[worst],
+                               witness=witnesses[worst], ratios=ratios)
+
+
+class TestScreenOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(model=family_models(), samples=st.integers(2, 40),
+           seed=st.integers(0, 2 ** 16), budget=st.integers(1, 400))
+    def test_screen_equals_per_control_loop(self, model, samples, seed, budget):
+        box = [[-2.0, 2.5]] * model.dim
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_mod, "_SCREEN_ROWS", budget)  # blocks of controls
+            report = hk.check_assumption1(model, box, samples, seed)
+        assert report == loop_screen(model, box, samples, seed)
+
+    def test_witness_is_first_control_reaching_the_maximum(self):
+        # reward |y| against L1 = 0.5: every control and every same-sign
+        # pair reaches the ratio 2 exactly, so control 0 is the witness
+        m = ou_model(controls=[[1.0], [0.0], [0.5]])
+        flat = dataclasses.replace(m, lip_L1=0.5, running_reward=lambda y, d:
+                                   np.abs(np.asarray(y, float)[..., 0])
+                                   + 0.0 * np.asarray(d, float)[..., 0])
+        for budget in (1, 130, model_mod._SCREEN_ROWS):  # 1, 1 and 3 per block
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model_mod, "_SCREEN_ROWS", budget)
+                rep = hk.check_assumption1(flat, [[-3, 3]], samples=64, seed=3)
+            assert rep.worst_ratio == 2.0
+            assert rep.witness["coefficient"] == "running_reward"
+            assert rep.witness["delta"] == [1.0]
+            assert rep == loop_screen(flat, [[-3, 3]], 64, 3)
+
+    def test_screen_calls_cover_every_row_in_bounded_blocks(self, merton_market):
+        m = finance.to_control_model(merton_market, (21, 21))
+        rows = {"drift": [], "discount_rate": [], "running_reward": []}
+
+        def counted(name):
+            fn = getattr(m, name)
+            return lambda y, d: rows[name].append(len(y)) or fn(y, d)
+
+        spied = dataclasses.replace(m, **{n: counted(n) for n in rows})
+        hk.check_assumption1(spied, [[-5.0, 5.0]], samples=128, seed=0)
+        per_block = model_mod._SCREEN_ROWS // (2 * 129)  # 128 pairs + corners
+        for sizes in rows.values():
+            # both sides of every (control, pair) once, 15 calls not 882
+            assert sum(sizes) == 441 * 2 * 129
+            assert max(sizes) <= model_mod._SCREEN_ROWS
+            assert len(sizes) == -(-441 // per_block)
+
+    def test_screen_memory_flat_in_control_count(self, merton_market):
+        def peak(resolution):
+            m = finance.to_control_model(merton_market, resolution)
+            tracemalloc.start()
+            try:
+                hk.check_assumption1(m, [[-5.0, 5.0]], samples=128, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one (441 x 2 x 129)-row table would add about 5 MB
+        assert peak((21, 21)) <= peak((3, 3)) + (1 << 21)

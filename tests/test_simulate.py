@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hjbkit.errors import ParameterError, PathExclusionError
 from hjbkit.simulate import _reduce, simulate_paths
 
 from conftest import constant_model, ou_model, zero_policy
+from families import family_models
 
 RECORDS = ("states", "log_discount", "reward_integral", "deltas", "excluded")
 
@@ -448,3 +450,80 @@ class TestBoundVerification:
         rep = hk.verify_bounds(m, spec, [0.5], 1.0, mc)
         assert rep.met
         assert {"t", "factor", "estimate", "bound", "met"} <= set(rep.rows[0])
+
+
+def loop_records(model, policies, starts, steps, dt, mc):
+    """Per-policy Euler loops on the kernel's Philox streams: the oracle.
+
+    Returns ``(states, log_discount, reward_integral, deltas)`` after every
+    step, indexed ``[policy, start, path, step]``.
+    """
+    N = model.dim
+    z = np.array([np.random.Generator(np.random.Philox(
+        key=[mc.seed, i // 2 if mc.antithetic else i])).standard_normal((steps, N))
+        for i in range(mc.paths)])
+    if mc.antithetic:
+        z[1::2] = -z[1::2]
+    noise = np.sqrt(dt) * z
+    out = []
+    for policy in policies:
+        y = np.repeat(np.asarray(starts, float), mc.paths, axis=0)
+        ld = np.zeros(len(y))
+        rw = np.zeros(len(y))
+        steps_out = []
+        for s in range(steps):
+            d = np.asarray(policy(y, s * dt), float)
+            drift = model.drift(y, d)
+            hv = model.discount_rate(y, d)
+            fv = model.running_reward(y, d)
+            rw = rw + np.exp(ld) * fv * dt
+            ld = ld + hv * dt
+            y = y + drift * dt + np.tile(noise[:, s], (len(starts), 1))
+            steps_out.append((y, ld, rw, np.broadcast_to(d, (len(y), d.shape[-1]))))
+        out.append([np.stack(a, axis=1).reshape((len(starts), mc.paths, steps)
+                                                + a[0].shape[1:])
+                    for a in zip(*steps_out)])
+    return [np.stack(a) for a in zip(*out)]
+
+
+class TestOneCallPerStep:
+    @settings(max_examples=150, deadline=None)
+    @given(model=family_models(), steps=st.integers(1, 6),
+           pairs=st.integers(1, 3), n_starts=st.integers(1, 2),
+           antithetic=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_records_equal_per_policy_loops(self, model, steps, pairs, n_starts,
+                                            antithetic, seed):
+        policies = hk.constant_policies(model) * 2  # P > 1 even for one control
+        dt = 0.05
+        starts = np.linspace(-1.0, 1.5, n_starts * model.dim).reshape(
+            n_starts, model.dim)
+        mc = hk.MonteCarloConfig(paths=2 * pairs, dt=dt, seed=seed,
+                                 antithetic=antithetic)
+        T = dt * steps
+        with np.errstate(all="ignore"):
+            batch = simulate_paths(model, policies, starts, T, mc,
+                                   dt * np.arange(1, steps + 1))
+            oracle = loop_records(model, policies, starts, steps, T / steps, mc)
+        for name, want in zip(("states", "log_discount", "reward_integral",
+                               "deltas"), oracle):
+            assert np.array_equal(getattr(batch, name), want, equal_nan=True)
+
+    @pytest.mark.parametrize("n_policies", [1, 4])
+    def test_each_coefficient_called_once_per_step(self, n_policies):
+        m = ou_model(controls=[[0.0], [0.25], [0.5], [1.0]])
+        calls = {"drift": 0, "discount_rate": 0, "running_reward": 0}
+
+        def counted(name):
+            fn = getattr(m, name)
+
+            def coef(y, d):
+                calls[name] += 1
+                assert np.shape(y) == (n_policies * 2 * 6, 1)
+                return fn(y, d)
+            return coef
+
+        spied = dataclasses.replace(m, **{n: counted(n) for n in calls})
+        mc = hk.MonteCarloConfig(paths=6, dt=0.1, seed=0)
+        simulate_paths(spied, hk.constant_policies(m)[:n_policies],
+                       [[0.0], [1.0]], 0.7, mc)
+        assert calls == dict.fromkeys(calls, 7)
