@@ -50,11 +50,14 @@ def _write_json(path, payload, digest, seed):
 
 
 def _load_model(args):
+    """The model of ``--model`` or ``--market``, and the market (or None)."""
+    if args.model and args.market:
+        raise ParameterError("pass one of --model / --market, not both")
     if args.model:
-        return model_mod.load_model(args.model)
-    if getattr(args, "market", None):
+        return model_mod.load_model(args.model), None
+    if args.market:
         market = finance.load_market(args.market)
-        return finance.to_control_model(market, (args.npi, args.nc))
+        return finance.to_control_model(market, (args.npi, args.nc)), market
     raise ParameterError("one of --model / --market is required")
 
 
@@ -64,7 +67,7 @@ def _grid(args):
 
 
 def cmd_check(args):
-    mdl = _load_model(args)
+    mdl, _ = _load_model(args)
     box = mdl.domain_box or [[args.grid_min, args.grid_max]] * mdl.dim
     report = model_mod.check_assumption1(mdl, box, samples=args.samples,
                                          seed=args.seed)
@@ -88,14 +91,9 @@ def _solve_stationary(mdl, grid, args, override):
 def cmd_solve(args):
     digest = _config_digest(args)
     os.makedirs(args.out, exist_ok=True)
-    override = None
-    if getattr(args, "market", None):
-        market = finance.load_market(args.market)
-        mdl = finance.to_control_model(market, (args.npi, args.nc))
-        if args.closed_form:
-            override = finance.control_override(market)
-    else:
-        mdl = _load_model(args)
+    mdl, market = _load_model(args)
+    override = (finance.control_override(market)
+                if args.closed_form and market else None)
     grid = _grid(args)
     try:
         if args.infinite:
@@ -159,7 +157,7 @@ def _bound_spec(doc):
 def cmd_verify(args):
     digest = _config_digest(args)
     os.makedirs(args.out, exist_ok=True)
-    mdl = _load_model(args)
+    mdl, _ = _load_model(args)
     mc = simulate.MonteCarloConfig(paths=args.paths, dt=args.dt_sim,
                                    seed=args.seed)
     status = 0
@@ -242,7 +240,7 @@ def cmd_merton(args):
 def cmd_kappa(args):
     digest = _config_digest(args)
     os.makedirs(args.out, exist_ok=True)
-    mdl = _load_model(args)
+    mdl, _ = _load_model(args)
     mc = simulate.MonteCarloConfig(paths=args.paths, dt=args.dt_sim,
                                    seed=args.seed)
     table = model_mod.estimate_kappa(

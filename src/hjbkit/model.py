@@ -368,7 +368,8 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
     holds the pointwise maxima.  An exponential envelope ``K * exp(M |y|)``
     is fitted over the start points and the two tail integrals (plain and
     ``exp(L2 t)``-weighted) are reported with exponential tail
-    extrapolation.
+    extrapolation.  Raises ``PathExclusionError`` past the 0.1% exclusion
+    budget of any (policy, start) pair, like every Monte Carlo estimate.
     """
     from . import simulate as sim
 
@@ -379,31 +380,24 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
     t_grid = np.linspace(horizon / t_points, horizon, t_points)
     mesh = _ball_mesh(model.dim, radius_n, y_points, mc.seed)
 
-    groups = []
-    for _, excluded, mom in sim.discounted_samples(
+    est = np.concatenate([
+        [sim._reduce(mom[m], excluded[:, :, None], mc, horizon).mean
+         for m in ("f", "g")]
+        for _, excluded, mom in sim.discounted_samples(
             model, policy_family, mesh, horizon, mc, t_grid,
-            "discounted_moments"):
-        est = np.empty((2,) + excluded.shape[:2] + t_grid.shape)
-        for p, s, r in np.ndindex(est.shape[1:]):
-            ok = ~excluded[p, s]
-            est[:, p, s, r] = (np.mean(mom["f"][p, s, :, r][ok]),
-                               np.mean(mom["g"][p, s, :, r][ok]))
-        groups.append(est)
-    est_f, est_g = np.concatenate(groups, axis=1)
-    diverged = np.argwhere((est_f > OVERFLOW_GUARD) | ~np.isfinite(est_f))
+            "discounted_moments")], axis=1)
+    diverged = np.argwhere((est[0] > OVERFLOW_GUARD) | ~np.isfinite(est[0]))
     non_integrable = bool(len(diverged))
     divergence_info = (
         f"estimator diverged at t={t_grid[diverged[-1][2]]:g} under policy "
         f"{diverged[-1][0]}" if non_integrable else "")
-    est_f = np.nan_to_num(est_f, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
-    est_g = np.nan_to_num(est_g, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
+    est = np.nan_to_num(est, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
 
-    kappa = est_f.max(axis=(0, 1))
-    p_term = est_g.max(axis=(0, 1))
-    policy_ids = est_f.max(axis=1).argmax(axis=0)
+    kappa, p_term = est.max(axis=(1, 2))
+    policy_ids = est[0].max(axis=1).argmax(axis=0)
 
     # exponential-in-|y| envelope fit across start points
-    m_y = est_f.max(axis=(0, 2))
+    m_y = est[0].max(axis=(0, 2))
     radii = np.linalg.norm(mesh, axis=-1)
     if len(np.unique(radii)) >= 2:
         slope, intercept = np.polyfit(radii, np.log(np.maximum(m_y, 1e-300)), 1)
@@ -420,9 +414,8 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
     if non_integrable or rate >= 0:
         integral_kappa = np.inf
         non_integrable = True
-        divergence_info = divergence_info or (
-            f"no decay detected (fitted rate {rate:+.3g})"
-        )
+        divergence_info = (divergence_info
+                           or f"no decay detected (fitted rate {rate:+.3g})")
     else:
         integral_kappa = body + kappa[-1] / (-rate)
     rate_w = rate + model.lip_L2

@@ -6,12 +6,17 @@ policy once on its own ``(S·m, N)`` rows (``S`` starts, ``m`` paths of a
 block), then the drift, the discount rate and the running reward once each
 on all ``P·S·m`` rows of states and controls.  ``simulate_paths``
 collects its states, controls, discount integral and discounted reward
-integral at requested times; value estimates, horizon studies, bound checks
-and the kappa envelopes reduce those records, and ``coupled_contraction``
-reduces its distances step by step as the loop runs.  The state uses unit
-diffusion per coordinate, so the Euler step is exact in the noise term.
-Both integrals are accumulated by left-endpoint quadrature, keeping the
-discount multiplicative per step.
+integral at requested times; ``coupled_contraction`` reduces its distances
+step by step as the loop runs.  The state uses unit diffusion per
+coordinate, so the Euler step is exact in the noise term.  Both integrals
+are accumulated by left-endpoint quadrature, keeping the discount
+multiplicative per step.
+
+Value estimates, horizon studies, bound checks and the kappa envelopes
+reduce records through ``_reduce`` alone: it applies the 0.1% exclusion
+budget per (policy, start), so ``estimate_kappa`` raises too, pairs
+antithetic paths, and averages only along a C-contiguous last path axis,
+where an axis mean equals each row's 1-D mean bit for bit.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index)``: results are bit-reproducible and independent of
@@ -235,27 +240,53 @@ def _records(model, policies, starts, T, mc, times, t0, kept):
                      deltas=deltas, excluded=excluded)
 
 
-def _reduce(payoffs, excluded, mc, horizon):
-    n = len(payoffs)
-    n_excl = int(np.count_nonzero(excluded))
-    if n_excl > _EXCLUSION_BUDGET * n:
-        raise PathExclusionError(n_excl, n)
+def _moments(x):
+    """Means and standard errors along the last axis of a C-contiguous copy."""
+    x = np.ascontiguousarray(x)
+    n = x.shape[-1]
+    se = np.std(x, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[:-1])
+    return np.asarray(np.mean(x, axis=-1)), np.asarray(se)
+
+
+def _reduce(samples, excluded, mc, horizon):
+    """Estimates of ``(..., paths)`` samples: the one Monte Carlo reduction.
+
+    ``excluded`` has as many axes, each of full size or 1: one mask row per
+    group of sample rows, such as ``(P, S, 1, paths)`` against ``(P, S, R,
+    paths)``.  A mask row may exclude at most ``_EXCLUSION_BUDGET`` of its
+    paths, else ``PathExclusionError``; an antithetic pair is one sample,
+    dropped whole.  Returns an ``EstimatorResult`` of leading-shape arrays.
+    """
+    n = samples.shape[-1]
+    n_excl = np.count_nonzero(excluded, axis=-1)
+    if n_excl.max() > _EXCLUSION_BUDGET * n:
+        raise PathExclusionError(int(n_excl.max()), n)
     if mc.antithetic:
-        # a pair is one sample: an excluded path drops its partner too
-        pairs = ~(excluded[0::2] | excluded[1::2])
-        vals = 0.5 * (payoffs[0::2][pairs] + payoffs[1::2][pairs])
-    else:
-        vals = payoffs[~excluded]
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return EstimatorResult(
-        mean=mean,
-        std_error=se,
-        paths=n,
-        seed=mc.seed,
-        horizon=horizon,
-        excluded=n_excl,
-    )
+        samples = 0.5 * (samples[..., 0::2] + samples[..., 1::2])
+        excluded = excluded[..., 0::2] | excluded[..., 1::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = _moments(samples)
+        for group in np.argwhere(excluded.any(axis=-1)):
+            rows = tuple(i if size > 1 else slice(None)
+                         for i, size in zip(group, excluded.shape))
+            mean[rows], se[rows] = _moments(
+                samples[rows][..., ~excluded[tuple(group)]])
+    return EstimatorResult(mean[()], se[()], n, mc.seed, horizon,
+                           np.broadcast_to(n_excl, mean.shape)[()])
+
+
+def _split(res):
+    """One ``EstimatorResult`` per row of a ``_reduce`` over ``(rows, paths)``."""
+    return [EstimatorResult(float(m), float(s), res.paths, res.seed, float(h), int(x))
+            for m, s, h, x in zip(*np.broadcast_arrays(
+                res.mean, res.std_error, res.horizon, res.excluded))]
+
+
+def _per_row(fn, y, *controls):
+    """``fn`` on the ``(..., N)`` states of ``y`` as rows: one value each."""
+    rows = y.reshape(-1, y.shape[-1])
+    out = fn(rows, *(d.reshape(len(rows), -1) for d in controls))
+    return np.broadcast_to(np.asarray(out, float), len(rows)).reshape(y.shape[:-1])
 
 
 def estimate_value(model, policy, starts, t, T, mc):
@@ -269,28 +300,26 @@ def estimate_value(model, policy, starts, t, T, mc):
     if not T > t:
         raise ParameterError("need T > t")
     batch = simulate_paths(model, [policy], starts, T - t, mc, (), t)
-    results = []
-    for y, ld, rw, excl in zip(batch.states[0, :, :, -1],
-                               batch.log_discount[0, :, :, -1],
-                               batch.reward_integral[0, :, :, -1],
-                               batch.excluded[0]):
-        with np.errstate(over="ignore", invalid="ignore"):
-            gv = np.asarray(model.terminal_reward(y), float)
-            payoff = rw + np.exp(ld) * gv
-        results.append(_reduce(payoff, excl | ~np.isfinite(payoff), mc, T - t))
-    return results
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv = _per_row(model.terminal_reward, batch.states[0, :, :, -1])
+        payoff = (batch.reward_integral[0, :, :, -1]
+                  + np.exp(batch.log_discount[0, :, :, -1]) * gv)
+    return _split(_reduce(payoff, batch.excluded[0] | ~np.isfinite(payoff),
+                          mc, T - t))
 
 
 def discounted_samples(model, policies, starts, T, mc, times, statistic):
     """Yield ``(first, excluded, samples)`` per group of ``policies``.
 
-    ``first`` indexes the group's first policy; ``samples`` maps each factor
-    of ``statistic`` to its values at every record: ``e^{int h}``
-    ("discount"), ``e^{int h} f`` ("discounted_reward"), or ``e^{int h}
-    max(|f|, 1)`` and ``e^{int h} max(|g|, 1)`` ("discounted_moments").
-    Each group's records fit in ``_RECORD_BYTES``; with more than one
-    group, the groups rewind the same path generators instead of building
-    them again.
+    ``first`` indexes the group's first policy and ``excluded`` is the
+    group's ``(P, S, paths)`` mask.  ``samples`` maps each factor of
+    ``statistic`` to its ``(P, S, records, paths)`` values, record-major as
+    ``_records`` stores them: ``e^{int h}`` ("discount"), ``e^{int h} f``
+    ("discounted_reward"), or ``e^{int h} max(|f|, 1)`` and ``e^{int h}
+    max(|g|, 1)`` ("discounted_moments").  Only the rewards a statistic
+    needs are evaluated on the records.  Each group's records fit in
+    ``_RECORD_BYTES``; with more than one group, the groups rewind the same
+    path generators instead of building them again.
     """
     floats = model.dim + model.controls.shape[1] + 2
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
@@ -299,19 +328,20 @@ def discounted_samples(model, policies, starts, T, mc, times, statistic):
     for first in range(0, len(policies), size):
         batch = _records(model, policies[first:first + size], starts, T, mc,
                          times, 0.0, kept)
-        shape = batch.log_discount.shape
-        y = batch.states.reshape(-1, model.dim)
+        y, d, ld = (np.swapaxes(a, 2, 3) for a in
+                    (batch.states, batch.deltas, batch.log_discount))
         with np.errstate(over="ignore", invalid="ignore"):
-            disc = np.exp(batch.log_discount)
-            fv = np.asarray(model.running_reward(
-                y, batch.deltas.reshape(len(y), -1)), float).reshape(shape)
-            gv = np.asarray(model.terminal_reward(y), float).reshape(shape)
-            samples = {
-                "discount": {"unit": disc},
-                "discounted_reward": {"f": disc * fv},
-                "discounted_moments": {"f": disc * np.maximum(np.abs(fv), 1.0),
-                                       "g": disc * np.maximum(np.abs(gv), 1.0)},
-            }[statistic]
+            disc = np.exp(ld)
+            if statistic == "discount":
+                samples = {"unit": disc}
+            elif statistic == "discounted_reward":
+                samples = {"f": disc * _per_row(model.running_reward, y, d)}
+            elif statistic == "discounted_moments":
+                fv = np.maximum(np.abs(_per_row(model.running_reward, y, d)), 1.0)
+                gv = np.maximum(np.abs(_per_row(model.terminal_reward, y)), 1.0)
+                samples = {"f": disc * fv, "g": disc * gv}
+            else:
+                raise ParameterError(f"unknown statistic {statistic!r}")
         yield first, batch.excluded, samples
 
 
@@ -391,27 +421,18 @@ def horizon_convergence(model, policy, y0, horizons, mc, kappa_table=None):
         raise ParameterError("horizons must be strictly increasing")
     batch = simulate_paths(model, [policy], [np.atleast_1d(y0)],
                            float(horizons[-1]), mc, horizons)
-    results = []
-    for j in range(len(horizons)):
-        payoff = batch.reward_integral[0, 0, :, j]
-        excl = batch.excluded[0, 0] | ~np.isfinite(payoff)
-        results.append(_reduce(payoff, excl, mc, float(horizons[j])))
-    means = np.array([r.mean for r in results])
-    diffs = np.abs(np.diff(means))
+    payoff = np.swapaxes(batch.reward_integral[0, 0], 0, 1)  # record-major
+    res = _reduce(payoff, batch.excluded[0, 0] | ~np.isfinite(payoff), mc, horizons)
+    results = _split(res)
+    diffs = np.abs(np.diff(res.mean))
     converging = bool(np.all(np.diff(diffs) < 0)) if len(diffs) > 1 else True
-    tail_bound = None
-    within = None
+    tail_bound = within = None
     if kappa_table is not None and len(horizons) >= 2:
         tail_bound = kappa_table.integral(horizons[-2], horizons[-1])
         within = bool(diffs[-1] <= tail_bound + 3 * results[-1].std_error)
-    return HorizonConvergence(
-        horizons=horizons,
-        results=results,
-        differences=diffs,
-        converging=converging,
-        tail_bound=tail_bound,
-        within_tail=within,
-    )
+    return HorizonConvergence(horizons=horizons, results=results,
+                              differences=diffs, converging=converging,
+                              tail_bound=tail_bound, within_tail=within)
 
 
 # --- analytic path-level bounds ------------------------------------------
@@ -497,6 +518,14 @@ class BoundVerification:
                 "rows": self.rows}
 
 
+def _bound_row(t, control_index, factor, est, se, bound):
+    allowance = bound * (1.0 + 3.0 * se / est) if est > 0 else bound
+    margin = (allowance - est) / bound if bound != 0 else -np.inf
+    return {"t": t, "control_index": control_index, "factor": factor,
+            "estimate": est, "std_error": se, "bound": bound,
+            "margin": float(margin), "met": bool(est <= allowance)}
+
+
 def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     """Check one of the analytic moment bounds by simulation.
 
@@ -507,39 +536,18 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     over all rows decides ``met``.
     """
     y0 = np.atleast_1d(np.asarray(y0, float))
-    if times is None:
-        times = np.linspace(T / 4, T, 4)
-    times = np.asarray(times, float)
+    times = np.asarray(np.linspace(T / 4, T, 4) if times is None else times, float)
     rows = []
-    for first, excluded, samplesets in discounted_samples(
+    for first, excluded, samples in discounted_samples(
             model, constant_policies(model), [y0], T, mc, times,
             bound_spec.statistic):
-        worst = int(np.count_nonzero(excluded, axis=-1).max())
-        if worst > _EXCLUSION_BUDGET * mc.paths:
-            raise PathExclusionError(worst, mc.paths)
-        for p, ti in np.ndindex(len(excluded), len(times)):
-            ok = ~excluded[p, 0]
-            t = float(times[ti])
-            for factor, samples in samplesets.items():
-                samples = samples[p, 0, :, ti][ok]
-                est = float(np.mean(samples))
-                se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
-                bound = bound_spec.value(t, y0)
-                allowance = bound * (1.0 + 3.0 * se / est) if est > 0 else bound
-                margin = (allowance - est) / bound if bound != 0 else -np.inf
-                rows.append({
-                    "t": t,
-                    "control_index": first + p,
-                    "factor": factor,
-                    "estimate": est,
-                    "std_error": se,
-                    "bound": bound,
-                    "margin": float(margin),
-                    "met": bool(est <= allowance),
-                })
-    worst = min(r["margin"] for r in rows)
-    return BoundVerification(
-        met=bool(all(r["met"] for r in rows)),
-        worst_margin=float(worst),
-        rows=rows,
-    )
+        est = {factor: _reduce(v, excluded[:, :, None], mc, T)
+               for factor, v in samples.items()}
+        rows += [_bound_row(float(times[r]), first + p, factor,
+                            float(e.mean[p, 0, r]), float(e.std_error[p, 0, r]),
+                            bound_spec.value(float(times[r]), y0))
+                 for p, r in np.ndindex(len(excluded), len(times))
+                 for factor, e in est.items()]
+    return BoundVerification(met=bool(all(r["met"] for r in rows)),
+                             worst_margin=float(min(r["margin"] for r in rows)),
+                             rows=rows)

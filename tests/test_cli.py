@@ -253,6 +253,23 @@ class TestErrorHandling:
     def test_no_model_given(self, tmp_path):
         assert run("check", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("command, extra", [
+        ("check", ("--samples", 8)),
+        ("solve", ("--nodes", 11, "--steps", 10, "--npi", 3, "--nc", 3)),
+        ("verify", ("--bounds", "{bounds}", "--paths", 10)),
+        ("kappa", ("--paths", 10, "--horizon", 0.5, "--radius", 0)),
+    ])
+    def test_model_and_market_together(self, tmp_path, capsys, command,
+                                       extra):
+        # one source of the model: neither flag silently wins
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"kind": "drift_discount", "alpha": 1.0,
+                                      "beta": 0.0, "P": 1.0, "Q": 0.0}))
+        extra = [str(bounds) if a == "{bounds}" else a for a in extra]
+        assert run(command, "--model", MODEL, "--market", MARKET,
+                   "--out", tmp_path, *extra) == 2
+        assert "--model / --market" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")

@@ -10,7 +10,8 @@ import hjbkit as hk
 from hjbkit import finance
 from hjbkit import model as model_mod
 from hjbkit import simulate as sim
-from hjbkit.errors import CoefficientError, ParameterError
+from hjbkit.errors import (CoefficientError, ParameterError,
+                           PathExclusionError)
 
 from conftest import ou_model
 from families import family_models
@@ -261,6 +262,20 @@ class TestEstimateKappa:
                 tracemalloc.stop()
 
         assert peak((21, 21)) <= peak((3, 3)) + 4 * budget
+
+    def test_excluded_paths_raise(self):
+        # y^3 drift blows up 226 of 400 paths: the budget applies here as
+        # it does to estimate_value, not an average over the survivors
+        m = hk.ControlModel(
+            dim=1, drift=lambda y, d: np.asarray(y, float) ** 3,
+            discount_rate=lambda y, d: np.full(np.asarray(y).shape[:-1], -1.0),
+            running_reward=lambda y, d: np.ones(np.asarray(y).shape[:-1]),
+            terminal_reward=lambda y: np.ones(np.asarray(y).shape[:-1]),
+            controls=np.array([[0.0]]), lip_L1=1.0, lip_L2=1.0)
+        mc = hk.MonteCarloConfig(paths=400, dt=0.05, seed=0)
+        with pytest.raises(PathExclusionError) as exc:
+            hk.estimate_kappa(m, 0, 2.0, hk.constant_policies(m), mc)
+        assert (exc.value.excluded, exc.value.total) == (226, 400)
 
 
 def test_constant_policies_cover_control_list():

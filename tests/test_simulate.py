@@ -221,6 +221,55 @@ class TestAntithetic:
             np.std(kept, ddof=1) / np.sqrt(len(kept)), rel=1e-12)
 
 
+def reduce_oracle(samples, excluded, antithetic):
+    """Per-row 1-D means and standard errors over the kept samples.
+
+    ``samples`` is ``(P, S, R, paths)``; ``excluded`` masks ``(P, S, paths)``.
+    """
+    mean = np.empty(samples.shape[:-1])
+    se = np.empty_like(mean)
+    for idx in np.ndindex(mean.shape):
+        vals, excl = samples[idx], excluded[idx[:2]]
+        if antithetic:
+            keep = ~(excl[0::2] | excl[1::2])
+            vals = 0.5 * (vals[0::2][keep] + vals[1::2][keep])
+        else:
+            vals = vals[~excl]
+        mean[idx] = np.mean(vals)
+        se[idx] = np.std(vals, ddof=1) / np.sqrt(len(vals))
+    return mean, se
+
+
+class TestReduce:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_matches_row_oracle_bit_for_bit(self, antithetic):
+        # (policy, start, record, path) samples; two groups exclude paths
+        # within the budget of 2 in 2000, the others exclude none
+        mc = hk.MonteCarloConfig(paths=2000, dt=1e-2, seed=0,
+                                 antithetic=antithetic)
+        rng = np.random.default_rng(7)
+        samples = np.exp(rng.normal(size=(3, 2, 4, 2000)))
+        excluded = np.zeros((3, 2, 2000), dtype=bool)
+        excluded[1, 0, [5, 1200]] = True
+        excluded[2, 1, 999] = True
+        samples[np.broadcast_to(excluded[:, :, None], samples.shape)] = np.nan
+        res = _reduce(samples, excluded[:, :, None], mc, 1.0)
+        mean, se = reduce_oracle(samples, excluded, antithetic)
+        assert np.array_equal(res.mean, mean)
+        assert np.array_equal(res.std_error, se)
+        assert res.excluded.shape == mean.shape
+        assert res.excluded[1, 0, 0] == 2 and res.excluded[2, 1, 3] == 1
+        assert res.excluded.sum() == 4 * 3
+
+    def test_budget_applies_per_mask_row(self):
+        mc = hk.MonteCarloConfig(paths=2000, dt=1e-2, seed=0)
+        excluded = np.zeros((2, 2000), dtype=bool)
+        excluded[1, :3] = True      # 3 > 0.1% of 2000 in one row only
+        with pytest.raises(PathExclusionError) as exc:
+            _reduce(np.ones((2, 5, 2000)), excluded[:, None], mc, 1.0)
+        assert (exc.value.excluded, exc.value.total) == (3, 2000)
+
+
 class TestExclusion:
     def test_budget_enforced(self):
         # super-linear expansion overflows nearly every path
@@ -450,6 +499,53 @@ class TestBoundVerification:
         rep = hk.verify_bounds(m, spec, [0.5], 1.0, mc)
         assert rep.met
         assert {"t", "factor", "estimate", "bound", "met"} <= set(rep.rows[0])
+
+    def test_antithetic_rows_reduce_pairs(self):
+        # a pair is one sample: the standard error is that of pair means
+        m = hk.ControlModel(
+            dim=1, drift=lambda y, d: 1.0 - np.asarray(y, float),
+            discount_rate=lambda y, d: -2.0 + np.sum(np.asarray(y, float),
+                                                     axis=-1),
+            running_reward=lambda y, d: np.ones(np.asarray(y).shape[:-1]),
+            terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+            controls=np.array([[0.0], [1.0]]), lip_L1=1.0, lip_L2=-1.0)
+        spec = hk.DriftDiscountBound(alpha=1.0, beta=1.0, P=2.0, Q=1.0)
+        mc = hk.MonteCarloConfig(paths=400, dt=1e-2, seed=2, antithetic=True)
+        times = [0.5, 1.0]
+        rep = hk.verify_bounds(m, spec, [0.0], 1.0, mc, times=times)
+        batch = simulate_paths(m, hk.constant_policies(m), [[0.0]], 1.0, mc,
+                               times)
+        assert len(rep.rows) == 4
+        for row in rep.rows:
+            disc = np.exp(batch.log_discount[row["control_index"], 0, :,
+                                             times.index(row["t"])])
+            pairs = 0.5 * (disc[0::2] + disc[1::2])
+            assert row["estimate"] == np.mean(pairs)
+            assert row["std_error"] == \
+                np.std(pairs, ddof=1) / np.sqrt(len(pairs))
+
+    def test_discount_bound_evaluates_no_reward_on_records(self):
+        # the statistic e^{int h} needs neither f nor g: only the Euler
+        # loop calls f, on its P x paths rows, and nothing calls g
+        base = ou_model()
+        rows = {"running": [], "terminal": []}
+
+        def running(y, d):
+            rows["running"].append(len(y))
+            return base.running_reward(y, d)
+
+        def terminal(y):
+            rows["terminal"].append(len(y))
+            return base.terminal_reward(y)
+
+        m = dataclasses.replace(base, running_reward=running,
+                                terminal_reward=terminal)
+        spec = hk.DriftDiscountBound(alpha=1.0, beta=0.5, P=0.5, Q=0.0)
+        mc = hk.MonteCarloConfig(paths=100, dt=0.1, seed=0)
+        rep = hk.verify_bounds(m, spec, [0.5], 1.0, mc)
+        assert rep.met
+        assert rows["terminal"] == []
+        assert set(rows["running"]) == {len(m.controls) * mc.paths}
 
 
 def loop_records(model, policies, starts, steps, dt, mc):
