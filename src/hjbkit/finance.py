@@ -120,24 +120,6 @@ def _reduced_coefficients(market):
     return drift, discount_rate, running_reward, terminal_reward
 
 
-def _estimate_lipschitz(market, box=(-5.0, 5.0), samples=512, seed=0):
-    """Sampled Lipschitz data for the reduced model when none is supplied."""
-    rng = np.random.default_rng(seed)
-    ya = rng.uniform(box[0], box[1], size=(samples, 1))
-    yb = rng.uniform(box[0], box[1], size=(samples, 1))
-    dist = np.abs(ya - yb)[:, 0]
-    keep = dist > 1e-12
-    ya, yb, dist = ya[keep], yb[keep], dist[keep]
-    l1 = 1e-6
-    for fn in (market.r, market.b, market.sigma):
-        l1 = max(l1, float(np.max(np.abs(fn(ya) - fn(yb)) / dist)))
-    di = (market.i(ya) - market.i(yb)) * (ya[:, 0] - yb[:, 0])
-    l2 = float(np.max(di / dist ** 2))
-    if l2 >= 0:
-        l2 = -1e-6  # flat/expanding drift: report a nominal contraction
-    return 1.5 * max(l1, 1.0), l2
-
-
 def to_control_model(market, control_resolution):
     """Discretize (pi, c) and build the reduced factor-level ControlModel."""
     n_pi, n_c = control_resolution
@@ -148,21 +130,25 @@ def to_control_model(market, control_resolution):
     cs = np.linspace(0.0, m, n_c)
     controls = np.array([(p, c) for p in pis for c in cs])
     drift, h, f, g = _reduced_coefficients(market)
+
+    def reduced(L1, L2):
+        return ControlModel(dim=1, drift=drift, discount_rate=h,
+                            running_reward=f, terminal_reward=g,
+                            controls=controls, lip_L1=L1, lip_L2=L2)
+
+    box = [(-5.0, 5.0)]
     L1, L2 = market.lip_L1, market.lip_L2
     if L1 is None or L2 is None:
-        est1, est2 = _estimate_lipschitz(market)
-        L1, L2 = (est1 if L1 is None else L1), (est2 if L2 is None else L2)
-    cm = ControlModel(
-        dim=1,
-        drift=drift,
-        discount_rate=h,
-        running_reward=f,
-        terminal_reward=g,
-        controls=controls,
-        lip_L1=L1,
-        lip_L2=L2,
-    )
-    screen = check_assumption1(cm, [(-5.0, 5.0)], samples=128, seed=0)
+        # under unit constants the screen's ratios are the sampled quotients
+        q = check_assumption1(reduced(1.0, 1.0), box, samples=128,
+                              seed=0).ratios
+        if L1 is None:
+            L1 = 1.5 * max(1.0, q["terminal_reward"], q["running_reward"],
+                           q["discount_rate"])
+        if L2 is None:
+            L2 = min(q["drift"], -1e-6)  # flat/expanding: nominal contraction
+    cm = reduced(L1, L2)
+    screen = check_assumption1(cm, box, samples=128, seed=0)
     if not screen.passed:
         warnings.warn(
             "market coefficients violate the claimed Lipschitz/contraction "

@@ -1,19 +1,21 @@
 """Finite-difference solvers for the scalar HJB problems.
 
-Finite horizon: march backward from the terminal reward.  Infinite
-horizon: ``solve_stationary`` solves the discrete stationary equation
-directly by policy iteration (Howard): fix the policy, solve its
-tridiagonal linear system, improve the policy with the same control scan,
-until the march's right-hand side is below tolerance on every row the
-march updates.  It needs ``h < 0`` under every policy it solves for and
-raises ``PolicyIterationError`` where that fails or it does not converge;
-``solve_infinite_horizon`` then marches the forward parabolic problem from
-zero until the discrete time derivative is below tolerance.  Stationary
-reports carry ``error_bound = dvdt_norm / min(-h)`` under the final policy
-(null unless ``sup h < 0``): an a-posteriori estimate from the comparison
-principle of the monotone interior rows, which the one-sided and
-extrapolated edge rows do not share, so near an edge where the drift is
-weak it can be exceeded.
+One explicit march (``_march``) serves both time-marching solvers: the
+finite horizon runs it backward from the terminal reward, the infinite
+horizon (``solve_infinite_horizon``) forward from zero until the discrete
+time derivative is below tolerance.  Its right-hand side ``½D²u + H(u)``
+is formed in one place (``_scanner``), which policy iteration shares:
+``solve_stationary`` solves the discrete stationary equation directly
+(Howard): fix the policy, solve its tridiagonal linear system, improve
+the policy with the same control scan, until the march's right-hand side
+is below tolerance on every row the march updates.  It needs ``h < 0``
+under every policy it solves for and raises ``PolicyIterationError``
+where that fails or it does not converge; the long-time march is then the
+solver to use.  Stationary reports carry ``error_bound = dvdt_norm /
+min(-h)`` under the final policy (null unless ``sup h < 0``): an
+a-posteriori estimate from the comparison principle of the monotone
+interior rows, which the one-sided and extrapolated edge rows do not
+share, so near an edge where the drift is weak it can be exceeded.
 
 Scheme: explicit Euler in time, centered second difference for the unit
 diffusion, first difference upwinded by the sign of the drift per
@@ -26,8 +28,9 @@ grid x the controls applied (the grid list, or each step's override
 controls); this is enforced, not assumed.
 """
 
+import itertools
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,10 +229,11 @@ def _upwind_max(u, dy, i, upwind, h, f):
 
 
 def _scanner(model, grid, override, admissible):
-    """The march's control scan as ``u -> (H, policy, argmax, tables)``.
+    """The march's right-hand side as ``u -> (rhs, policy, argmax, tables)``.
 
-    Grid controls are tabulated once, an override's controls (from the
-    centred gradient) per call; each table first passes ``admissible``.
+    ``rhs = ½D²u + H(u)``.  Grid controls are tabulated once, an override's
+    controls (from the centred gradient) per call; each table first passes
+    ``admissible``.
     """
     if model.dim != 1:
         raise ParameterError("grid solver supports dim=1 only")
@@ -240,38 +244,68 @@ def _scanner(model, grid, override, admissible):
     def scan(u):
         if override is None:
             H, idx = _upwind_max(u, dy, *tables)
-            return H, model.controls[idx], idx, tables
-        delta = np.asarray(override(grid.ys, u, _centered_gradient(u, dy)), float)
-        one = admissible(_tabulate(model, grid.ys, delta[None]))
-        H, idx = _upwind_max(u, dy, *one)
-        return H, delta, idx, one
+            pol, used = model.controls[idx], tables
+        else:
+            pol = np.asarray(override(grid.ys, u, _centered_gradient(u, dy)), float)
+            used = admissible(_tabulate(model, grid.ys, pol[None]))
+            H, idx = _upwind_max(u, dy, *used)
+        return 0.5 * _second_difference(u, dy, grid.boundary) + H, pol, idx, used
 
     return scan
 
 
-def _march_hamiltonian(model, grid, dt, span, override):
-    """The march's ``u -> (H, policy)`` and a one-item list with its CFL
-    ratio, the largest over the tables of the controls actually applied."""
+def _march(model, grid, u, dt, span, override):
+    """Explicit Euler steps from ``u``, for as long as the caller draws them.
+
+    Yields ``(u, rhs, policy, next u, cfl)`` per step: the right-hand side
+    and the policy at ``u``, the update ``u + dt·rhs`` with the
+    extrapolation rows imposed, and the CFL ratio so far, the largest over
+    the tables of the controls actually applied.  Raises ``StabilityError``
+    where those controls need a smaller step (``span`` sizes the step count
+    it suggests) and ``DivergenceError`` on a non-finite update.
+    """
     dy = grid.spacing
-    cfl = [0.0]
+    cfl = 0.0
 
     def checked(tables):
+        nonlocal cfl
         i, _, h, _ = tables
         dt_max = 1.0 / (1.0 / dy ** 2 + np.abs(i).max() / dy + max(h.max(), 0.0))
         if dt > dt_max * (1.0 + 1e-12):
             raise StabilityError(dt, dt_max, int(np.ceil(span / dt_max)))
-        cfl[0] = max(cfl[0], dt / dt_max)
+        cfl = max(cfl, dt / dt_max)
         return tables
 
     scan = _scanner(model, grid, override, checked)
-    return (lambda u: scan(u)[:2]), cfl
+    for n in itertools.count():
+        rhs, pol, _, _ = scan(u)
+        nxt = u + dt * rhs
+        if grid.boundary == "linear_extrapolation":
+            nxt[0] = 2.0 * nxt[1] - nxt[2]
+            nxt[-1] = 2.0 * nxt[-2] - nxt[-3]
+        if not np.isfinite(nxt).all():
+            bad = int(np.argmax(~np.isfinite(nxt)))
+            raise DivergenceError(
+                f"non-finite update at node {bad} (y={grid.ys[bad]:g}), step {n}"
+            )
+        yield u, rhs, pol, nxt, cfl
+        u = nxt
 
 
-def _apply_boundary(u, boundary):
-    if boundary == "linear_extrapolation":
-        u[0] = 2.0 * u[1] - u[2]
-        u[-1] = 2.0 * u[-2] - u[-3]
-    return u
+def _report(model, grid, u, override, t0, kind, dt, stop, **fields):
+    """The ``SolveReport`` of a solve that ends at ``u``.
+
+    The scheme lists ``kind``, the time step ``dt`` (None: no time step),
+    the grid, the stop rule ``stop`` and whether an override chose the
+    controls; ``u`` passes the residual audit.
+    """
+    res = residual(model, ValueField(grid, u, 0.0), override)
+    scheme = {"kind": kind, "dt": dt, "dy": grid.spacing,
+              "boundary": grid.boundary, **stop, "override": override is not None}
+    if dt is None:
+        del scheme["dt"]
+    return SolveReport(scheme=scheme, residual_norm=float(np.max(np.abs(res))),
+                       wall_time=_time.perf_counter() - t0, **fields)
 
 
 def solve_finite_horizon(model, grid, time, control_override=None,
@@ -283,10 +317,7 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     report.  ``terminal_values`` overrides the model's terminal reward on
     the grid (used for split-interval solves).
     """
-    ys, dy, dt = grid.ys, grid.spacing, time.dt
-    hamiltonian, cfl = _march_hamiltonian(model, grid, dt, time.horizon,
-                                          control_override)
-
+    ys, dt = grid.ys, time.dt
     t0 = _time.perf_counter()
     if terminal_values is not None:
         u = np.array(terminal_values, float)
@@ -296,45 +327,24 @@ def solve_finite_horizon(model, grid, time, control_override=None,
         u = model.eval_checked("terminal_reward", ys[:, None]).astype(float)
 
     layers, stamps, policies = [], [], []
-    # one Hamiltonian per step plus one at t = 0: a retained layer's policy
-    # and, at the end, the final time derivative
-    for n in range(time.steps + 1):
-        H, pol = hamiltonian(u)
-        rhs = 0.5 * _second_difference(u, dy, grid.boundary) + H
+    # one right-hand side per step plus one at t = 0: a retained layer's
+    # policy and, at the end, the final time derivative
+    for n, (u, rhs, pol, _, cfl) in enumerate(
+            _march(model, grid, u, dt, time.horizon, control_override)):
         if n % slice_stride == 0 or n == time.steps:
             layers.append(u)
             stamps.append(time.horizon - n * dt)
             policies.append(pol)
         if n == time.steps:
             break
-        u = u + dt * rhs
-        _apply_boundary(u, grid.boundary)
-        if not np.isfinite(u).all():
-            bad = int(np.argmax(~np.isfinite(u)))
-            raise DivergenceError(
-                f"non-finite update at node {bad} (y={ys[bad]:g}), step {n}"
-            )
 
     order = np.argsort(stamps)
     vf = ValueField(grid, np.array(layers)[order], np.array(stamps)[order])
     pf = PolicyField(grid, np.array(policies)[order], np.array(stamps)[order])
-    del hamiltonian  # release the march tables: residual builds its own
-    res = residual(model, ValueField(grid, u, 0.0), control_override)
-    report = SolveReport(
-        scheme={
-            "kind": _FINITE_KIND,
-            "dt": dt,
-            "dy": dy,
-            "boundary": grid.boundary,
-            "override": control_override is not None,
-        },
-        cfl_ratio=float(cfl[0]),
-        residual_norm=float(np.max(np.abs(res))),
-        dvdt_norm=float(np.max(np.abs(rhs[1:-1]))),
-        steps=time.steps,
-        wall_time=_time.perf_counter() - t0,
-    )
-    return vf, pf, report
+    return vf, pf, _report(model, grid, u, control_override, t0, _FINITE_KIND,
+                           dt, {}, cfl_ratio=float(cfl),
+                           dvdt_norm=float(np.max(np.abs(rhs[1:-1]))),
+                           steps=time.steps)
 
 
 def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
@@ -347,59 +357,31 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     guard raises: the discounted reward appears non-integrable over an
     infinite horizon for this model.
     """
-    if not tol_dt > 0:
-        raise ParameterError("tol_dt must be positive")
-    ys, dy = grid.ys, grid.spacing
-    hamiltonian, cfl = _march_hamiltonian(model, grid, dt, t_max,
-                                          control_override)
-
+    for name, value in (("dt", dt), ("tol_dt", tol_dt), ("t_max", t_max)):
+        if not value > 0:
+            raise ParameterError(f"{name} must be positive")
     t0 = _time.perf_counter()
-    v = np.zeros(len(ys))
-    pol = model.controls[np.zeros(len(ys), dtype=int)]
     steps = int(np.ceil(t_max / dt))
-    dvdt = np.inf
-    converged = False
-    s = 0
-    for s in range(1, steps + 1):
-        H, pol = hamiltonian(v)
-        rhs = 0.5 * _second_difference(v, dy, grid.boundary) + H
-        v = v + dt * rhs
-        _apply_boundary(v, grid.boundary)
-        if not np.isfinite(v).all() or np.abs(v).max() > _OVERFLOW_GUARD:
+    for s, (_, rhs, pol, v, cfl) in enumerate(
+            _march(model, grid, np.zeros(grid.nodes), dt, t_max,
+                   control_override), 1):
+        if np.abs(v).max() > _OVERFLOW_GUARD:
             raise DivergenceError(
                 "long-time march diverged: the discounted reward appears "
                 "non-integrable over an infinite horizon for this model"
             )
         dvdt = float(np.abs(rhs[1:-1]).max())
-        if dvdt < tol_dt:
-            converged = True
+        if dvdt < tol_dt or s == steps:
             break
 
     t_final = s * dt
-    vf = ValueField(grid, v, t_final)
-    pf = PolicyField(grid, pol, t_final)
-    del hamiltonian  # release the march tables: residual builds its own
-    res = residual(model, vf, control_override)
-    top = float(model.eval_checked("discount_rate", ys[:, None], pol).max())
-    report = SolveReport(
-        scheme={
-            "kind": "infinite_horizon_long_time",
-            "dt": dt,
-            "dy": dy,
-            "boundary": grid.boundary,
-            "tol_dt": tol_dt,
-            "t_max": t_max,
-            "override": control_override is not None,
-        },
-        cfl_ratio=float(cfl[0]),
-        residual_norm=float(np.max(np.abs(res))),
-        dvdt_norm=dvdt,
-        steps=s,
-        wall_time=_time.perf_counter() - t0,
-        converged=converged,
-        error_bound=dvdt / -top if top < 0.0 else None,
-    )
-    return vf, pf, report
+    top = float(model.eval_checked("discount_rate", grid.ys[:, None], pol).max())
+    return (ValueField(grid, v, t_final), PolicyField(grid, pol, t_final),
+            _report(model, grid, v, control_override, t0,
+                    "infinite_horizon_long_time", dt,
+                    {"tol_dt": tol_dt, "t_max": t_max}, cfl_ratio=float(cfl),
+                    dvdt_norm=dvdt, steps=s, converged=dvdt < tol_dt,
+                    error_bound=dvdt / -top if top < 0.0 else None))
 
 
 def _solve_policy(grid, i, h, f):
@@ -453,30 +435,6 @@ def _solve_policy(grid, i, h, f):
     return np.array(u), sum(p > 0.0 for p in di) % 2 == 0
 
 
-def _policy_improver(model, grid, override):
-    """The march's scan as ``u -> (H, policy, (i, h, f) of that policy)``.
-
-    Raises ``PolicyIterationError`` where a control it may apply has
-    ``h >= 0``: the grid tables once, every override iterate.
-    """
-    nodes = np.arange(grid.nodes)
-
-    def discounting(tables):
-        if not tables[2].max() < 0.0:
-            raise PolicyIterationError(
-                "discount rate h >= 0 at some node: policy iteration needs "
-                "h < 0 under every policy it solves for")
-        return tables
-
-    scan = _scanner(model, grid, override, discounting)
-
-    def improve(u):
-        H, pol, idx, (i, _, h, f) = scan(u)
-        return H, pol, (i[idx, nodes], h[idx, nodes], f[idx, nodes])
-
-    return improve
-
-
 def solve_stationary(model, grid, tol, control_override=None):
     """Policy iteration for the stationary equation the long-time march solves.
 
@@ -503,19 +461,26 @@ def solve_stationary(model, grid, tol, control_override=None):
     """
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    dy = grid.spacing
     rows = slice(None) if grid.boundary == "one_sided" else slice(1, -1)
-    improve = _policy_improver(model, grid, control_override)
+    nodes = np.arange(grid.nodes)
+
+    def discounting(tables):
+        if not tables[2].max() < 0.0:
+            raise PolicyIterationError(
+                "discount rate h >= 0 at some node: policy iteration needs "
+                "h < 0 under every policy it solves for")
+        return tables
 
     t0 = _time.perf_counter()
-    _, pol, coef = improve(np.zeros(grid.nodes))
+    scan = _scanner(model, grid, control_override, discounting)
+    _, pol, idx, tables = scan(np.zeros(grid.nodes))
     for it in range(1, _MAX_POLICY_ITERATIONS + 1):
-        u, stable = _solve_policy(grid, *coef)
+        i, _, h, f = (t[idx, nodes] for t in tables)
+        u, stable = _solve_policy(grid, i, h, f)
         if not np.isfinite(u).all():
             raise PolicyIterationError(
                 f"policy iteration {it}: the linear solve is not finite")
-        H, pol, coef = improve(u)
-        rhs = 0.5 * _second_difference(u, dy, grid.boundary) + H
+        rhs, pol, idx, tables = scan(u)
         dvdt = float(np.abs(rhs[rows]).max())
         if dvdt < tol:
             break
@@ -528,29 +493,15 @@ def solve_stationary(model, grid, tol, control_override=None):
             "policy iteration converged to a solution the march moves away "
             "from: the edge rows admit another one")
 
-    _, h, f = coef
+    _, _, h, f = (t[idx, nodes] for t in tables)
+    del scan, tables  # release the grid tables: residual builds its own
     rate = -float(h.max())
     horizon = np.log(max(float(np.abs(f).max()) / (rate * tol), np.e)) / rate
-    vf = ValueField(grid, u, horizon)
-    pf = PolicyField(grid, pol, horizon)
-    del improve  # release the grid tables: residual builds its own
-    res = residual(model, vf, control_override)
-    report = SolveReport(
-        scheme={
-            "kind": "stationary_policy_iteration",
-            "dy": dy,
-            "boundary": grid.boundary,
-            "tol": tol,
-            "override": control_override is not None,
-        },
-        cfl_ratio=0.0,
-        residual_norm=float(np.max(np.abs(res))),
-        dvdt_norm=dvdt,
-        steps=it,
-        wall_time=_time.perf_counter() - t0,
-        error_bound=dvdt / rate,
-    )
-    return vf, pf, report
+    return (ValueField(grid, u, horizon), PolicyField(grid, pol, horizon),
+            _report(model, grid, u, control_override, t0,
+                    "stationary_policy_iteration", None, {"tol": tol},
+                    cfl_ratio=0.0, dvdt_norm=dvdt, steps=it,
+                    error_bound=dvdt / rate))
 
 
 def residual(model, fld, control_override=None):

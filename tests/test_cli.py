@@ -227,6 +227,22 @@ class TestStationarySelection:
         assert code == 1
         assert "long-time march diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt, t_max", [(0, 1000), (5e-3, 0)])
+    def test_march_step_and_horizon_validated(self, tmp_path, capsys, dt,
+                                              t_max):
+        # h = 0.5: policy iteration does not apply, the march gets the flags
+        doc = json.loads(open(MODEL).read())
+        doc["discount_rate"] = {"kind": "constant", "value": 0.5}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = run("solve", "--model", model, "--out", tmp_path / "o",
+                   "--infinite", "--grid-min", -1, "--grid-max", 1,
+                   "--nodes", 21, "--dt", dt, "--tol-dt", 1e-9,
+                   "--t-max", t_max)
+        assert code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "solve_report.json").exists()
+
 
 class TestKappa:
     def test_artifacts(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,20 @@ class TestReduction:
         cm = hk.to_control_model(m, (3, 3))
         assert cm.lip_L1 > 0
         assert cm.lip_L2 < 0  # mean reversion detected from samples
+
+    def test_lipschitz_fallback_covers_the_reduced_drift(self):
+        # reduced drift -y + rho pi sigma(y) with sigma = 2 + 0.3y: the
+        # portfolio term weakens the contraction to -1 + 0.5 * 2 * 0.3
+        m = hk.MarketModel(
+            short_rate=0.02, excess_drift=0.04,
+            volatility=lambda y: 2.0 + 0.3 * y[..., 0], correlation=0.5,
+            risk_aversion=0.5, discount=0.1, position_cap=2.0,
+            consumption_cap=1.0, factor_drift=lambda y: -y[..., 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = hk.to_control_model(m, (3, 3))
+        assert cm.lip_L2 == pytest.approx(-0.7)
+        assert hk.check_assumption1(cm, [(-5.0, 5.0)], 128, 0).passed
 
 
 class TestClosedFormControls:

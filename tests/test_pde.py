@@ -202,6 +202,14 @@ class TestFiniteHorizon:
         switches = np.sum(pf.controls[1:] != pf.controls[:-1])
         assert switches > 10
 
+    def test_divergence_detected(self):
+        # h = 50 at the CFL limit: u grows by 5/3 a step until it overflows
+        m = constant_model(f=0.0, h=50.0, g=1.0)
+        g = hk.Grid1D(-1, 1, 11)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="step 1382"):
+            hk.solve_finite_horizon(m, g, hk.TimeGrid(40.0, 3000))
+
 
 class TestInfiniteHorizon:
     def test_stationary_value_constant_model(self):
@@ -224,6 +232,36 @@ class TestInfiniteHorizon:
         g = hk.Grid1D(-1, 1, 21)
         _, _, rep = hk.solve_infinite_horizon(m, g, 2e-3, 1e-10, 0.5)
         assert not rep.converged
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("name", ["dt", "tol_dt", "t_max"])
+    def test_step_and_stop_rule_validated(self, name, value):
+        args = {"dt": 2e-3, "tol_dt": 1e-5, "t_max": 10.0, name: value}
+        with pytest.raises(ParameterError, match=name):
+            hk.solve_infinite_horizon(constant_model(), hk.Grid1D(-1, 1, 21),
+                                      **args)
+
+    @pytest.mark.parametrize("boundary", ["one_sided", "linear_extrapolation"])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_long_time_march_is_the_sweep_from_zero(self, boundary, override,
+                                                    merton_market):
+        # both solvers take their steps from one march: 64 steps of 2^-9
+        # from zero give the same bits
+        if override:
+            m = hk.to_control_model(merton_market, (5, 5))
+            ov = hk.control_override(merton_market)
+        else:
+            m, ov = ou_model(reward="bounded"), None
+        g = hk.Grid1D(-2.0, 2.0, 21, boundary)
+        dt = 2.0 ** -9
+        vf, pf, _ = hk.solve_finite_horizon(
+            m, g, hk.TimeGrid(64 * dt, 64), ov,
+            terminal_values=np.zeros(g.nodes))
+        vi, pi, rep = hk.solve_infinite_horizon(m, g, dt, 1e-300, 64 * dt, ov)
+        assert rep.steps == 64 and not rep.converged
+        assert vi.values[0].tobytes() == vf.values[0].tobytes()
+        # the last step's policy is the sweep's one step before t = 0
+        assert pi.controls[0].tobytes() == pf.controls[1].tobytes()
 
     def test_policy_field_constant_optimum(self):
         m = ou_model()
