@@ -89,22 +89,41 @@ class MarketModel:
                        (self.short_rate, self.excess_drift, self.volatility))
 
 
+def _coefficient(value):
+    """``y -> value`` of a market coefficient: a float once if constant."""
+    if callable(value):
+        return lambda y: _coef(value, y)
+    value = float(value)
+    return lambda y: value
+
+
 def _reduced_coefficients(market):
     gamma, w, rho = market.risk_aversion, market.discount, market.correlation
+    i, r, b, sigma = (_coefficient(c) for c in (
+        market.factor_drift, market.short_rate, market.excess_drift,
+        market.volatility))
+
+    def rows(out, y):
+        # constant coefficients are floats: only at one control with no
+        # callable coefficient does the output need spreading over the rows
+        shape = y.shape[:-1]
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
     def drift(y, delta):
         y = np.asarray(y, float)
         delta = np.asarray(delta, float)
         pi = delta[..., 0]
-        out = market.i(y) + rho * pi * market.sigma(y)
-        return out[..., None]
+        return rows(i(y) + rho * pi * sigma(y), y)[..., None]
 
     def discount_rate(y, delta):
         y = np.asarray(y, float)
         delta = np.asarray(delta, float)
         pi, c = delta[..., 0], delta[..., 1]
-        r, b, s = market.r(y), market.b(y), market.sigma(y)
-        return gamma * (r + b * pi - 0.5 * (1.0 - gamma) * s ** 2 * pi ** 2 - c) - w
+        s = sigma(y)
+        # s * s, not s ** 2: a float's power goes through C pow(), the
+        # array square is one product, and both must round alike
+        return rows(gamma * (r(y) + b(y) * pi
+                             - 0.5 * (1.0 - gamma) * (s * s) * pi ** 2 - c) - w, y)
 
     def running_reward(y, delta):
         y = np.asarray(y, float)

@@ -145,17 +145,25 @@ class PolicyField:
         self.time_stamps = np.atleast_1d(np.asarray(self.time_stamps, float))
 
     def as_policy(self):
-        """Feedback map (y, t) -> control, nearest node and time stamp."""
-        ys = self.grid.ys
+        """Feedback map (y, t) -> control, nearest node and time stamp.
+
+        The node index is rounded and clamped as a float before the cast,
+        so every state gets a control and none warns: NaN and -inf map to
+        node 0, +inf and finite states past the top node to the top node.
+        """
+        y0, dy, top = self.grid.y_min, self.grid.spacing, self.grid.nodes - 1
         stamps = self.time_stamps
         table = self.controls
 
         def policy(y, t):
-            y = np.asarray(y, float)[..., 0]
-            ny = np.clip(np.rint((y - ys[0]) / self.grid.spacing).astype(int),
-                         0, len(ys) - 1)
+            y = np.asarray(y, float)
+            x = np.subtract(y[..., 0], y0, out=np.empty(y.shape[:-1]))
+            x /= dy
+            np.rint(x, out=x)
+            np.fmax(x, 0.0, out=x)
+            np.fmin(x, top, out=x)
             nt = int(np.argmin(np.abs(stamps - t)))
-            return table[nt, ny]
+            return table[nt].take(x.astype(np.intp), axis=0)
 
         return policy
 
@@ -312,11 +320,13 @@ def solve_finite_horizon(model, grid, time, control_override=None,
                          terminal_values=None, slice_stride=1):
     """Backward sweep of the parabolic HJB problem from the terminal reward.
 
-    Returns the value field (time-0 layer plus retained slices at
-    ``slice_stride`` steps), the argmax policy on the same slices, and a
+    Returns the value field (time-0 layer plus retained slices every
+    ``slice_stride`` >= 1 steps), the argmax policy on the same slices, and a
     report.  ``terminal_values`` overrides the model's terminal reward on
     the grid (used for split-interval solves).
     """
+    if not slice_stride >= 1:
+        raise ParameterError("slice_stride must be >= 1")
     ys, dt = grid.ys, time.dt
     t0 = _time.perf_counter()
     if terminal_values is not None:

@@ -4,7 +4,8 @@ One Euler loop, ``_march``, steps the controlled SDE for every (policy,
 start) pair of a call on the same Gaussian increments.  A step calls each
 policy once on its own ``(S·m, N)`` rows (``S`` starts, ``m`` paths of a
 block), then the drift, the discount rate and the running reward once each
-on all ``P·S·m`` rows of states and controls.  ``simulate_paths``
+on all ``P·S·m`` rows of states and controls, and adds the block's
+increments to every pair's rows by broadcasting.  ``simulate_paths``
 collects its states, controls, discount integral and discounted reward
 integral at requested times; ``coupled_contraction`` reduces its distances
 step by step as the loop runs.  The state uses unit diffusion per
@@ -147,6 +148,10 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
     block's first path and live ``(P, S, m, ...)`` views of the states,
     controls, log-discounts and reward integrals, to be copied or reduced.
     ``kept`` carries the path generators across calls (``_path_draws``).
+    A step forms ``y + drift·dt`` and then adds the block's ``(m, N)``
+    increments in place, broadcast over a ``(P·S, m, N)`` view, so the
+    noise is never copied per pair and rounds as ``(y + drift·dt) +
+    noise`` does.
     """
     P, S, N, k = len(policies), len(starts), model.dim, model.controls.shape[1]
     sqdt = np.sqrt(dt)
@@ -171,7 +176,6 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
                 if mc.antithetic:
                     odd = z[(lo + 1) % 2::2]
                     np.negative(odd, out=odd)
-            noise = np.tile(sqdt * z[:, s % _CHUNK], (P * S, 1))
             t = t0 + s * dt
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for p, policy in enumerate(policies):
@@ -181,7 +185,9 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
                 fv = np.asarray(model.running_reward(y, d.reshape(-1, k)), float)
                 rw += np.exp(ld) * fv * dt
                 ld += hv * dt
-                y = y + drift * dt + noise
+                y = y + drift * dt
+                pairs = y.reshape(P * S, m, N)  # a view of the fresh C-order sum
+                pairs += sqdt * z[:, s % _CHUNK]
             if s + 1 in marks:
                 yield (lo, s + 1, y.reshape(P, S, m, N), d.reshape(P, S, m, k),
                        ld.reshape(P, S, m), rw.reshape(P, S, m))

@@ -63,6 +63,13 @@ class TestSolve:
         assert code == 1
         assert "stability limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_slice_stride_validated(self, tmp_path, capsys, stride):
+        code = run("solve", "--model", MODEL, "--out", tmp_path,
+                   "--slice-stride", stride)
+        assert code == 2
+        assert "slice_stride" in capsys.readouterr().err
+
     def test_market_solve_with_closed_form(self, tmp_path):
         code = run("solve", "--market", MARKET, "--out", tmp_path,
                    "--infinite", "--closed-form", "--grid-min", -1,

@@ -99,6 +99,45 @@ class TestReduction:
         assert m.running_reward(y, d) == pytest.approx([0.5 ** gamma])
         assert m.terminal_reward(y) == pytest.approx([1.0])
 
+    @staticmethod
+    def _constant_and_callable_markets():
+        # 2.0408 ** 2 and 2.0408 * 2.0408 round apart, and the volatility
+        # term dominates the discount rate: the rates show whether both
+        # forms square alike
+        consts = dict(short_rate=0.02, excess_drift=0.04, volatility=2.0408,
+                      factor_drift=-0.03)
+        base = dict(correlation=0.5, risk_aversion=0.5, discount=0.1,
+                    position_cap=2.0, consumption_cap=1.0, lip_L1=1.0,
+                    lip_L2=0.01)
+        callables = {k: (lambda v: lambda y: np.full(y.shape[:-1], v))(v)
+                     for k, v in consts.items()}
+        return (hk.MarketModel(**consts, **base),
+                hk.MarketModel(**callables, **base))
+
+    def test_constant_coefficients_match_callable_ones(self):
+        const, call = (hk.to_control_model(m, (5, 4))
+                       for m in self._constant_and_callable_markets())
+        rng = np.random.default_rng(2)
+        y = rng.uniform(-2.0, 2.0, (64, 1))
+        rows = const.controls[rng.integers(len(const.controls), size=64)]
+        for d in (rows, const.controls[7]):
+            for name in ("drift", "discount_rate"):
+                a, b = (np.asarray(getattr(m, name)(y, d)) for m in (const, call))
+                assert a.shape == b.shape == (y.shape if name == "drift"
+                                              else y.shape[:-1])
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_constant_coefficients_simulate_like_callable_ones(self):
+        const, call = (hk.to_control_model(m, (3, 3))
+                       for m in self._constant_and_callable_markets())
+        policies = [lambda y, t: const.controls[np.where(y[:, 0] > 0, 2, 6)],
+                    lambda y, t: const.controls[4]]
+        mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=4)
+        a, b = (hk.simulate_paths(m, policies, [[-0.5], [0.5]], 0.5, mc, (0.2,))
+                for m in (const, call))
+        for field in ("states", "log_discount", "reward_integral", "deltas"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
     def test_screen_warns_on_understated_constants(self):
         m = hk.MarketModel(
             short_rate=lambda y: 0.5 * y[..., 0], excess_drift=0.04,

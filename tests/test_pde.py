@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -561,6 +563,46 @@ class TestFields:
         out = pol(np.array([[0.0], [1.0]]), 0.0)
         assert out.shape == (2, 1)
         assert np.all(out == 0.0)
+
+    @staticmethod
+    def _indexed_policy(grid, layers=1):
+        """A policy field whose control at node j of layer l is (j, l)."""
+        j, l = np.meshgrid(np.arange(grid.nodes), np.arange(layers))
+        controls = np.stack([j, l], axis=-1).astype(float)
+        return hk.PolicyField(grid, controls, np.linspace(0.0, 1.0, layers))
+
+    @pytest.mark.parametrize("grid", [hk.Grid1D(-1.3, 2.7, 41),
+                                      hk.Grid1D(-1, 1, 33)])
+    def test_policy_lookup_is_the_nearest_node_and_stamp(self, grid):
+        rng = np.random.default_rng(5)
+        pf = hk.PolicyField(grid, rng.normal(size=(4, grid.nodes, 2)),
+                            [0.0, 0.25, 0.5, 1.0])
+        ys, h = grid.ys, grid.spacing
+        # half-node midpoints (exact on the dyadic grid) and random states
+        # reaching past both edges
+        midpoints = ys[0] + (np.arange(-3, grid.nodes + 2) + 0.5) * h
+        y = np.concatenate([rng.uniform(-4.0, 5.0, 10_000), midpoints])[:, None]
+        pol = pf.as_policy()
+        for t in (-1.0, 0.0, 0.1, 0.125, 0.3, 0.75, 1.0, 7.0):
+            nt = np.argmin(np.abs(pf.time_stamps - t))
+            ny = np.clip(np.rint((y[:, 0] - ys[0]) / h).astype(int),
+                         0, grid.nodes - 1)
+            assert np.array_equal(pol(y, t), pf.controls[nt, ny])
+
+    def test_huge_and_infinite_states_map_to_the_edges(self):
+        g = hk.Grid1D(-1, 1, 21)
+        pol = self._indexed_policy(g).as_policy()
+        top = g.nodes - 1
+        for y, node in [(1e300, top), (1e19 * g.spacing, top), (np.inf, top),
+                        (-1e300, 0), (-np.inf, 0), (np.nan, 0)]:
+            assert pol(np.array([[y]]), 0.0)[0, 0] == node, y
+
+    def test_non_finite_states_get_a_control_without_warning(self):
+        pol = self._indexed_policy(hk.Grid1D(-1, 1, 21), layers=2).as_policy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pol(np.array([[np.nan], [np.inf], [-np.inf]]), 1.0)
+        assert np.array_equal(out, [[0, 1], [20, 1], [0, 1]])
 
     def test_value_csv_round_trip(self, tmp_path):
         from hjbkit.cli import _read_csv
