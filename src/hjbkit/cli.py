@@ -121,25 +121,39 @@ def cmd_solve(args):
 def _read_csv(path):
     """Grid, time stamps and ``(layers, nodes, columns)`` table of a solve CSV.
 
-    Rows are ``y,t,<columns>``: the value is column 0 of ``value.csv``,
-    the control components are the columns of ``policy.csv``.
+    Rows are ``y,t,<columns>`` in any order: the value is column 0 of
+    ``value.csv``, the control components are the columns of ``policy.csv``.
+    Every stamp needs one row per node of ``linspace(y_min, y_max, nodes)``,
+    to 1e-9 spacings; a malformed file raises ``ParameterError``.
     """
+    def malformed(why):
+        return ParameterError(f"malformed solve CSV {path}: {why}")
+
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("y,"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    rows = np.array(rows)
-    ys, ts = rows[:, 0], rows[:, 1]
-    uy, ut = np.unique(ys), np.unique(ts)
-    table = np.empty((len(ut), len(uy), rows.shape[1] - 2))
-    for j, t in enumerate(ut):
-        sel = ts == t
-        table[j] = rows[sel][np.argsort(ys[sel])][:, 2:]
-    grid = pde.Grid1D(float(uy[0]), float(uy[-1]), len(uy))
-    return grid, ut, table
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line and not line.startswith(("#", "y,")):
+                    rows.append([float(v) for v in line.split(",")])
+        rows = np.array(rows, ndmin=2)
+    except ValueError as err:  # a non-numeric cell or rows of unequal length
+        raise malformed(err) from None
+    if rows.shape[1] < 3:
+        raise malformed("no data rows of y, t and values")
+    rows = rows[np.lexsort((rows[:, 0], rows[:, 1]))]
+    stamps = np.unique(rows[:, 1])
+    nodes = len(rows) // len(stamps)
+    table = rows[:nodes * len(stamps)].reshape(len(stamps), nodes, -1)
+    ys = table[0, :, 0]
+    if nodes * len(stamps) != len(rows) or np.any(table[..., 0] != ys) \
+            or np.any(table[..., 1] != stamps[:, None]):
+        raise malformed("the rows do not fill one node list at every stamp")
+    even = np.linspace(ys[0], ys[-1], nodes)
+    if nodes < 3 or np.any(np.abs(ys - even) > 1e-9 * (even[1] - even[0])):
+        raise malformed("the y values are not 3 or more evenly spaced nodes")
+    return (pde.Grid1D(float(ys[0]), float(ys[-1]), nodes), stamps,
+            np.ascontiguousarray(table[..., 2:]))
 
 
 def _bound_spec(doc):
@@ -169,7 +183,8 @@ def cmd_verify(args):
         spec = _bound_spec(doc)
         report = simulate.verify_bounds(
             mdl, spec, np.atleast_1d(doc.get("y0", 0.0)),
-            float(doc.get("T", args.horizon or 1.0)), mc,
+            float(doc.get("T", 1.0 if args.horizon is None
+                          else args.horizon)), mc,
             times=doc.get("times"))
         results["bounds"] = report.as_dict()
         if not report.met:
@@ -182,7 +197,8 @@ def cmd_verify(args):
         fld = pde.ValueField(grid, table[..., 0], stamps)
         grid, stamps, table = _read_csv(args.policy)
         policy = pde.PolicyField(grid, table, stamps).as_policy()
-        horizon = args.horizon or float(fld.time_stamps[-1])
+        horizon = float(fld.time_stamps[-1]) if args.horizon is None \
+            else args.horizon
         finite = len(fld.time_stamps) > 1
         probes = [float(v) for v in args.probes.split(",")] if args.probes \
             else list(fld.grid.ys[fld.grid.nodes // 4::max(1, fld.grid.nodes // 4)])

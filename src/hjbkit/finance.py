@@ -11,6 +11,10 @@ the reduced problem is exactly an instance of the general framework:
 * terminal 1
 
 with the control pair ``(pi, c)`` constrained to ``[-R, R] x [0, m]``.
+
+A market coefficient, constant or a callable of the factor, is read by
+``_coefficient`` alone: a constant is one float in the reduced coefficients
+and closed-form controls, spread per row only by the ``MarketModel`` accessors.
 """
 
 import warnings
@@ -20,6 +24,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import ControlModel, check_assumption1
+from .reports import Report
 
 __all__ = [
     "MarketModel",
@@ -35,14 +40,25 @@ __all__ = [
 ]
 
 
-def _coef(value, y):
-    """Coefficient of the factor at y: constant or callable (batch last axis N=1)."""
-    y = np.asarray(y, float)
+def _coefficient(value):
+    """``y -> value`` of a market coefficient: a float once if constant."""
     if not callable(value):
-        return np.full(y.shape[:-1], float(value))
-    out = np.asarray(value(y), float)
-    # accept callables that return either (...,) or (..., 1)
-    return out[..., 0] if out.shape == y.shape else out
+        value = float(value)
+        return lambda y: value
+
+    def coefficient(y):
+        y = np.asarray(y, float)
+        out = np.asarray(value(y), float)
+        # accept callables that return either (...,) or (..., 1)
+        return out[..., 0] if out.shape == y.shape else out
+
+    return coefficient
+
+
+def _rows(out, y):
+    """``out``, one value per row of the states ``y``: a float is spread."""
+    shape = np.shape(y)[:-1]
+    return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
 
 @dataclass(frozen=True)
@@ -72,29 +88,21 @@ class MarketModel:
             raise ParameterError("position and consumption caps must be positive")
 
     def r(self, y):
-        return _coef(self.short_rate, y)
+        return _rows(_coefficient(self.short_rate)(y), y)
 
     def b(self, y):
-        return _coef(self.excess_drift, y)
+        return _rows(_coefficient(self.excess_drift)(y), y)
 
     def sigma(self, y):
-        return _coef(self.volatility, y)
+        return _rows(_coefficient(self.volatility)(y), y)
 
     def i(self, y):
-        return _coef(self.factor_drift, y)
+        return _rows(_coefficient(self.factor_drift)(y), y)
 
     @property
     def is_constant(self):
         return not any(callable(c) for c in
                        (self.short_rate, self.excess_drift, self.volatility))
-
-
-def _coefficient(value):
-    """``y -> value`` of a market coefficient: a float once if constant."""
-    if callable(value):
-        return lambda y: _coef(value, y)
-    value = float(value)
-    return lambda y: value
 
 
 def _reduced_coefficients(market):
@@ -103,17 +111,11 @@ def _reduced_coefficients(market):
         market.factor_drift, market.short_rate, market.excess_drift,
         market.volatility))
 
-    def rows(out, y):
-        # constant coefficients are floats: only at one control with no
-        # callable coefficient does the output need spreading over the rows
-        shape = y.shape[:-1]
-        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
-
     def drift(y, delta):
         y = np.asarray(y, float)
         delta = np.asarray(delta, float)
         pi = delta[..., 0]
-        return rows(i(y) + rho * pi * sigma(y), y)[..., None]
+        return _rows(i(y) + rho * pi * sigma(y), y)[..., None]
 
     def discount_rate(y, delta):
         y = np.asarray(y, float)
@@ -122,8 +124,8 @@ def _reduced_coefficients(market):
         s = sigma(y)
         # s * s, not s ** 2: a float's power goes through C pow(), the
         # array square is one product, and both must round alike
-        return rows(gamma * (r(y) + b(y) * pi
-                             - 0.5 * (1.0 - gamma) * (s * s) * pi ** 2 - c) - w, y)
+        return _rows(gamma * (r(y) + b(y) * pi
+                              - 0.5 * (1.0 - gamma) * (s * s) * pi ** 2 - c) - w, y)
 
     def running_reward(y, delta):
         y = np.asarray(y, float)
@@ -181,10 +183,11 @@ def _maximizers(market, y, u, u_y):
     """``(pi, c)`` of ``closed_form_controls`` for arrays, without the checks."""
     ycol = np.asarray(y, float).reshape(-1, 1)
     gamma = market.risk_aversion
-    s = market.sigma(ycol)
-    b = market.b(ycol)
+    # floats if constant: s * s, not s ** 2, as in the reduced discount rate
+    s = _coefficient(market.volatility)(ycol)
+    b = _coefficient(market.excess_drift)(ycol)
     pi = (market.correlation * s * np.asarray(u_y, float) + gamma * b * u) \
-        / ((gamma - gamma ** 2) * s ** 2 * u)
+        / ((gamma - gamma ** 2) * (s * s) * u)
     pi = np.clip(pi, -market.position_cap, market.position_cap)
     # u ~ 0 early in the long-time march: the power overflows but the clip
     # pins it at the cap, so the warning is spurious
@@ -221,23 +224,13 @@ def control_override(market):
 
 
 @dataclass(frozen=True)
-class MertonBenchmark:
+class MertonBenchmark(Report):
     u: float
     pi_star: float
     c_star: float
     A: float
     pi_clipped: bool
     c_clipped: bool
-
-    def as_dict(self):
-        return {
-            "u": float(self.u),
-            "pi_star": float(self.pi_star),
-            "c_star": float(self.c_star),
-            "A": float(self.A),
-            "pi_clipped": bool(self.pi_clipped),
-            "c_clipped": bool(self.c_clipped),
-        }
 
 
 def merton_benchmark(market):
@@ -277,7 +270,7 @@ def merton_benchmark(market):
 
 
 @dataclass(frozen=True)
-class DiscountReport:
+class DiscountReport(Report):
     admissible: bool
     linear_rate: float
     prefactor_exponent: float     # coefficient of max(y0, 0)
@@ -285,17 +278,6 @@ class DiscountReport:
     martingale_correction: float
     total_rate: float
     precondition_witnesses: list
-
-    def as_dict(self):
-        return {
-            "admissible": bool(self.admissible),
-            "linear_rate": float(self.linear_rate),
-            "prefactor_exponent": float(self.prefactor_exponent),
-            "psi_sup": float(self.psi_sup),
-            "martingale_correction": float(self.martingale_correction),
-            "total_rate": float(self.total_rate),
-            "precondition_witnesses": self.precondition_witnesses,
-        }
 
 
 def _psi_max(market, y, xi):

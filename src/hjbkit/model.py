@@ -15,6 +15,7 @@ import numpy as np
 from . import coefficients
 from .errors import CoefficientError, ParameterError
 from .hamiltonian import control_tables
+from .reports import Report
 
 __all__ = [
     "ControlModel",
@@ -97,7 +98,7 @@ class ControlModel:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Report):
     """Outcome of the sampled Lipschitz / one-sided drift screen."""
 
     passed: bool
@@ -105,16 +106,6 @@ class AssumptionReport:
     witness: dict
     ratios: dict = field(default_factory=dict)
     tolerance: float = RATIO_TOL
-
-    def as_dict(self):
-        w = dict(self.witness)
-        return {
-            "passed": bool(self.passed),
-            "worst_ratio": float(self.worst_ratio),
-            "witness": w,
-            "ratios": {k: float(v) for k, v in self.ratios.items()},
-            "tolerance": self.tolerance,
-        }
 
 
 def _as_box(box, dim):
@@ -240,7 +231,7 @@ def truncate(model, k):
 
 
 @dataclass(frozen=True)
-class KappaTable:
+class KappaTable(Report):
     """Empirical envelopes of the discounted reward / terminal moments.
 
     ``kappa[j]`` bounds (over the probed policy family and start points in
@@ -265,6 +256,8 @@ class KappaTable:
     lip_L2: float
     non_integrable: bool = False
     divergence_info: str = ""
+
+    _omit = ("t", "kappa", "p_terminal", "policy_ids", "lip_L2")
 
     def __post_init__(self):
         t = np.asarray(self.t, float)
@@ -317,19 +310,6 @@ class KappaTable:
             fh.write("t,kappa,p,policy_id\n")
             for t, k, p, pid in zip(self.t, self.kappa, self.p_terminal, self.policy_ids):
                 fh.write(f"{float(t)!r},{float(k)!r},{float(p)!r},{int(pid)}\n")
-
-    def as_dict(self):
-        return {
-            "radius_n": int(self.radius_n),
-            "policies_probed": self.policies_probed,
-            "integral_kappa": float(self.integral_kappa),
-            "integral_weighted": float(self.integral_weighted),
-            "envelope_K": float(self.envelope_K),
-            "envelope_M": float(self.envelope_M),
-            "decay_rate": float(self.decay_rate),
-            "non_integrable": bool(self.non_integrable),
-            "divergence_info": self.divergence_info,
-        }
 
 
 def constant_policies(model):

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (DivergenceError, ParameterError, PolicyIterationError,
                      StabilityError)
 from .hamiltonian import control_tables, maximize
+from .reports import Report
 
 __all__ = [
     "Grid1D",
@@ -174,7 +175,7 @@ class PolicyField:
 
 
 @dataclass
-class SolveReport:
+class SolveReport(Report):
     scheme: dict
     cfl_ratio: float
     residual_norm: float
@@ -184,19 +185,12 @@ class SolveReport:
     converged: bool = True
     error_bound: float = None  # stationary solves: dvdt_norm / min(-h)
 
+    _omit = ("wall_time",)  # so that artifacts stay byte-reproducible
+
     def as_dict(self):
-        # wall time is excluded so artifacts stay byte-reproducible
-        out = {
-            "scheme": self.scheme,
-            "cfl_ratio": float(self.cfl_ratio),
-            "residual_norm": float(self.residual_norm),
-            "dvdt_norm": float(self.dvdt_norm),
-            "steps": int(self.steps),
-            "converged": bool(self.converged),
-        }
-        if self.scheme["kind"] != _FINITE_KIND:
-            out["error_bound"] = None if self.error_bound is None \
-                else float(self.error_bound)
+        out = super().as_dict()
+        if self.scheme["kind"] == _FINITE_KIND:
+            del out["error_bound"]
         return out
 
 
@@ -534,21 +528,12 @@ def residual(model, fld, control_override=None):
 
 
 @dataclass(frozen=True)
-class GradientBoundReport:
+class GradientBoundReport(Report):
     status: str                # "met" or "inconclusive"
     value_bound: float
     gradient_bound: float
     worst_value_slack: float
     worst_gradient_slack: float
-
-    def as_dict(self):
-        return {
-            "status": self.status,
-            "value_bound": float(self.value_bound),
-            "gradient_bound": float(self.gradient_bound),
-            "worst_value_slack": float(self.worst_value_slack),
-            "worst_gradient_slack": float(self.worst_gradient_slack),
-        }
 
 
 def gradient_bound_check(fld, kappa, L1, L2):

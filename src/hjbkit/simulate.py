@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ParameterError, PathExclusionError
 from .model import constant_policies
+from .reports import Report
 
 __all__ = [
     "MonteCarloConfig",
@@ -93,23 +94,13 @@ class PathBatch:
 
 
 @dataclass(frozen=True)
-class EstimatorResult:
+class EstimatorResult(Report):
     mean: float
     std_error: float
     paths: int
     seed: int
     horizon: float
     excluded: int = 0
-
-    def as_dict(self):
-        return {
-            "mean": float(self.mean),
-            "std_error": float(self.std_error),
-            "paths": int(self.paths),
-            "seed": int(self.seed),
-            "horizon": float(self.horizon),
-            "excluded": int(self.excluded),
-        }
 
 
 def _steps_for(T, dt):
@@ -514,14 +505,10 @@ class ExponentialEnvelopeBound:
 
 
 @dataclass(frozen=True)
-class BoundVerification:
+class BoundVerification(Report):
     met: bool
     worst_margin: float
     rows: list
-
-    def as_dict(self):
-        return {"met": bool(self.met), "worst_margin": float(self.worst_margin),
-                "rows": self.rows}
 
 
 def _bound_row(t, control_index, factor, est, se, bound):

@@ -335,3 +335,159 @@ class TestReproducibility:
         for name in ("kappa.csv", "kappa.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+
+class TestSolveCsvInput:
+    """``verify --field/--policy`` rejects malformed solve CSVs with exit 2."""
+
+    GRID = pde.Grid1D(-1.0, 1.0, 5)
+
+    def _write(self, tmp_path, stamps):
+        layers = len(stamps)
+        values = np.ones((layers, self.GRID.nodes))
+        controls = np.zeros((layers, self.GRID.nodes, 1))
+        pde.ValueField(self.GRID, values, stamps).to_csv(
+            tmp_path / "value.csv", ["seed=0"])
+        pde.PolicyField(self.GRID, controls, stamps).to_csv(
+            tmp_path / "policy.csv", ["seed=0"])
+        return tmp_path / "value.csv", tmp_path / "policy.csv"
+
+    def _verify(self, tmp_path, field, policy, *extra):
+        return run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--field", field, "--policy", policy, "--probes", "0.0",
+                   "--paths", 10, "--dt-sim", 0.1, *extra)
+
+    def test_written_files_are_accepted(self, tmp_path):
+        field, policy = self._write(tmp_path, [0.0, 0.5, 1.0])
+        assert self._verify(tmp_path, field, policy, "--tol", 10.0) == 0
+
+    @staticmethod
+    def _edit(lines, case):
+        data = [j for j, ln in enumerate(lines) if ln[:1] not in "#y"]
+        mid = data[len(data) // 2]
+        if case == "no_data_rows":
+            return [ln for j, ln in enumerate(lines) if j not in data]
+        if case == "non_numeric_cell":
+            lines[mid] = lines[mid].rsplit(",", 1)[0] + ",abc"
+        elif case == "extra_column":
+            lines[mid] += ",1.0"
+        elif case == "missing_row":
+            del lines[mid]
+        elif case == "uneven_y":
+            y, rest = lines[mid].split(",", 1)
+            lines[mid] = f"{float(y) + 1e-6!r},{rest}"
+        return lines
+
+    @pytest.mark.parametrize("stamps", [[0.0, 0.5, 1.0], [7.0]],
+                             ids=["layers", "stationary"])
+    @pytest.mark.parametrize("case", ["no_data_rows", "non_numeric_cell",
+                                      "extra_column", "missing_row",
+                                      "uneven_y"])
+    @pytest.mark.parametrize("role", ["field", "policy"])
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys, stamps,
+                                           case, role):
+        files = dict(zip(("field", "policy"), self._write(tmp_path, stamps)))
+        lines = files[role].read_text().splitlines()
+        bad = tmp_path / f"bad_{role}.csv"
+        bad.write_text("\n".join(self._edit(lines, case)) + "\n")
+        files[role] = bad
+        assert self._verify(tmp_path, files["field"], files["policy"],
+                            "--horizon", 1) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_non_positive_horizon_with_field(self, tmp_path, capsys,
+                                             horizon):
+        field, policy = self._write(tmp_path, [0.0, 0.5, 1.0])
+        assert self._verify(tmp_path, field, policy,
+                            f"--horizon={horizon}") == 2
+        assert "need T > t" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_non_positive_horizon_with_bounds(self, tmp_path, capsys,
+                                              horizon):
+        scenario = tmp_path / "bounds.json"
+        scenario.write_text(json.dumps({"kind": "envelope", "K": 3.0,
+                                        "M": 1.0, "y0": 0.5}))
+        assert run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--bounds", scenario, "--paths", 10, "--dt-sim", 0.1,
+                   f"--horizon={horizon}") == 2
+        assert "T must be positive" in capsys.readouterr().err
+
+
+def _key_paths(doc, path=""):
+    """Every key path of a JSON document; list items add ``[]``."""
+    if isinstance(doc, dict):
+        return set().union(*({f"{path}{k}"} | _key_paths(v, f"{path}{k}.")
+                             for k, v in doc.items()))
+    if isinstance(doc, list):
+        return set().union(*(_key_paths(v, f"{path.rstrip('.')}[].")
+                             for v in doc))
+    return set()
+
+
+# the key paths of every JSON artifact: a report field that reaches an
+# artifact by mistake (a wall-clock time, say) changes them
+ARTIFACT_SCHEMAS = {
+    "assumption_report.json": [
+        "config_digest", "passed", "ratios", "ratios.discount_rate",
+        "ratios.drift", "ratios.running_reward", "ratios.terminal_reward",
+        "seed", "tolerance", "witness", "witness.coefficient",
+        "witness.delta", "witness.ratio", "witness.y", "witness.y_bar",
+        "worst_ratio"
+    ],
+    "solve_report.json": [
+        "cfl_ratio", "config_digest", "converged", "dvdt_norm", "error_bound",
+        "residual_norm", "scheme", "scheme.boundary", "scheme.dy",
+        "scheme.kind", "scheme.override", "scheme.tol", "seed", "steps"
+    ],
+    "verify_report.json": [
+        "bounds", "bounds.met", "bounds.rows", "bounds.rows[].bound",
+        "bounds.rows[].control_index", "bounds.rows[].estimate",
+        "bounds.rows[].factor", "bounds.rows[].margin", "bounds.rows[].met",
+        "bounds.rows[].std_error", "bounds.rows[].t", "bounds.worst_margin",
+        "config_digest", "field_probes", "field_probes[].gap",
+        "field_probes[].mc", "field_probes[].met", "field_probes[].pde",
+        "field_probes[].std_error", "field_probes[].y", "seed"
+    ],
+    "merton.json": [
+        "benchmark", "benchmark.A", "benchmark.c_clipped", "benchmark.c_star",
+        "benchmark.pi_clipped", "benchmark.pi_star", "benchmark.u",
+        "config_digest", "seed"
+    ],
+    "kappa.json": [
+        "config_digest", "decay_rate", "divergence_info", "envelope_K",
+        "envelope_M", "integral_kappa", "integral_weighted", "non_integrable",
+        "policies_probed", "radius_n", "seed"
+    ],
+}
+
+
+def test_artifact_schemas(tmp_path):
+    # criterion 10's configurations; verify also probes the solved field
+    scenario = tmp_path / "bounds.json"
+    scenario.write_text(json.dumps({"kind": "envelope", "K": 3.0, "M": 1.0,
+                                    "y0": 0.5, "T": 1.0}))
+    solved = tmp_path / "solve"
+    runs = {
+        "check": ("check", "--model", MODEL, "--seed", 3),
+        "solve": ("solve", "--model", MODEL, "--infinite", "--grid-min", -3,
+                  "--grid-max", 3, "--nodes", 31, "--dt", 5e-3,
+                  "--tol-dt", 1e-4, "--t-max", 100, "--seed", 3),
+        "verify": ("verify", "--model", MODEL, "--bounds", scenario,
+                   "--field", solved / "value.csv",
+                   "--policy", solved / "policy.csv", "--probes", "0.0",
+                   "--paths", 2000, "--dt-sim", 1e-2, "--seed", 3),
+        "merton": ("merton", "--market", MARKET, "--skip-solve", "--seed", 3),
+        "kappa": ("kappa", "--model", MODEL, "--radius", 1, "--horizon", 2,
+                  "--paths", 300, "--dt-sim", 2e-2, "--seed", 3),
+    }
+    schemas = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(*argv, "--out", out) == 0
+        for artifact in sorted(out.glob("*.json")):
+            schemas[artifact.name] = sorted(
+                _key_paths(json.loads(artifact.read_text())))
+    assert schemas == ARTIFACT_SCHEMAS
+
