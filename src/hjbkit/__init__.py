@@ -34,7 +34,6 @@ from .model import (
     ControlModel,
     KappaTable,
     check_assumption1,
-    constant_policies,
     estimate_kappa,
     load_model,
     truncate,
@@ -58,6 +57,7 @@ from .simulate import (
     ExponentialEnvelopeBound,
     MonteCarloConfig,
     UniformDiscountBound,
+    constant_policies,
     coupled_contraction,
     estimate_value,
     horizon_convergence,

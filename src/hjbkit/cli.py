@@ -41,10 +41,10 @@ def _config_digest(args):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _write_json(path, payload, digest, seed):
-    doc = {"config_digest": digest, "seed": seed}
+def _write_json(args, name, payload, digest):
+    doc = {"config_digest": digest, "seed": args.seed}
     doc.update(payload)
-    with open(path, "w") as fh:
+    with open(os.path.join(args.out, name), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -66,15 +66,12 @@ def _grid(args):
                       boundary=args.boundary)
 
 
-def cmd_check(args):
+def cmd_check(args, digest):
     mdl, _ = _load_model(args)
     box = mdl.domain_box or [[args.grid_min, args.grid_max]] * mdl.dim
     report = model_mod.check_assumption1(mdl, box, samples=args.samples,
                                          seed=args.seed)
-    digest = _config_digest(args)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "assumption_report.json"),
-                report.as_dict(), digest, args.seed)
+    _write_json(args, "assumption_report.json", report.as_dict(), digest)
     return 0 if report.passed else 1
 
 
@@ -88,12 +85,11 @@ def _solve_stationary(mdl, grid, args, override):
                                           args.t_max, control_override=override)
 
 
-def cmd_solve(args):
-    digest = _config_digest(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_solve(args, digest):
     mdl, market = _load_model(args)
-    override = (finance.control_override(market)
-                if args.closed_form and market else None)
+    if args.closed_form and not market:
+        raise ParameterError("--closed-form needs --market")
+    override = finance.control_override(market) if args.closed_form else None
     grid = _grid(args)
     try:
         if args.infinite:
@@ -109,8 +105,7 @@ def cmd_solve(args):
     header = [f"config_digest={digest}", f"seed={args.seed}"]
     vf.to_csv(os.path.join(args.out, "value.csv"), header)
     pf.to_csv(os.path.join(args.out, "policy.csv"), header)
-    _write_json(os.path.join(args.out, "solve_report.json"),
-                report.as_dict(), digest, args.seed)
+    _write_json(args, "solve_report.json", report.as_dict(), digest)
     if args.infinite and not report.converged:
         print("error: long-time march did not converge before t_max",
               file=sys.stderr)
@@ -156,21 +151,33 @@ def _read_csv(path):
             np.ascontiguousarray(table[..., 2:]))
 
 
+_BOUNDS = {
+    "drift_discount": simulate.DriftDiscountBound,
+    "uniform_discount": simulate.UniformDiscountBound,
+    "diffusion_discount": simulate.DiffusionDiscountBound,
+    "envelope": simulate.ExponentialEnvelopeBound,
+}
+
+
+def _number(key, value):
+    """A bounds-file value cast by ``float``; a non-number is a usage error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"bounds file: {key} must be a number, "
+                             f"not {value!r}") from None
+
+
 def _bound_spec(doc):
     kind = doc["kind"]
-    if kind == "drift_discount":
-        return simulate.DriftDiscountBound(doc["alpha"], doc["beta"],
-                                           doc["P"], doc["Q"])
-    if kind == "uniform_discount":
-        return simulate.UniformDiscountBound(doc["w"], doc["L1"], doc["L2"])
-    if kind == "envelope":
-        return simulate.ExponentialEnvelopeBound(doc["K"], doc["M"])
-    raise ParameterError(f"unknown bound kind {kind!r}")
+    cls = _BOUNDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParameterError(f"unknown bound kind {kind!r}")
+    return cls(**{f.name: _number(f.name, doc[f.name])
+                  for f in dataclasses.fields(cls)})
 
 
-def cmd_verify(args):
-    digest = _config_digest(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_verify(args, digest):
     mdl, _ = _load_model(args)
     mc = simulate.MonteCarloConfig(paths=args.paths, dt=args.dt_sim,
                                    seed=args.seed)
@@ -180,12 +187,15 @@ def cmd_verify(args):
     if args.bounds:
         with open(args.bounds) as fh:
             doc = json.load(fh)
-        spec = _bound_spec(doc)
+        if "T" in doc and args.horizon is not None:
+            raise ParameterError("pass one of bounds-file T / --horizon, not both")
+        T = doc.get("T", 1.0 if args.horizon is None else args.horizon)
+        y0 = [_number("y0", v) for v in np.atleast_1d(doc.get("y0", 0.0))]
+        times = doc.get("times")
         report = simulate.verify_bounds(
-            mdl, spec, np.atleast_1d(doc.get("y0", 0.0)),
-            float(doc.get("T", 1.0 if args.horizon is None
-                          else args.horizon)), mc,
-            times=doc.get("times"))
+            mdl, _bound_spec(doc), y0, _number("T", T), mc,
+            times=None if times is None else
+            [_number("times", v) for v in np.atleast_1d(times)])
         results["bounds"] = report.as_dict()
         if not report.met:
             status = 1
@@ -222,14 +232,11 @@ def cmd_verify(args):
 
     if not results:
         raise ParameterError("nothing to verify: pass --field and/or --bounds")
-    _write_json(os.path.join(args.out, "verify_report.json"), results,
-                digest, args.seed)
+    _write_json(args, "verify_report.json", results, digest)
     return status
 
 
-def cmd_merton(args):
-    digest = _config_digest(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_merton(args, digest):
     market = finance.load_market(args.market)
     bench = finance.merton_benchmark(market)
     payload = {"benchmark": bench.as_dict()}
@@ -248,42 +255,39 @@ def cmd_merton(args):
     if args.emit_reduced:
         payload["reduced_model"] = finance.reduced_model_descriptor(
             market, (args.npi, args.nc))
-    _write_json(os.path.join(args.out, "merton.json"), payload, digest,
-                args.seed)
+    _write_json(args, "merton.json", payload, digest)
     return status
 
 
-def cmd_kappa(args):
-    digest = _config_digest(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_kappa(args, digest):
     mdl, _ = _load_model(args)
     mc = simulate.MonteCarloConfig(paths=args.paths, dt=args.dt_sim,
                                    seed=args.seed)
     table = model_mod.estimate_kappa(
-        mdl, args.radius, args.horizon, model_mod.constant_policies(mdl), mc)
+        mdl, args.radius, args.horizon, simulate.constant_policies(mdl), mc)
     table.to_csv(os.path.join(args.out, "kappa.csv"))
-    _write_json(os.path.join(args.out, "kappa.json"), table.as_dict(),
-                digest, args.seed)
+    _write_json(args, "kappa.json", table.as_dict(), digest)
     return 0 if not table.non_integrable else 1
 
 
 def _add_common(p):
     p.add_argument("--model", help="model file (JSON)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-min", type=float, default=-5.0)
-    p.add_argument("--grid-max", type=float, default=5.0)
-    p.add_argument("--nodes", type=int, default=201)
-    p.add_argument("--boundary", default="one_sided",
-                   choices=["one_sided", "linear_extrapolation"])
-
-
-def _add_market(p):
     p.add_argument("--market", help="market file (JSON)")
     p.add_argument("--npi", type=int, default=21,
                    help="portfolio-grid resolution")
     p.add_argument("--nc", type=int, default=21,
                    help="consumption-grid resolution")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_grid(p, nodes=True):
+    p.add_argument("--grid-min", type=float, default=-5.0)
+    p.add_argument("--grid-max", type=float, default=5.0)
+    if nodes:
+        p.add_argument("--nodes", type=int, default=201)
+        p.add_argument("--boundary", default="one_sided",
+                       choices=["one_sided", "linear_extrapolation"])
 
 
 def _add_stationary(p, dt, dt_help):
@@ -302,13 +306,13 @@ def build_parser():
 
     p = sub.add_parser("check", help="run the assumption screens")
     _add_common(p)
-    _add_market(p)
+    _add_grid(p, nodes=False)
     p.add_argument("--samples", type=int, default=256)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="run a grid solver")
     _add_common(p)
-    _add_market(p)
+    _add_grid(p)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--infinite", action="store_true")
@@ -322,7 +326,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="Monte Carlo cross-checks")
     _add_common(p)
-    _add_market(p)
     p.add_argument("--field", help="value.csv from solve")
     p.add_argument("--policy", help="policy.csv from solve")
     p.add_argument("--probes", help="comma-separated probe states")
@@ -336,7 +339,7 @@ def build_parser():
 
     p = sub.add_parser("merton", help="constant-coefficient benchmark")
     _add_common(p)
-    _add_market(p)
+    _add_grid(p)
     _add_stationary(p, 2e-3, "time step of the long-time march fallback")
     p.add_argument("--skip-solve", action="store_true")
     p.add_argument("--emit-reduced", action="store_true",
@@ -345,7 +348,6 @@ def build_parser():
 
     p = sub.add_parser("kappa", help="discount-moment envelope table")
     _add_common(p)
-    _add_market(p)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--horizon", type=float, default=4.0)
     p.add_argument("--paths", type=int, default=4000)
@@ -371,7 +373,9 @@ def main(argv=None):
     args = parser.parse_args(_join_probes(sys.argv[1:] if argv is None
                                           else argv))
     try:
-        return args.func(args)
+        digest = _config_digest(args)
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(args, digest)
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -5,6 +5,9 @@ A :class:`ControlModel` bundles the controlled diffusion ``dY = i(Y, d) dt
 ``f`` and terminal reward ``g``, together with the finite control list and
 the two Lipschitz constants the estimates rely on.  All coefficient maps
 must be numpy-vectorized over a leading batch axis (see ``coefficients``).
+
+``estimate_kappa`` builds its envelopes on ``simulate.discounted_estimates``:
+every Monte Carlo reduction of simulated paths lives in ``simulate``.
 """
 
 import json
@@ -16,6 +19,7 @@ from . import coefficients
 from .errors import CoefficientError, ParameterError
 from .hamiltonian import control_tables
 from .reports import Report
+from .simulate import discounted_estimates
 
 __all__ = [
     "ControlModel",
@@ -24,7 +28,6 @@ __all__ = [
     "check_assumption1",
     "truncate",
     "estimate_kappa",
-    "constant_policies",
     "load_model",
 ]
 
@@ -312,15 +315,6 @@ class KappaTable(Report):
                 fh.write(f"{float(t)!r},{float(k)!r},{float(p)!r},{int(pid)}\n")
 
 
-def constant_policies(model):
-    """One constant feedback policy per control point."""
-    policies = []
-    for delta in model.controls:
-        d = np.array(delta, float)
-        policies.append(lambda y, t, _d=d: _d)
-    return policies
-
-
 def _ball_mesh(dim, n, points, seed):
     if n == 0:
         return np.zeros((1, dim))
@@ -351,8 +345,6 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
     extrapolation.  Raises ``PathExclusionError`` past the 0.1% exclusion
     budget of any (policy, start) pair, like every Monte Carlo estimate.
     """
-    from . import simulate as sim
-
     if not horizon > 0:
         raise ParameterError("horizon must be positive")
     if not policy_family:
@@ -360,12 +352,9 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
     t_grid = np.linspace(horizon / t_points, horizon, t_points)
     mesh = _ball_mesh(model.dim, radius_n, y_points, mc.seed)
 
-    est = np.concatenate([
-        [sim._reduce(mom[m], excluded[:, :, None], mc, horizon).mean
-         for m in ("f", "g")]
-        for _, excluded, mom in sim.discounted_samples(
-            model, policy_family, mesh, horizon, mc, t_grid,
-            "discounted_moments")], axis=1)
+    est = discounted_estimates(model, policy_family, mesh, horizon, mc, t_grid,
+                               "discounted_moments")
+    est = np.stack([est["f"].mean, est["g"].mean])
     diverged = np.argwhere((est[0] > OVERFLOW_GUARD) | ~np.isfinite(est[0]))
     non_integrable = bool(len(diverged))
     divergence_info = (

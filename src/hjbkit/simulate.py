@@ -5,36 +5,36 @@ start) pair of a call on the same Gaussian increments.  A step calls each
 policy once on its own ``(S·m, N)`` rows (``S`` starts, ``m`` paths of a
 block), then the drift, the discount rate and the running reward once each
 on all ``P·S·m`` rows of states and controls, and adds the block's
-increments to every pair's rows by broadcasting.  ``simulate_paths``
-collects its states, controls, discount integral and discounted reward
-integral at requested times; ``coupled_contraction`` reduces its distances
-step by step as the loop runs.  The state uses unit diffusion per
-coordinate, so the Euler step is exact in the noise term.  Both integrals
-are accumulated by left-endpoint quadrature, keeping the discount
-multiplicative per step.
+increments to every pair's rows by broadcasting.  ``_records`` collects
+states, controls, discount integral and discounted reward integral at
+requested times; ``coupled_contraction`` reduces its distances step by step
+as the loop runs.  The state uses unit diffusion per coordinate, so the
+Euler step is exact in the noise term.  Both integrals are accumulated by
+left-endpoint quadrature, keeping the discount multiplicative per step.
 
-Value estimates, horizon studies, bound checks and the kappa envelopes
-reduce records through ``_reduce`` alone: it applies the 0.1% exclusion
-budget per (policy, start), so ``estimate_kappa`` raises too, pairs
-antithetic paths, and averages only along a C-contiguous last path axis,
-where an axis mean equals each row's 1-D mean bit for bit.
+Every Monte Carlo reduction happens here, in ``_reduce``: value estimates,
+horizon studies, and ``discounted_estimates`` for the bound checks and
+``model.estimate_kappa``.  It applies the 0.1% exclusion budget per
+(policy, start), pairs antithetic paths, and averages only along a
+C-contiguous last path axis, where an axis mean equals each row's 1-D
+mean bit for bit.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index)``: results are bit-reproducible and independent of
 how paths are blocked, how the increments are chunked in time and how many
 (policy, start) pairs share them.  A block of paths keeps one generator per
 path alive and draws ``_CHUNK`` steps at a time, so the loop's memory does
-not grow with the horizon; the records ``simulate_paths`` returns take one
-value per policy, start, path and record time.  The moment checks simulate
-their policies in groups whose records fit in ``_RECORD_BYTES``.
+not grow with the horizon; the records take one value per policy, start,
+path and record time.  ``discounted_estimates`` simulates its policies,
+such as the ``constant_policies`` family, in groups whose records fit in
+``_RECORD_BYTES``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError, PathExclusionError
-from .model import constant_policies
 from .reports import Report
 
 __all__ = [
@@ -43,7 +43,8 @@ __all__ = [
     "EstimatorResult",
     "simulate_paths",
     "estimate_value",
-    "discounted_samples",
+    "constant_policies",
+    "discounted_estimates",
     "coupled_contraction",
     "horizon_convergence",
     "verify_bounds",
@@ -194,11 +195,17 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0):
     taken at ``times`` (in ``(0, T]``) and at ``T``; they take
     ``P * S * paths * records * (N + k + 2)`` floats.
     """
-    return _records(model, policies, starts, T, mc, times, t0, None)
+    times, records, excluded = _records(model, policies, starts, T, mc, times, t0)
+    y, d, ld, rw = (np.swapaxes(a, 2, 3) for a in records)  # path-major
+    return PathBatch(times, y, ld, rw, d, excluded)
 
 
-def _records(model, policies, starts, T, mc, times, t0, kept):
-    """``simulate_paths``, with the path generators of ``kept`` (``_march``)."""
+def _records(model, policies, starts, T, mc, times, t0=0.0, kept=None):
+    """Record times, records and the mask of non-finite final records.
+
+    The records, ``(states, deltas, log_discount, reward)``, are indexed
+    ``[policy, start, record, path]`` as written; ``kept`` is ``_march``'s.
+    """
     if not T > 0:
         raise ParameterError("T must be positive")
     steps, dt = _steps_for(T, mc.dt)
@@ -225,16 +232,12 @@ def _records(model, policies, starts, T, mc, times, t0, kept):
             log_discount[:, :, r, lo:hi] = ld
             reward[:, :, r, lo:hi] = rw
 
-    states, deltas, log_discount, reward = (
-        np.swapaxes(a, 2, 3) for a in (states, deltas, log_discount, reward))
     excluded = ~(
-        np.all(np.isfinite(states[..., -1, :]), axis=-1)
-        & np.isfinite(log_discount[..., -1])
-        & np.isfinite(reward[..., -1])
+        np.all(np.isfinite(states[:, :, -1]), axis=-1)
+        & np.isfinite(log_discount[:, :, -1])
+        & np.isfinite(reward[:, :, -1])
     )
-    return PathBatch(times=marks * dt, states=states,
-                     log_discount=log_discount, reward_integral=reward,
-                     deltas=deltas, excluded=excluded)
+    return marks * dt, (states, deltas, log_discount, reward), excluded
 
 
 def _moments(x):
@@ -305,28 +308,30 @@ def estimate_value(model, policy, starts, t, T, mc):
                           mc, T - t))
 
 
-def discounted_samples(model, policies, starts, T, mc, times, statistic):
-    """Yield ``(first, excluded, samples)`` per group of ``policies``.
+def constant_policies(model):
+    """One constant feedback policy per control point."""
+    return [lambda y, t, _d=np.array(d, float): _d for d in model.controls]
 
-    ``first`` indexes the group's first policy and ``excluded`` is the
-    group's ``(P, S, paths)`` mask.  ``samples`` maps each factor of
-    ``statistic`` to its ``(P, S, records, paths)`` values, record-major as
-    ``_records`` stores them: ``e^{int h}`` ("discount"), ``e^{int h} f``
-    ("discounted_reward"), or ``e^{int h} max(|f|, 1)`` and ``e^{int h}
-    max(|g|, 1)`` ("discounted_moments").  Only the rewards a statistic
-    needs are evaluated on the records.  Each group's records fit in
-    ``_RECORD_BYTES``; with more than one group, the groups rewind the same
-    path generators instead of building them again.
+
+def discounted_estimates(model, policies, starts, T, mc, times, statistic):
+    """``{factor: EstimatorResult}`` of ``(P, S, records)`` arrays.
+
+    Records are at ``times`` and ``T``.  The factors are ``e^{int h}``
+    ("unit" of "discount"), ``e^{int h} f`` ("f" of "discounted_reward"),
+    or ``e^{int h} max(|f|, 1)`` and ``e^{int h} max(|g|, 1)`` ("f" and "g"
+    of "discounted_moments"); only the rewards a statistic needs are
+    evaluated.  Policies are simulated and reduced in groups whose records
+    fit in ``_RECORD_BYTES``, the groups rewinding one set of generators.
     """
     floats = model.dim + model.controls.shape[1] + 2
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
     size = max(1, _RECORD_BYTES // per_policy)
     kept = {} if len(policies) > size else None
+    groups = []
     for first in range(0, len(policies), size):
-        batch = _records(model, policies[first:first + size], starts, T, mc,
-                         times, 0.0, kept)
-        y, d, ld = (np.swapaxes(a, 2, 3) for a in
-                    (batch.states, batch.deltas, batch.log_discount))
+        _, (y, d, ld, rw), excluded = _records(
+            model, policies[first:first + size], starts, T, mc, times, kept=kept)
+        del rw  # no statistic reads the reward integral
         with np.errstate(over="ignore", invalid="ignore"):
             disc = np.exp(ld)
             if statistic == "discount":
@@ -334,12 +339,19 @@ def discounted_samples(model, policies, starts, T, mc, times, statistic):
             elif statistic == "discounted_reward":
                 samples = {"f": disc * _per_row(model.running_reward, y, d)}
             elif statistic == "discounted_moments":
-                fv = np.maximum(np.abs(_per_row(model.running_reward, y, d)), 1.0)
-                gv = np.maximum(np.abs(_per_row(model.terminal_reward, y)), 1.0)
-                samples = {"f": disc * fv, "g": disc * gv}
+                samples = {"f": _per_row(model.running_reward, y, d),
+                           "g": _per_row(model.terminal_reward, y)}
+                samples = {factor: disc * np.maximum(np.abs(v), 1.0)
+                           for factor, v in samples.items()}
             else:
                 raise ParameterError(f"unknown statistic {statistic!r}")
-        yield first, batch.excluded, samples
+        groups.append({factor: _reduce(v, excluded[:, :, None], mc, T)
+                       for factor, v in samples.items()})
+        del y, d, ld, disc, samples  # before the next group's records
+    return {factor: replace(est, **{name: np.concatenate(
+        [getattr(g[factor], name) for g in groups])
+        for name in ("mean", "std_error", "excluded")})
+        for factor, est in groups[0].items()}
 
 
 @dataclass(frozen=True)
@@ -530,17 +542,12 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     """
     y0 = np.atleast_1d(np.asarray(y0, float))
     times = np.asarray(np.linspace(T / 4, T, 4) if times is None else times, float)
-    rows = []
-    for first, excluded, samples in discounted_samples(
-            model, constant_policies(model), [y0], T, mc, times,
-            bound_spec.statistic):
-        est = {factor: _reduce(v, excluded[:, :, None], mc, T)
-               for factor, v in samples.items()}
-        rows += [_bound_row(float(times[r]), first + p, factor,
-                            float(e.mean[p, 0, r]), float(e.std_error[p, 0, r]),
-                            bound_spec.value(float(times[r]), y0))
-                 for p, r in np.ndindex(len(excluded), len(times))
-                 for factor, e in est.items()]
+    est = discounted_estimates(model, constant_policies(model), [y0], T, mc,
+                               times, bound_spec.statistic)
+    rows = [_bound_row(float(t), p, factor, float(e.mean[p, 0, r]),
+                       float(e.std_error[p, 0, r]), bound_spec.value(float(t), y0))
+            for p in range(model.n_controls) for r, t in enumerate(times)
+            for factor, e in est.items()]
     return BoundVerification(met=bool(all(r["met"] for r in rows)),
                              worst_margin=float(min(r["margin"] for r in rows)),
                              rows=rows)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hjbkit import pde
+from hjbkit import model, pde, simulate
 from hjbkit.cli import main
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
@@ -413,6 +413,95 @@ class TestSolveCsvInput:
                    "--bounds", scenario, "--paths", 10, "--dt-sim", 0.1,
                    f"--horizon={horizon}") == 2
         assert "T must be positive" in capsys.readouterr().err
+
+
+class TestBoundsFile:
+    SCENARIO = {"kind": "envelope", "K": 3.0, "M": 1.0, "y0": 0.5}
+
+    def _verify(self, tmp_path, doc, *extra):
+        scenario = tmp_path / "bounds.json"
+        scenario.write_text(json.dumps(doc))
+        return run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--bounds", scenario, "--paths", 10, "--dt-sim", 0.1,
+                   *extra)
+
+    @pytest.mark.parametrize("horizon", ["1", "-5"])
+    def test_horizon_in_file_and_flag(self, tmp_path, capsys, horizon):
+        # neither source of the horizon silently wins, valid or not
+        assert self._verify(tmp_path, dict(self.SCENARIO, T=1.0),
+                            f"--horizon={horizon}") == 2
+        assert "--horizon" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_non_positive_horizon_in_file(self, tmp_path, capsys):
+        assert self._verify(tmp_path, dict(self.SCENARIO, T=-5.0)) == 2
+        assert "T must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("T", "x"), ("T", None), ("y0", "x"), ("y0", [0.5, "x"]),
+        ("times", [0.5, "x"]), ("times", [[0.5]]), ("K", "x"), ("M", None),
+    ])
+    def test_non_numeric_value(self, tmp_path, capsys, key, value):
+        assert self._verify(tmp_path, dict(self.SCENARIO, **{key: value})) == 2
+        assert f"bounds file: {key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["kind", "K"])
+    def test_missing_key(self, tmp_path, capsys, missing):
+        doc = {k: v for k, v in self.SCENARIO.items() if k != missing}
+        assert self._verify(tmp_path, doc) == 2
+        assert f"KeyError('{missing}')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["wrong", ["envelope"]])
+    def test_unknown_kind(self, tmp_path, capsys, kind):
+        assert self._verify(tmp_path, dict(self.SCENARIO, kind=kind)) == 2
+        assert f"unknown bound kind {kind!r}" in capsys.readouterr().err
+
+    def test_diffusion_discount_rows_match_the_library(self, tmp_path):
+        # the bound of criterion 11, reached through the kind table alone
+        doc = {"kind": "diffusion_discount", "w": 1, "L2": -1.0,
+               "y0": [1.0], "T": 2, "times": [0.5, 1, 2.0]}
+        direct = simulate.verify_bounds(
+            model.load_model(MODEL), simulate.DiffusionDiscountBound(1.0, -1.0),
+            [1.0], 2.0, simulate.MonteCarloConfig(paths=400, dt=0.05, seed=7),
+            times=[0.5, 1.0, 2.0])
+        scenario = tmp_path / "bounds.json"
+        scenario.write_text(json.dumps(doc))
+        code = run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--bounds", scenario, "--paths", 400, "--dt-sim", 0.05,
+                   "--seed", 7)
+        rep = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert code == (0 if direct.met else 1)
+        assert len(rep["bounds"]["rows"]) == 3 * 3
+        assert rep["bounds"] == json.loads(json.dumps(direct.as_dict()))
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command in ("verify", "kappa")
+        for option in ("--grid-min=0", "--grid-max=1", "--nodes=11",
+                       "--boundary=one_sided")
+    ] + [("check", "--nodes=11"), ("check", "--boundary=one_sided")])
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, command,
+                                          option):
+        # no option is accepted that the subcommand would ignore
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--model", MODEL, "--out", tmp_path, option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_check_box_from_grid_options(self, tmp_path):
+        doc = {k: v for k, v in json.loads(open(MODEL).read()).items()
+               if k != "domain_box"}
+        bare = tmp_path / "model.json"
+        bare.write_text(json.dumps(doc))
+        assert run("check", "--model", bare, "--out", tmp_path / "c",
+                   "--grid-min", -1, "--grid-max", 1) == 0
+
+    def test_closed_form_needs_market(self, tmp_path, capsys):
+        assert run("solve", "--model", MODEL, "--out", tmp_path,
+                   "--closed-form", "--nodes", 11, "--steps", 10) == 2
+        assert "--closed-form needs --market" in capsys.readouterr().err
+        assert not (tmp_path / "solve_report.json").exists()
 
 
 def _key_paths(doc, path=""):

@@ -468,29 +468,31 @@ class TestBoundVerification:
         mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=4,
                                  antithetic=antithetic)
 
-        def samples():
-            return [(first, excl, s["f"]) for first, excl, s in
-                    sim.discounted_samples(m, policies, [[0.5]], 1.0, mc,
-                                           [0.5], "discounted_reward")]
+        def estimates():
+            return sim.discounted_estimates(m, policies, [[0.5]], 1.0, mc,
+                                            [0.5], "discounted_reward")["f"]
 
-        whole = samples()
-        built = []
-        philox = np.random.Philox
+        whole = estimates()
+        built, groups = [], []
+        philox, records = np.random.Philox, sim._records
 
         def counted(*args, **kwargs):
             built.append(kwargs["key"])
             return philox(*args, **kwargs)
 
+        def recorded(model, policies, *args, **kwargs):
+            groups.append(len(policies))
+            return records(model, policies, *args, **kwargs)
+
         monkeypatch.setattr(sim.np.random, "Philox", counted)
+        monkeypatch.setattr(sim, "_records", recorded)
         monkeypatch.setattr(sim, "_BLOCK", 64)  # four blocks of paths
         monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one control per group
-        grouped = samples()
-        assert [first for first, _, _ in grouped] == [0, 1]
+        grouped = estimates()
+        assert groups == [1, 1]
         assert len(built) == mc.paths
-        assert np.array_equal(np.concatenate([e for _, e, _ in grouped]),
-                              whole[0][1])
-        assert np.array_equal(np.concatenate([f for _, _, f in grouped]),
-                              whole[0][2])
+        for name in ("mean", "std_error", "excluded"):
+            assert np.array_equal(getattr(grouped, name), getattr(whole, name))
 
     def test_envelope_bound(self):
         m = ou_model()
