@@ -270,9 +270,10 @@ def cmd_kappa(args, digest):
     return 0 if not table.non_integrable else 1
 
 
-def _add_common(p):
-    p.add_argument("--model", help="model file (JSON)")
-    p.add_argument("--market", help="market file (JSON)")
+def _add_common(p, market_only=False):
+    if not market_only:
+        p.add_argument("--model", help="model file (JSON)")
+    p.add_argument("--market", required=market_only, help="market file (JSON)")
     p.add_argument("--npi", type=int, default=21,
                    help="portfolio-grid resolution")
     p.add_argument("--nc", type=int, default=21,
@@ -338,7 +339,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("merton", help="constant-coefficient benchmark")
-    _add_common(p)
+    _add_common(p, market_only=True)
     _add_grid(p)
     _add_stationary(p, 2e-3, "time step of the long-time march fallback")
     p.add_argument("--skip-solve", action="store_true")

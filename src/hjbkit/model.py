@@ -139,6 +139,8 @@ def check_assumption1(model, box, samples, seed):
     """
     if samples < 2:
         raise ParameterError("samples must be >= 2")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     box = _as_box(box, model.dim)
     rng = np.random.default_rng(seed)
     ya = rng.uniform(box[:, 0], box[:, 1], size=(samples, model.dim))

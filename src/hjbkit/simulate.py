@@ -5,19 +5,20 @@ start) pair of a call on the same Gaussian increments.  A step calls each
 policy once on its own ``(S·m, N)`` rows (``S`` starts, ``m`` paths of a
 block), then the drift, the discount rate and the running reward once each
 on all ``P·S·m`` rows of states and controls, and adds the block's
-increments to every pair's rows by broadcasting.  ``_records`` collects
-states, controls, discount integral and discounted reward integral at
-requested times; ``coupled_contraction`` reduces its distances step by step
-as the loop runs.  The state uses unit diffusion per coordinate, so the
-Euler step is exact in the noise term.  Both integrals are accumulated by
-left-endpoint quadrature, keeping the discount multiplicative per step.
+increments to every pair's rows by broadcasting.  ``simulate_paths``
+records states, controls, discount integral and discounted reward integral
+at requested times in a ``PathBatch``, in the order the loop writes them;
+``coupled_contraction`` reduces its distances step by step as the loop
+runs.  The state uses unit diffusion per coordinate, so the Euler step is
+exact in the noise term.  Both integrals are accumulated by left-endpoint
+quadrature, keeping the discount multiplicative per step.
 
-Every Monte Carlo reduction happens here, in ``_reduce``: value estimates,
-horizon studies, and ``discounted_estimates`` for the bound checks and
-``model.estimate_kappa``.  It applies the 0.1% exclusion budget per
-(policy, start), pairs antithetic paths, and averages only along a
-C-contiguous last path axis, where an axis mean equals each row's 1-D
-mean bit for bit.
+Every Monte Carlo estimate takes its records from ``simulate_paths`` and
+reduces them here, in ``_reduce``: value estimates, horizon studies, and
+``discounted_estimates`` for the bound checks and ``model.estimate_kappa``.
+It applies the 0.1% exclusion budget per (policy, start), pairs antithetic
+paths, and averages only along a C-contiguous last path axis, where an
+axis mean equals each row's 1-D mean bit for bit.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index)``: results are bit-reproducible and independent of
@@ -71,6 +72,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise ParameterError("paths must be >= 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         if not self.dt > 0:
             raise ParameterError("dt must be positive")
         if self.antithetic and self.paths % 2:
@@ -79,18 +82,19 @@ class MonteCarloConfig:
 
 @dataclass
 class PathBatch:
-    """Records of one kernel call, indexed ``[policy, start, path, record]``.
+    """Records of one kernel call, indexed ``[policy, start, record, path]``.
 
-    The last record time is the horizon.  ``deltas`` holds the control
-    applied over the step that ends at each record; ``excluded`` flags the
-    paths whose final record is not finite.
+    Every record's paths are one C-contiguous row, as ``_reduce`` averages
+    them.  The last record time is the horizon.  ``deltas`` holds the
+    control applied over the step that ends at each record; ``excluded``
+    flags the paths whose final record is not finite.
     """
 
     times: np.ndarray            # (R,)
-    states: np.ndarray           # (P, S, paths, R, N)
-    log_discount: np.ndarray     # (P, S, paths, R)
-    reward_integral: np.ndarray  # (P, S, paths, R)
-    deltas: np.ndarray           # (P, S, paths, R, k)
+    states: np.ndarray           # (P, S, R, paths, N)
+    log_discount: np.ndarray     # (P, S, R, paths)
+    reward_integral: np.ndarray  # (P, S, R, paths)
+    deltas: np.ndarray           # (P, S, R, paths, k)
     excluded: np.ndarray         # (P, S, paths)
 
 
@@ -185,26 +189,17 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
                        ld.reshape(P, S, m), rw.reshape(P, S, m))
 
 
-def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0):
+def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None):
     """Simulate the controlled SDE for every (policy, start) pair.
 
     ``policies`` is a sequence of feedback maps ``policy(y, t)`` returning
     a control point or one per row of ``y``; ``starts`` has shape
     ``(S, N)``.  All pairs step on the same increments, stacked along the
     row axis, so every callable receives ``(rows, N)`` states.  Records are
-    taken at ``times`` (in ``(0, T]``) and at ``T``; they take
-    ``P * S * paths * records * (N + k + 2)`` floats.
-    """
-    times, records, excluded = _records(model, policies, starts, T, mc, times, t0)
-    y, d, ld, rw = (np.swapaxes(a, 2, 3) for a in records)  # path-major
-    return PathBatch(times, y, ld, rw, d, excluded)
-
-
-def _records(model, policies, starts, T, mc, times, t0=0.0, kept=None):
-    """Record times, records and the mask of non-finite final records.
-
-    The records, ``(states, deltas, log_discount, reward)``, are indexed
-    ``[policy, start, record, path]`` as written; ``kept`` is ``_march``'s.
+    taken at ``times`` (in ``(0, T]``) and at ``T`` and returned as a
+    ``PathBatch`` in the record-major order they are written; they take
+    ``P * S * records * paths * (N + k + 2)`` floats.  ``kept`` carries the
+    path generators across the calls of ``discounted_estimates``.
     """
     if not T > 0:
         raise ParameterError("T must be positive")
@@ -217,27 +212,24 @@ def _records(model, policies, starts, T, mc, times, t0=0.0, kept=None):
         raise ParameterError("record times must lie in (0, T]")
     if not len(marks) or marks[-1] != steps:
         marks = np.append(marks, steps)
-    # record-major, so each record of a block is one write
     shape = (len(policies), len(starts), len(marks), mc.paths)
-    states = np.empty(shape + (model.dim,))
-    deltas = np.empty(shape + (model.controls.shape[1],))
-    log_discount = np.empty(shape)
-    reward = np.empty(shape)
-    for lo, s, y, d, ld, rw in _march(model, policies, starts, steps, dt, mc,
-                                      set(marks.tolist()), t0, kept):
-        hi = lo + y.shape[2]
+    # states, deltas, log-discounts and rewards, in the order _march yields
+    records = (np.empty(shape + (model.dim,)),
+               np.empty(shape + (model.controls.shape[1],)),
+               np.empty(shape), np.empty(shape))
+    for lo, s, *live in _march(model, policies, starts, steps, dt, mc,
+                               set(marks.tolist()), t0, kept):
         for r in np.flatnonzero(marks == s):
-            states[:, :, r, lo:hi] = y
-            deltas[:, :, r, lo:hi] = d
-            log_discount[:, :, r, lo:hi] = ld
-            reward[:, :, r, lo:hi] = rw
+            for record, value in zip(records, live):
+                record[:, :, r, lo:lo + value.shape[2]] = value
+    states, deltas, log_discount, reward = records
 
     excluded = ~(
         np.all(np.isfinite(states[:, :, -1]), axis=-1)
         & np.isfinite(log_discount[:, :, -1])
         & np.isfinite(reward[:, :, -1])
     )
-    return marks * dt, (states, deltas, log_discount, reward), excluded
+    return PathBatch(marks * dt, states, log_discount, reward, deltas, excluded)
 
 
 def _moments(x):
@@ -301,9 +293,9 @@ def estimate_value(model, policy, starts, t, T, mc):
         raise ParameterError("need T > t")
     batch = simulate_paths(model, [policy], starts, T - t, mc, (), t)
     with np.errstate(over="ignore", invalid="ignore"):
-        gv = _per_row(model.terminal_reward, batch.states[0, :, :, -1])
-        payoff = (batch.reward_integral[0, :, :, -1]
-                  + np.exp(batch.log_discount[0, :, :, -1]) * gv)
+        gv = _per_row(model.terminal_reward, batch.states[0, :, -1])
+        payoff = (batch.reward_integral[0, :, -1]
+                  + np.exp(batch.log_discount[0, :, -1]) * gv)
     return _split(_reduce(payoff, batch.excluded[0] | ~np.isfinite(payoff),
                           mc, T - t))
 
@@ -320,8 +312,9 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     ("unit" of "discount"), ``e^{int h} f`` ("f" of "discounted_reward"),
     or ``e^{int h} max(|f|, 1)`` and ``e^{int h} max(|g|, 1)`` ("f" and "g"
     of "discounted_moments"); only the rewards a statistic needs are
-    evaluated.  Policies are simulated and reduced in groups whose records
-    fit in ``_RECORD_BYTES``, the groups rewinding one set of generators.
+    evaluated.  Policies are simulated by ``simulate_paths`` and reduced in
+    groups whose records fit in ``_RECORD_BYTES``, the groups rewinding one
+    set of generators.
     """
     floats = model.dim + model.controls.shape[1] + 2
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
@@ -329,9 +322,11 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     kept = {} if len(policies) > size else None
     groups = []
     for first in range(0, len(policies), size):
-        _, (y, d, ld, rw), excluded = _records(
-            model, policies[first:first + size], starts, T, mc, times, kept=kept)
-        del rw  # no statistic reads the reward integral
+        batch = simulate_paths(model, policies[first:first + size], starts,
+                               T, mc, times, kept=kept)
+        y, d, ld, excluded = (batch.states, batch.deltas, batch.log_discount,
+                              batch.excluded)
+        del batch  # no statistic reads the reward integral
         with np.errstate(over="ignore", invalid="ignore"):
             disc = np.exp(ld)
             if statistic == "discount":
@@ -430,7 +425,7 @@ def horizon_convergence(model, policy, y0, horizons, mc, kappa_table=None):
         raise ParameterError("horizons must be strictly increasing")
     batch = simulate_paths(model, [policy], [np.atleast_1d(y0)],
                            float(horizons[-1]), mc, horizons)
-    payoff = np.swapaxes(batch.reward_integral[0, 0], 0, 1)  # record-major
+    payoff = batch.reward_integral[0, 0]
     res = _reduce(payoff, batch.excluded[0, 0] | ~np.isfinite(payoff), mc, horizons)
     results = _split(res)
     diffs = np.abs(np.diff(res.mean))

@@ -203,6 +203,21 @@ class TestMerton:
         assert rep["relative_error"] < 1e-3
         assert rep["reduced_model"]["dim"] == 1
 
+    def test_market_is_required(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("merton", "--out", tmp_path, "--skip-solve")
+        assert exc.value.code == 2
+        assert "--market" in capsys.readouterr().err
+
+    def test_model_is_not_an_option(self, tmp_path, capsys):
+        # merton reads only its market: a model file would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run("merton", "--model", MODEL, "--market", MARKET,
+                "--out", tmp_path, "--skip-solve")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
+        assert not (tmp_path / "merton.json").exists()
+
 
 class TestStationarySelection:
     MERTON = ("merton", "--market", MARKET, "--grid-min", -1, "--grid-max", 1,
@@ -292,6 +307,22 @@ class TestErrorHandling:
         assert run(command, "--model", MODEL, "--market", MARKET,
                    "--out", tmp_path, *extra) == 2
         assert "--model / --market" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("check", ("--samples", 8)),
+        ("verify", ("--bounds", "{bounds}", "--paths", 10)),
+        ("kappa", ("--paths", 10, "--horizon", 0.5, "--radius", 0)),
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command,
+                                          extra):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"kind": "drift_discount", "alpha": 1.0,
+                                      "beta": 0.0, "P": 1.0, "Q": 0.0}))
+        extra = [str(bounds) if a == "{bounds}" else a for a in extra]
+        assert run(command, "--model", MODEL, "--out", tmp_path / "o",
+                   "--seed", -1, *extra) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.json"))
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

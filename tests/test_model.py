@@ -98,6 +98,10 @@ class TestAssumptionScreen:
         with pytest.raises(ParameterError):
             hk.check_assumption1(ou_model(), [[-3, 3]], samples=1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            hk.check_assumption1(ou_model(), [[-3, 3]], samples=8, seed=-1)
+
     def test_report_serializes(self):
         rep = hk.check_assumption1(ou_model(), [[-3, 3]], samples=32, seed=0)
         d = rep.as_dict()

@@ -23,7 +23,7 @@ class TestPathGeneration:
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=20000, dt=2e-3, seed=0)
         batch = simulate_paths(m, [zero_policy()], [[2.0]], 1.0, mc)
-        y_final = batch.states[0, 0, :, -1]
+        y_final = batch.states[0, 0, -1]
         est = float(np.mean(y_final))
         se = float(np.std(y_final) / np.sqrt(mc.paths))
         assert abs(est - 0.7357588823428847) < 4 * se + 2e-3
@@ -33,20 +33,20 @@ class TestPathGeneration:
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=20000, dt=2e-3, seed=1)
         batch = simulate_paths(m, [zero_policy()], [[0.0]], 1.0, mc)
-        var = float(np.var(batch.states[0, 0, :, -1]))
+        var = float(np.var(batch.states[0, 0, -1]))
         assert var == pytest.approx((1 - np.exp(-2.0)) / 2, rel=0.05)
 
     def test_constant_discount_is_exact(self):
         m = constant_model(h=-1.0)
         mc = hk.MonteCarloConfig(paths=50, dt=1e-2, seed=0)
         batch = simulate_paths(m, [zero_policy()], [[0.0]], 1.0, mc)
-        assert np.allclose(batch.log_discount[0, 0, :, -1], -1.0, atol=1e-12)
+        assert np.allclose(batch.log_discount[0, 0, -1], -1.0, atol=1e-12)
 
     def test_undiscounted_unit_reward_is_exact(self):
         m = constant_model(f=1.0, h=0.0)
         mc = hk.MonteCarloConfig(paths=50, dt=1e-2, seed=0)
         batch = simulate_paths(m, [zero_policy()], [[0.0]], 1.0, mc)
-        assert np.allclose(batch.reward_integral[0, 0, :, -1], 1.0, atol=1e-12)
+        assert np.allclose(batch.reward_integral[0, 0, -1], 1.0, atol=1e-12)
 
     def test_checkpoints_recorded(self):
         m = ou_model()
@@ -54,9 +54,32 @@ class TestPathGeneration:
         batch = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc,
                                times=[0.5, 1.0])
         final = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
-        assert batch.states[0, 0].shape == (100, 2, 1)
-        assert np.array_equal(batch.states[0, 0, :, 1, 0],
-                              final.states[0, 0, :, -1, 0])
+        assert batch.states[0, 0].shape == (2, 100, 1)
+        assert np.array_equal(batch.states[0, 0, 1, :, 0],
+                              final.states[0, 0, -1, :, 0])
+
+    def test_each_record_is_one_contiguous_row_of_paths(self):
+        # [policy, start, record, path]: a record's paths are the row that
+        # every estimate averages, read without a copy
+        m = dataclasses.replace(
+            ou_model(controls=((0.0,), (1.0,)), reward="bounded"),
+            terminal_reward=lambda y: np.cos(np.sum(y, axis=-1)))
+        policies = hk.constant_policies(m)
+        starts = [[-0.5], [0.5]]
+        mc = hk.MonteCarloConfig(paths=64, dt=1e-2, seed=5)
+        batch = simulate_paths(m, policies, starts, 1.0, mc, [0.5])
+        for p, s, r in np.ndindex(2, 2, 2):
+            row = batch.states[p, s, r]
+            assert row.shape == (mc.paths, m.dim) and row.flags.c_contiguous
+            row = batch.reward_integral[p, s, r]
+            assert row.shape == (mc.paths,) and row.flags.c_contiguous
+        payoff = (batch.reward_integral[0, :, -1]
+                  + np.exp(batch.log_discount[0, :, -1])
+                  * m.terminal_reward(batch.states[0, :, -1]))
+        want = _reduce(payoff, batch.excluded[0], mc, 1.0)
+        got = hk.estimate_value(m, policies[0], starts, 0.0, 1.0, mc)
+        assert [e.mean for e in got] == list(want.mean)
+        assert [e.std_error for e in got] == list(want.std_error)
 
 
 def _clipped_policy(y, t):
@@ -124,7 +147,7 @@ class TestKernel:
             for s in range(steps):
                 y = y + np.sqrt(1.0 / steps) * z[s]
                 expected.append(y)
-            assert np.array_equal(batch.states[0, 0, p], expected)
+            assert np.array_equal(batch.states[0, 0, :, p], expected)
 
     def test_memory_flat_in_horizon(self):
         m = ou_model()
@@ -154,9 +177,9 @@ class TestReproducibility:
         mc = hk.MonteCarloConfig(paths=500, dt=1e-2, seed=42)
         a = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
         b = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
-        assert np.array_equal(a.states[0, 0, :, -1], b.states[0, 0, :, -1])
-        assert np.array_equal(a.reward_integral[0, 0, :, -1],
-                              b.reward_integral[0, 0, :, -1])
+        assert np.array_equal(a.states[0, 0, -1], b.states[0, 0, -1])
+        assert np.array_equal(a.reward_integral[0, 0, -1],
+                              b.reward_integral[0, 0, -1])
 
     def test_different_seed_differs(self):
         m = ou_model()
@@ -164,8 +187,8 @@ class TestReproducibility:
                            hk.MonteCarloConfig(paths=100, dt=1e-2, seed=1))
         b = simulate_paths(m, [zero_policy()], [[1.0]], 1.0,
                            hk.MonteCarloConfig(paths=100, dt=1e-2, seed=2))
-        assert not np.array_equal(a.states[0, 0, :, -1],
-                                  b.states[0, 0, :, -1])
+        assert not np.array_equal(a.states[0, 0, -1],
+                                  b.states[0, 0, -1])
 
     def test_path_count_does_not_reshuffle_streams(self):
         # per-path counter streams: the first 100 paths of a larger run
@@ -175,8 +198,8 @@ class TestReproducibility:
                                hk.MonteCarloConfig(paths=100, dt=1e-2, seed=9))
         large = simulate_paths(m, [zero_policy()], [[1.0]], 1.0,
                                hk.MonteCarloConfig(paths=1000, dt=1e-2, seed=9))
-        assert np.array_equal(large.states[0, 0, :100, -1],
-                              small.states[0, 0, :, -1])
+        assert np.array_equal(large.states[0, 0, -1, :100],
+                              small.states[0, 0, -1])
 
 
 class TestAntithetic:
@@ -185,7 +208,7 @@ class TestAntithetic:
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=5, antithetic=True)
         batch = simulate_paths(m, [zero_policy()], [[1.0]], 1.0, mc)
-        y_final = batch.states[0, 0, :, -1]
+        y_final = batch.states[0, 0, -1]
         pair_mean = 0.5 * (y_final[0::2] + y_final[1::2])
         det = 1.0 * (1 - mc.dt) ** 100
         assert np.allclose(pair_mean, det, atol=1e-12)
@@ -193,6 +216,11 @@ class TestAntithetic:
     def test_antithetic_requires_even_paths(self):
         with pytest.raises(ParameterError):
             hk.MonteCarloConfig(paths=101, dt=1e-2, seed=5, antithetic=True)
+
+    def test_negative_seed_rejected(self):
+        # Philox keys are unsigned: -1 would wrap to a different stream
+        with pytest.raises(ParameterError, match="seed"):
+            hk.MonteCarloConfig(paths=10, dt=1e-2, seed=-1)
 
     def test_variance_reduction_on_smooth_payoff(self):
         m = ou_model()
@@ -474,7 +502,7 @@ class TestBoundVerification:
 
         whole = estimates()
         built, groups = [], []
-        philox, records = np.random.Philox, sim._records
+        philox, simulate = np.random.Philox, sim.simulate_paths
 
         def counted(*args, **kwargs):
             built.append(kwargs["key"])
@@ -482,10 +510,10 @@ class TestBoundVerification:
 
         def recorded(model, policies, *args, **kwargs):
             groups.append(len(policies))
-            return records(model, policies, *args, **kwargs)
+            return simulate(model, policies, *args, **kwargs)
 
         monkeypatch.setattr(sim.np.random, "Philox", counted)
-        monkeypatch.setattr(sim, "_records", recorded)
+        monkeypatch.setattr(sim, "simulate_paths", recorded)
         monkeypatch.setattr(sim, "_BLOCK", 64)  # four blocks of paths
         monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one control per group
         grouped = estimates()
@@ -519,7 +547,7 @@ class TestBoundVerification:
                                times)
         assert len(rep.rows) == 4
         for row in rep.rows:
-            disc = np.exp(batch.log_discount[row["control_index"], 0, :,
+            disc = np.exp(batch.log_discount[row["control_index"], 0,
                                              times.index(row["t"])])
             pairs = 0.5 * (disc[0::2] + disc[1::2])
             assert row["estimate"] == np.mean(pairs)
@@ -604,7 +632,8 @@ class TestOneCallPerStep:
             oracle = loop_records(model, policies, starts, steps, T / steps, mc)
         for name, want in zip(("states", "log_discount", "reward_integral",
                                "deltas"), oracle):
-            assert np.array_equal(getattr(batch, name), want, equal_nan=True)
+            assert np.array_equal(getattr(batch, name), np.swapaxes(want, 2, 3),
+                                  equal_nan=True)
 
     @pytest.mark.parametrize("n_policies", [1, 4])
     def test_each_coefficient_called_once_per_step(self, n_policies):
