@@ -15,8 +15,8 @@ the assumption screen and the Monte Carlo step stack their (control, state)
 pairs as rows, so a callable gets ``(rows, N)`` states and ``(rows, k)``
 controls and returns one value per row (the drift one ``N``-vector).  A
 row's value must not depend on the other rows, so the builders contract
-with ``np.sum`` over the last axis, not ``@``, whose rounding changes with
-the batch shape.
+with ``np.add.reduce`` (what ``np.sum`` calls) over the last axis, not
+``@``, whose rounding changes with the batch shape.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ __all__ = ["build_scalar", "build_terminal", "build_drift"]
 
 
 def _dot(a, b):
-    return np.sum(np.asarray(a, float) * np.asarray(b, float), axis=-1)
+    return np.add.reduce(np.asarray(a, float) * np.asarray(b, float), axis=-1)
 
 
 def build_scalar(desc, dim):
@@ -49,9 +49,9 @@ def build_scalar(desc, dim):
             y = np.asarray(y, float)
             delta = np.asarray(delta, float)
             out = const + _dot(y_coeff, y)
-            out = out + np.sum(d_lin * delta, axis=-1)
+            out = out + _dot(d_lin, delta)
             if d_quad is not None:
-                out = out + np.sum(d_quad * delta ** 2, axis=-1)
+                out = out + _dot(d_quad, delta ** 2)
             return out
 
         return coeff

@@ -351,6 +351,8 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
         raise ParameterError("horizon must be positive")
     if not policy_family:
         raise ParameterError("policy family must be nonempty")
+    if radius_n < 0:
+        raise ParameterError("radius must be >= 0")
     t_grid = np.linspace(horizon / t_points, horizon, t_points)
     mesh = _ball_mesh(model.dim, radius_n, y_points, mc.seed)
 

@@ -3,11 +3,13 @@
 One Euler loop, ``_march``, steps the controlled SDE for every (policy,
 start) pair of a call on the same Gaussian increments.  A step calls each
 policy once on its own ``(S·m, N)`` rows (``S`` starts, ``m`` paths of a
-block), then the drift, the discount rate and the running reward once each
-on all ``P·S·m`` rows of states and controls, and adds the block's
-increments to every pair's rows by broadcasting.  ``simulate_paths``
-records states, controls, discount integral and discounted reward integral
-at requested times in a ``PathBatch``, in the order the loop writes them;
+block), then the drift, the discount rate and, if the caller needs the
+reward integral, the running reward once each on all ``P·S·m`` rows of
+states and controls, and adds the block's increments to every pair's rows
+by broadcasting.  The step updates its buffers in place and allocates
+nothing of its own.  ``simulate_paths`` records states, controls, discount
+integral and, optionally, the discounted reward integral at requested
+times in a ``PathBatch``, in the order the loop writes them;
 ``coupled_contraction`` reduces its distances step by step as the loop
 runs.  The state uses unit diffusion per coordinate, so the Euler step is
 exact in the noise term.  Both integrals are accumulated by left-endpoint
@@ -15,7 +17,9 @@ quadrature, keeping the discount multiplicative per step.
 
 Every Monte Carlo estimate takes its records from ``simulate_paths`` and
 reduces them here, in ``_reduce``: value estimates, horizon studies, and
-``discounted_estimates`` for the bound checks and ``model.estimate_kappa``.
+``discounted_estimates`` for the bound checks and ``model.estimate_kappa``,
+which evaluates its rewards on the records and so simulates without the
+reward integral.
 It applies the 0.1% exclusion budget per (policy, start), pairs antithetic
 paths, and averages only along a C-contiguous last path axis, where an
 axis mean equals each row's 1-D mean bit for bit.
@@ -86,14 +90,16 @@ class PathBatch:
 
     Every record's paths are one C-contiguous row, as ``_reduce`` averages
     them.  The last record time is the horizon.  ``deltas`` holds the
-    control applied over the step that ends at each record; ``excluded``
-    flags the paths whose final record is not finite.
+    control applied over the step that ends at each record.
+    ``reward_integral`` is None when the batch was simulated without it;
+    ``excluded`` flags the paths whose final state, log-discount or, if it
+    was accumulated, reward integral is not finite.
     """
 
     times: np.ndarray            # (R,)
     states: np.ndarray           # (P, S, R, paths, N)
     log_discount: np.ndarray     # (P, S, R, paths)
-    reward_integral: np.ndarray  # (P, S, R, paths)
+    reward_integral: np.ndarray  # (P, S, R, paths), or None
     deltas: np.ndarray           # (P, S, R, paths, k)
     excluded: np.ndarray         # (P, S, paths)
 
@@ -137,17 +143,25 @@ def _path_draws(mc, ids, kept):
     return [gen.standard_normal for gen in gens]
 
 
-def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
+def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None,
+           reward=True):
     """The Euler loop over blocks of paths, for every (policy, start) pair.
 
     Yields ``(lo, step, y, d, ld, rw)`` after every step in ``marks``: the
-    block's first path and live ``(P, S, m, ...)`` views of the states,
-    controls, log-discounts and reward integrals, to be copied or reduced.
-    ``kept`` carries the path generators across calls (``_path_draws``).
-    A step forms ``y + drift·dt`` and then adds the block's ``(m, N)``
-    increments in place, broadcast over a ``(P·S, m, N)`` view, so the
-    noise is never copied per pair and rounds as ``(y + drift·dt) +
-    noise`` does.
+    block's first path and ``(P, S, m, ...)`` views of the states,
+    controls, log-discounts and reward integrals.  The views are the live
+    buffers, updated in place by the next step, so they are to be copied or
+    reduced before the loop resumes.  With ``reward=False`` the step never
+    calls ``model.running_reward`` and ``rw`` is None.  ``kept`` carries the
+    path generators across calls (``_path_draws``).
+
+    A step allocates nothing of its own: it updates the integrals and then
+    the states in place through two scratch buffers, ``rw + (e^{ld}·f)·dt``,
+    ``ld + h·dt`` and ``(y + drift·dt) + √dt·z``, the block's ``(m, N)``
+    increments copied out of the chunk once and broadcast over a ``(P·S,
+    m, N)`` view, so the noise is never copied per pair.  The increments
+    are scaled by ``√dt`` once per chunk, after the antithetic negation.
+    ``y`` is written last, as a callable's output may be a view of it.
     """
     P, S, N, k = len(policies), len(starts), model.dim, model.controls.shape[1]
     sqdt = np.sqrt(dt)
@@ -161,35 +175,49 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None):
         y = np.empty((P * S * m, N))
         y.reshape(P, S, m, N)[:] = starts[:, None]
         ld = np.zeros(P * S * m)
-        rw = np.zeros(P * S * m)
+        rw = np.zeros(P * S * m) if reward else None
         d = np.empty((P, S * m, k))
+        scratch, step = np.empty(P * S * m), np.empty((P * S * m, N))
+        by_policy, controls = y.reshape(P, S * m, N), d.reshape(-1, k)
+        pairs = y.reshape(P * S, m, N)
+        noise = step[:m]  # the step's increments, contiguous: read per pair
+        live = (y.reshape(P, S, m, N), d.reshape(P, S, m, k),
+                ld.reshape(P, S, m), None if rw is None else rw.reshape(P, S, m))
         for s in range(steps):
             if s % _CHUNK == 0:
                 if steps - s < len(rows[0]):
                     rows = [row[:steps - s] for row in rows]
                 for draw, row in zip(draws, rows):
                     draw(out=row)
+                drawn = z[:, :len(rows[0])]
                 if mc.antithetic:
-                    odd = z[(lo + 1) % 2::2]
+                    odd = drawn[(lo + 1) % 2::2]
                     np.negative(odd, out=odd)
+                np.multiply(drawn, sqdt, out=drawn)
             t = t0 + s * dt
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for p, policy in enumerate(policies):
-                    d[p] = policy(y.reshape(P, S * m, N)[p], t)
-                drift = np.asarray(model.drift(y, d.reshape(-1, k)), float)
-                hv = np.asarray(model.discount_rate(y, d.reshape(-1, k)), float)
-                fv = np.asarray(model.running_reward(y, d.reshape(-1, k)), float)
-                rw += np.exp(ld) * fv * dt
-                ld += hv * dt
-                y = y + drift * dt
-                pairs = y.reshape(P * S, m, N)  # a view of the fresh C-order sum
-                pairs += sqdt * z[:, s % _CHUNK]
+                    d[p] = policy(by_policy[p], t)
+                drift = np.asarray(model.drift(y, controls), float)
+                hv = np.asarray(model.discount_rate(y, controls), float)
+                if reward:
+                    fv = np.asarray(model.running_reward(y, controls), float)
+                    np.exp(ld, out=scratch)
+                    np.multiply(scratch, fv, out=scratch)
+                    np.multiply(scratch, dt, out=scratch)
+                    np.add(rw, scratch, out=rw)
+                np.multiply(hv, dt, out=scratch)
+                np.add(ld, scratch, out=ld)
+                np.multiply(drift, dt, out=step)
+                np.add(y, step, out=y)
+                np.copyto(noise, z[:, s % _CHUNK])
+                np.add(pairs, noise, out=pairs)
             if s + 1 in marks:
-                yield (lo, s + 1, y.reshape(P, S, m, N), d.reshape(P, S, m, k),
-                       ld.reshape(P, S, m), rw.reshape(P, S, m))
+                yield (lo, s + 1) + live
 
 
-def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None):
+def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None,
+                   reward=True):
     """Simulate the controlled SDE for every (policy, start) pair.
 
     ``policies`` is a sequence of feedback maps ``policy(y, t)`` returning
@@ -198,8 +226,10 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None):
     row axis, so every callable receives ``(rows, N)`` states.  Records are
     taken at ``times`` (in ``(0, T]``) and at ``T`` and returned as a
     ``PathBatch`` in the record-major order they are written; they take
-    ``P * S * records * paths * (N + k + 2)`` floats.  ``kept`` carries the
-    path generators across the calls of ``discounted_estimates``.
+    ``P * S * records * paths * (N + k + 2)`` floats, one fewer per record
+    with ``reward=False``, which skips the running reward and its integral
+    (``reward_integral`` is then None).  ``kept`` carries the path
+    generators across the calls of ``discounted_estimates``.
     """
     if not T > 0:
         raise ParameterError("T must be positive")
@@ -214,22 +244,24 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None):
         marks = np.append(marks, steps)
     shape = (len(policies), len(starts), len(marks), mc.paths)
     # states, deltas, log-discounts and rewards, in the order _march yields
-    records = (np.empty(shape + (model.dim,)),
-               np.empty(shape + (model.controls.shape[1],)),
-               np.empty(shape), np.empty(shape))
+    records = [np.empty(shape + (model.dim,)),
+               np.empty(shape + (model.controls.shape[1],)), np.empty(shape)]
+    if reward:
+        records.append(np.empty(shape))
     for lo, s, *live in _march(model, policies, starts, steps, dt, mc,
-                               set(marks.tolist()), t0, kept):
+                               set(marks.tolist()), t0, kept, reward):
         for r in np.flatnonzero(marks == s):
             for record, value in zip(records, live):
                 record[:, :, r, lo:lo + value.shape[2]] = value
-    states, deltas, log_discount, reward = records
+    states, deltas, log_discount = records[:3]
+    integral = records[3] if reward else None
 
-    excluded = ~(
-        np.all(np.isfinite(states[:, :, -1]), axis=-1)
-        & np.isfinite(log_discount[:, :, -1])
-        & np.isfinite(reward[:, :, -1])
-    )
-    return PathBatch(marks * dt, states, log_discount, reward, deltas, excluded)
+    finite = (np.all(np.isfinite(states[:, :, -1]), axis=-1)
+              & np.isfinite(log_discount[:, :, -1]))
+    if reward:
+        finite &= np.isfinite(integral[:, :, -1])
+    return PathBatch(marks * dt, states, log_discount, integral, deltas,
+                     ~finite)
 
 
 def _moments(x):
@@ -311,11 +343,15 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     Records are at ``times`` and ``T``.  The factors are ``e^{int h}``
     ("unit" of "discount"), ``e^{int h} f`` ("f" of "discounted_reward"),
     or ``e^{int h} max(|f|, 1)`` and ``e^{int h} max(|g|, 1)`` ("f" and "g"
-    of "discounted_moments"); only the rewards a statistic needs are
-    evaluated.  Policies are simulated by ``simulate_paths`` and reduced in
-    groups whose records fit in ``_RECORD_BYTES``, the groups rewinding one
-    set of generators.
+    of "discounted_moments"), each evaluated on the records, so the paths
+    are simulated without the reward integral and only the rewards a
+    statistic needs are evaluated.  Policies are simulated by
+    ``simulate_paths`` and reduced in groups whose records fit in
+    ``_RECORD_BYTES``, the groups rewinding one set of generators.
     """
+    if statistic not in ("discount", "discounted_reward", "discounted_moments"):
+        raise ParameterError(f"unknown statistic {statistic!r}")
+    # record floats per path as simulate_paths sizes them with the reward
     floats = model.dim + model.controls.shape[1] + 2
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
     size = max(1, _RECORD_BYTES // per_policy)
@@ -323,26 +359,22 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     groups = []
     for first in range(0, len(policies), size):
         batch = simulate_paths(model, policies[first:first + size], starts,
-                               T, mc, times, kept=kept)
-        y, d, ld, excluded = (batch.states, batch.deltas, batch.log_discount,
-                              batch.excluded)
-        del batch  # no statistic reads the reward integral
+                               T, mc, times, kept=kept, reward=False)
+        y, d = batch.states, batch.deltas
         with np.errstate(over="ignore", invalid="ignore"):
-            disc = np.exp(ld)
+            disc = np.exp(batch.log_discount)
             if statistic == "discount":
                 samples = {"unit": disc}
             elif statistic == "discounted_reward":
                 samples = {"f": disc * _per_row(model.running_reward, y, d)}
-            elif statistic == "discounted_moments":
+            else:
                 samples = {"f": _per_row(model.running_reward, y, d),
                            "g": _per_row(model.terminal_reward, y)}
                 samples = {factor: disc * np.maximum(np.abs(v), 1.0)
                            for factor, v in samples.items()}
-            else:
-                raise ParameterError(f"unknown statistic {statistic!r}")
-        groups.append({factor: _reduce(v, excluded[:, :, None], mc, T)
+        groups.append({factor: _reduce(v, batch.excluded[:, :, None], mc, T)
                        for factor, v in samples.items()})
-        del y, d, ld, disc, samples  # before the next group's records
+        del batch, y, d, disc, samples  # before the next group's records
     return {factor: replace(est, **{name: np.concatenate(
         [getattr(g[factor], name) for g in groups])
         for name in ("mean", "std_error", "excluded")})
@@ -382,7 +414,7 @@ def coupled_contraction(model, policy, y0, ybar0, T, mc):
     min_ratio = np.full(steps, np.inf)
     max_dist = np.full(steps, -np.inf)
     for _, s, y, *_ in _march(model, [policy], starts, steps, dt, mc,
-                              range(1, steps + 1), 0.0):
+                              range(1, steps + 1), 0.0, reward=False):
         dist = np.linalg.norm(y[0, 0] - y[0, 1], axis=-1)
         ratios = dist / scale[s - 1]
         max_ratio[s - 1] = np.maximum(max_ratio[s - 1], ratios.max())

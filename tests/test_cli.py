@@ -528,6 +528,12 @@ class TestOptions:
         assert run("check", "--model", bare, "--out", tmp_path / "c",
                    "--grid-min", -1, "--grid-max", 1) == 0
 
+    def test_kappa_negative_radius_writes_nothing(self, tmp_path, capsys):
+        assert run("kappa", "--model", MODEL, "--out", tmp_path, "--radius=-1",
+                   "--paths", 20, "--horizon", 0.5, "--seed", 1) == 2
+        assert "radius" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_closed_form_needs_market(self, tmp_path, capsys):
         assert run("solve", "--model", MODEL, "--out", tmp_path,
                    "--closed-form", "--nodes", 11, "--steps", 10) == 2

@@ -223,6 +223,13 @@ class TestEstimateKappa:
         assert tab.kappa[-1] < 0.5 * tab.kappa[1]
         assert np.isfinite(tab.integral_kappa)
 
+    def test_negative_radius_rejected(self):
+        # a 1-D mesh on [-n, n] is the same for n and -n: reject, not mirror
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=1)
+        with pytest.raises(ParameterError, match="radius"):
+            hk.estimate_kappa(m, -1, 0.5, hk.constant_policies(m), mc)
+
     def test_deterministic(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=200, dt=2e-2, seed=3)

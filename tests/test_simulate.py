@@ -555,8 +555,8 @@ class TestBoundVerification:
                 np.std(pairs, ddof=1) / np.sqrt(len(pairs))
 
     def test_discount_bound_evaluates_no_reward_on_records(self):
-        # the statistic e^{int h} needs neither f nor g: only the Euler
-        # loop calls f, on its P x paths rows, and nothing calls g
+        # the statistic e^{int h} needs neither f nor g, and the Euler
+        # loop skips the reward integral it never reads: nothing calls them
         base = ou_model()
         rows = {"running": [], "terminal": []}
 
@@ -575,7 +575,119 @@ class TestBoundVerification:
         rep = hk.verify_bounds(m, spec, [0.5], 1.0, mc)
         assert rep.met
         assert rows["terminal"] == []
-        assert set(rows["running"]) == {len(m.controls) * mc.paths}
+        assert rows["running"] == []
+
+    def test_discount_bound_ignores_an_overflowing_reward(self):
+        # f = 1e308 overflows the reward integral on every path while the
+        # states and discounts stay finite.  e^{int h} never reads that
+        # integral, so no path is dropped for it: dropping them would keep
+        # only the paths whose discount grew least
+        base = hk.ControlModel(
+            dim=1, drift=lambda y, d: np.asarray(d, float) - np.asarray(y, float),
+            discount_rate=lambda y, d: 1.0 + 0.5 * np.sum(
+                np.asarray(y, float), axis=-1),
+            running_reward=lambda y, d: np.ones(np.asarray(y).shape[:-1]),
+            terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+            controls=np.array([[0.0], [0.5]]), lip_L1=1.0, lip_L2=-1.0)
+        huge = dataclasses.replace(
+            base, running_reward=lambda y, d: np.full(np.asarray(y).shape[:-1],
+                                                      1e308))
+        spec = hk.DriftDiscountBound(alpha=1.0, beta=0.5, P=-1.0, Q=0.5)
+        mc = hk.MonteCarloConfig(paths=400, dt=1e-2, seed=3)
+        batch = simulate_paths(huge, hk.constant_policies(huge), [[0.0]], 2.0,
+                               mc)
+        assert np.all(np.isfinite(batch.states))
+        assert np.all(np.isfinite(batch.log_discount))
+        assert not np.any(np.isfinite(batch.reward_integral[:, :, -1]))
+        assert batch.excluded.all()
+        rep = hk.verify_bounds(huge, spec, [0.0], 2.0, mc)
+        assert rep.rows == hk.verify_bounds(base, spec, [0.0], 2.0, mc).rows
+        assert rep.met
+
+
+class TestRewardFreeEstimates:
+    """``discounted_estimates`` simulates without the reward integral."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("statistic", ["discount", "discounted_reward",
+                                           "discounted_moments"])
+    def test_equal_to_records_with_reward(self, monkeypatch, statistic,
+                                          antithetic):
+        m = dataclasses.replace(
+            ou_model(reward="bounded"),
+            discount_rate=lambda y, d: 0.5 * np.sum(np.asarray(y, float),
+                                                    axis=-1) - 1.0,
+            terminal_reward=lambda y: np.sum(np.asarray(y, float) ** 3,
+                                             axis=-1))
+        policies = hk.constant_policies(m)
+        starts, times, T = [[-0.5], [1.0]], [0.25, 0.5], 1.0
+        mc = hk.MonteCarloConfig(paths=60, dt=0.05, seed=5,
+                                 antithetic=antithetic)
+        calls, simulate = [], sim.simulate_paths
+
+        def recorded(model, policies, *args, **kwargs):
+            calls.append((len(policies), kwargs.get("reward", True)))
+            return simulate(model, policies, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "_BLOCK", 16)  # four blocks of paths
+        monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one policy per group
+        monkeypatch.setattr(sim, "simulate_paths", recorded)
+        est = sim.discounted_estimates(m, policies, starts, T, mc, times,
+                                       statistic)
+        assert calls == [(1, False)] * len(policies)
+
+        batch = simulate(m, policies, starts, T, mc, times)
+        disc = np.exp(batch.log_discount)
+        f = sim._per_row(m.running_reward, batch.states, batch.deltas)
+        g = sim._per_row(m.terminal_reward, batch.states)
+        samples = {
+            "discount": {"unit": disc},
+            "discounted_reward": {"f": disc * f},
+            "discounted_moments": {"f": disc * np.maximum(np.abs(f), 1.0),
+                                   "g": disc * np.maximum(np.abs(g), 1.0)},
+        }[statistic]
+        assert est.keys() == samples.keys()
+        for factor, v in samples.items():
+            want = _reduce(v, batch.excluded[:, :, None], mc, T)
+            for name in ("mean", "std_error", "excluded"):
+                assert np.array_equal(getattr(est[factor], name),
+                                      getattr(want, name))
+
+    def test_records_without_reward_equal_those_with_it(self):
+        m = ou_model(reward="bounded")
+        mc = hk.MonteCarloConfig(paths=30, dt=0.05, seed=2, antithetic=True)
+        args = (m, hk.constant_policies(m), [[0.0], [1.5]], 1.0, mc, [0.5])
+        full = simulate_paths(*args)
+        bare = simulate_paths(*args, reward=False)
+        assert bare.reward_integral is None
+        for name in ("times", "states", "log_discount", "deltas", "excluded"):
+            assert np.array_equal(getattr(bare, name), getattr(full, name))
+
+    def test_excluded_covers_what_was_accumulated(self):
+        # a discount that overflows excludes a path with or without the
+        # reward integral
+        m = constant_model(h=1e308)
+        mc = hk.MonteCarloConfig(paths=4, dt=1.0, seed=0)
+        for reward in (True, False):
+            batch = simulate_paths(m, [zero_policy()], [[0.0]], 4.0, mc,
+                                   reward=reward)
+            assert not np.isfinite(batch.log_discount[..., -1, :]).any()
+            assert batch.excluded.all()
+
+    def test_unknown_statistic_simulates_nothing(self):
+        base = ou_model()
+        calls = []
+
+        def drift(y, d):
+            calls.append(len(y))
+            return base.drift(y, d)
+
+        m = dataclasses.replace(base, drift=drift)
+        mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=0)
+        with pytest.raises(ParameterError, match="unknown statistic"):
+            sim.discounted_estimates(m, hk.constant_policies(m), [[0.0]], 1.0,
+                                     mc, [0.5], "moments")
+        assert calls == []
 
 
 def loop_records(model, policies, starts, steps, dt, mc):
