@@ -21,7 +21,7 @@ import numpy as np
 
 from . import finance, model as model_mod, pde, simulate
 from .errors import (HjbkitError, ParameterError, PolicyIterationError,
-                     StabilityError)
+                     RecordTimeError, StabilityError)
 
 __all__ = ["main"]
 
@@ -379,6 +379,9 @@ def main(argv=None):
         return args.func(args, digest)
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecordTimeError as err:
+        print(f"error: {err}; lower --dt-sim", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, ParameterError) as err:
         print(f"error: {err!r}", file=sys.stderr)

@@ -20,6 +20,10 @@ class CoefficientError(HjbkitError):
         super().__init__(f"coefficient {name!r} is non-finite at {at}")
 
 
+class RecordTimeError(ParameterError):
+    """A Monte Carlo record time rounds to step 0 of the Euler grid."""
+
+
 class StabilityError(HjbkitError):
     """Explicit time step violates the stability (CFL) condition."""
 

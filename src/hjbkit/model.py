@@ -338,11 +338,12 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
                    t_points=16, y_points=7):
     """Estimate the time-decay envelopes of the discounted moments.
 
-    For every time on an internal grid and every start point on a mesh of
-    the ball of radius ``radius_n``, the discounted running / terminal
-    moments are estimated under each policy in ``policy_family``; the table
-    holds the pointwise maxima.  An exponential envelope ``K * exp(M |y|)``
-    is fitted over the start points and the two tail integrals (plain and
+    For every time on an internal grid, at the Euler step that simulates
+    it, and every start point on a mesh of the ball of radius ``radius_n``,
+    the discounted running / terminal moments are estimated under each
+    policy in ``policy_family``; the table holds the pointwise maxima at
+    the simulated times.  An exponential envelope ``K * exp(M |y|)`` is
+    fitted over the start points and the two tail integrals (plain and
     ``exp(L2 t)``-weighted) are reported with exponential tail
     extrapolation.  Raises ``PathExclusionError`` past the 0.1% exclusion
     budget of any (policy, start) pair, like every Monte Carlo estimate.
@@ -358,7 +359,9 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
 
     est = discounted_estimates(model, policy_family, mesh, horizon, mc, t_grid,
                                "discounted_moments")
-    est = np.stack([est["f"].mean, est["g"].mean])
+    rows = np.append(np.diff(est["f"].horizon) > 0, True)  # one per step
+    t_grid = est["f"].horizon[rows]
+    est = np.stack([est["f"].mean, est["g"].mean])[..., rows]
     diverged = np.argwhere((est[0] > OVERFLOW_GUARD) | ~np.isfinite(est[0]))
     non_integrable = bool(len(diverged))
     divergence_info = (

@@ -27,19 +27,20 @@ axis mean equals each row's 1-D mean bit for bit.
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index)``: results are bit-reproducible and independent of
 how paths are blocked, how the increments are chunked in time and how many
-(policy, start) pairs share them.  A block of paths keeps one generator per
-path alive and draws ``_CHUNK`` steps at a time, so the loop's memory does
-not grow with the horizon; the records take one value per policy, start,
-path and record time.  ``discounted_estimates`` simulates its policies,
-such as the ``constant_policies`` family, in groups whose records fit in
-``_RECORD_BYTES``.
+(policy, start) pairs share them.  A block of paths borrows one generator
+per path from ``_POOL`` (at most ``_BLOCK``, about 10 MB), re-keys it to the
+start of its stream and draws ``_CHUNK`` steps at a time, so the loop's
+memory does not grow with the horizon; the records take one value per
+policy, start, path and record time.  ``discounted_estimates`` simulates
+its policies, such as the ``constant_policies`` family, in groups whose
+records fit in ``_RECORD_BYTES``.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, PathExclusionError
+from .errors import ParameterError, PathExclusionError, RecordTimeError
 from .reports import Report
 
 __all__ = [
@@ -64,6 +65,7 @@ _CHUNK = 128          # steps of increments drawn at a time
 _RECORD_BYTES = 1 << 25   # records per call of the grouped moment checks
 _EXCLUSION_BUDGET = 1e-3
 _STREAM_START = np.random.Philox(key=[0, 0]).state  # key swapped in per path
+_POOL = {}   # "gens": one list of path generators, lent to one block at a time
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ class PathBatch:
 
 @dataclass(frozen=True)
 class EstimatorResult(Report):
+    """Typed as ``as_dict`` casts it; ``_reduce`` fills it with arrays."""
+
     mean: float
     std_error: float
     paths: int
@@ -119,32 +123,25 @@ def _steps_for(T, dt):
     return steps, T / steps
 
 
-def _path_draws(mc, ids, kept):
+def _path_draws(mc, ids, gens):
     """Each path's ``standard_normal``, from the start of its Philox stream.
 
     Streams are keyed by ``(seed, path)``, an antithetic pair sharing one.
-    ``kept``, if not None, maps a block's first path to its generators
-    across calls: they are built once (about 25 us each) and later calls
-    rewind them to the start of their streams (about 4 us each).
+    ``gens`` is the block's generator list: its first generators are
+    re-keyed to the start of the paths' streams (about 2 us each), and the
+    list grows by a new generator (15-20 us) for each path it lacks.
     """
-    def key(i):
-        return [mc.seed, i // 2 if mc.antithetic else i]
-
-    gens = None if kept is None else kept.get(ids.start)
-    if gens is None:
-        gens = [np.random.Generator(np.random.Philox(key=key(i))) for i in ids]
-        if kept is not None:
-            kept[ids.start] = gens
-    else:
-        start = dict(_STREAM_START, state=dict(_STREAM_START["state"]))
-        for gen, i in zip(gens, ids):
-            start["state"]["key"] = np.array(key(i), np.uint64)
-            gen.bit_generator.state = start
-    return [gen.standard_normal for gen in gens]
+    keys = [[mc.seed, i // 2 if mc.antithetic else i] for i in ids]
+    start = dict(_STREAM_START, state=dict(_STREAM_START["state"]))
+    for gen, key in zip(gens, keys):
+        start["state"]["key"] = np.array(key, np.uint64)
+        gen.bit_generator.state = start
+    gens += [np.random.Generator(np.random.Philox(key=key))
+             for key in keys[len(gens):]]
+    return [gen.standard_normal for gen in gens[:len(keys)]]
 
 
-def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None,
-           reward=True):
+def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     """The Euler loop over blocks of paths, for every (policy, start) pair.
 
     Yields ``(lo, step, y, d, ld, rw)`` after every step in ``marks``: the
@@ -152,8 +149,9 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None,
     controls, log-discounts and reward integrals.  The views are the live
     buffers, updated in place by the next step, so they are to be copied or
     reduced before the loop resumes.  With ``reward=False`` the step never
-    calls ``model.running_reward`` and ``rw`` is None.  ``kept`` carries the
-    path generators across calls (``_path_draws``).
+    calls ``model.running_reward`` and ``rw`` is None.  A block borrows the
+    pooled generators (a new list while a nested or concurrent call holds
+    them) and hands them back however it ends.
 
     A step allocates nothing of its own: it updates the integrals and then
     the states in place through two scratch buffers, ``rw + (e^{ld}·f)·dt``,
@@ -168,7 +166,6 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None,
     for lo in range(0, mc.paths, _BLOCK):
         ids = range(lo, min(lo + _BLOCK, mc.paths))
         m = len(ids)
-        draws = _path_draws(mc, ids, kept)
         z = np.empty((m, min(_CHUNK, steps), N))
         rows = list(z)
         # row (p, s, path) of the P*S*m rows that every coefficient call takes
@@ -183,40 +180,45 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, kept=None,
         noise = step[:m]  # the step's increments, contiguous: read per pair
         live = (y.reshape(P, S, m, N), d.reshape(P, S, m, k),
                 ld.reshape(P, S, m), None if rw is None else rw.reshape(P, S, m))
-        for s in range(steps):
-            if s % _CHUNK == 0:
-                if steps - s < len(rows[0]):
-                    rows = [row[:steps - s] for row in rows]
-                for draw, row in zip(draws, rows):
-                    draw(out=row)
-                drawn = z[:, :len(rows[0])]
-                if mc.antithetic:
-                    odd = drawn[(lo + 1) % 2::2]
-                    np.negative(odd, out=odd)
-                np.multiply(drawn, sqdt, out=drawn)
-            t = t0 + s * dt
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for p, policy in enumerate(policies):
-                    d[p] = policy(by_policy[p], t)
-                drift = np.asarray(model.drift(y, controls), float)
-                hv = np.asarray(model.discount_rate(y, controls), float)
-                if reward:
-                    fv = np.asarray(model.running_reward(y, controls), float)
-                    np.exp(ld, out=scratch)
-                    np.multiply(scratch, fv, out=scratch)
-                    np.multiply(scratch, dt, out=scratch)
-                    np.add(rw, scratch, out=rw)
-                np.multiply(hv, dt, out=scratch)
-                np.add(ld, scratch, out=ld)
-                np.multiply(drift, dt, out=step)
-                np.add(y, step, out=y)
-                np.copyto(noise, z[:, s % _CHUNK])
-                np.add(pairs, noise, out=pairs)
-            if s + 1 in marks:
-                yield (lo, s + 1) + live
+        gens = _POOL.pop("gens", [])  # one atomic call: never lent twice
+        try:
+            draws = _path_draws(mc, ids, gens)
+            for s in range(steps):
+                if s % _CHUNK == 0:
+                    if steps - s < len(rows[0]):
+                        rows = [row[:steps - s] for row in rows]
+                    for draw, row in zip(draws, rows):
+                        draw(out=row)
+                    drawn = z[:, :len(rows[0])]
+                    if mc.antithetic:
+                        odd = drawn[(lo + 1) % 2::2]
+                        np.negative(odd, out=odd)
+                    np.multiply(drawn, sqdt, out=drawn)
+                t = t0 + s * dt
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    for p, policy in enumerate(policies):
+                        d[p] = policy(by_policy[p], t)
+                    drift = np.asarray(model.drift(y, controls), float)
+                    hv = np.asarray(model.discount_rate(y, controls), float)
+                    if reward:
+                        fv = np.asarray(model.running_reward(y, controls), float)
+                        np.exp(ld, out=scratch)
+                        np.multiply(scratch, fv, out=scratch)
+                        np.multiply(scratch, dt, out=scratch)
+                        np.add(rw, scratch, out=rw)
+                    np.multiply(hv, dt, out=scratch)
+                    np.add(ld, scratch, out=ld)
+                    np.multiply(drift, dt, out=step)
+                    np.add(y, step, out=y)
+                    np.copyto(noise, z[:, s % _CHUNK])
+                    np.add(pairs, noise, out=pairs)
+                if s + 1 in marks:
+                    yield (lo, s + 1) + live
+        finally:
+            _POOL["gens"] = gens
 
 
-def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None,
+def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0,
                    reward=True):
     """Simulate the controlled SDE for every (policy, start) pair.
 
@@ -224,12 +226,13 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None,
     a control point or one per row of ``y``; ``starts`` has shape
     ``(S, N)``.  All pairs step on the same increments, stacked along the
     row axis, so every callable receives ``(rows, N)`` states.  Records are
-    taken at ``times`` (in ``(0, T]``) and at ``T`` and returned as a
-    ``PathBatch`` in the record-major order they are written; they take
+    taken at the Euler steps nearest ``times`` (in ``(0, T]``; step 0 raises
+    ``RecordTimeError``) and at ``T``, labelled by the step's time or the
+    requested one within ``1e-9·T`` of it, and returned as a ``PathBatch``
+    in the record-major order they are written; they take
     ``P * S * records * paths * (N + k + 2)`` floats, one fewer per record
     with ``reward=False``, which skips the running reward and its integral
-    (``reward_integral`` is then None).  ``kept`` carries the path
-    generators across the calls of ``discounted_estimates``.
+    (``reward_integral`` is then None).
     """
     if not T > 0:
         raise ParameterError("T must be positive")
@@ -237,11 +240,16 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None,
     starts = np.asarray(starts, float)
     if starts.ndim != 2 or starts.shape[1] != model.dim:
         raise ParameterError(f"starts must have shape (S, {model.dim})")
-    marks = np.rint(np.asarray(times, float) / dt).astype(int)
-    if np.any(marks < 1) or np.any(marks > steps):
+    times = np.asarray(times, float)
+    marks = np.rint(times / dt).astype(int)
+    if np.any(times <= 0) or np.any(marks > steps):
         raise ParameterError("record times must lie in (0, T]")
+    if np.any(marks < 1):
+        raise RecordTimeError(f"record time {times[marks < 1][0]:g} lies "
+                              f"before the first Euler step of {dt:g}")
     if not len(marks) or marks[-1] != steps:
-        marks = np.append(marks, steps)
+        marks, times = np.append(marks, steps), np.append(times, T)
+    times = np.where(np.abs(times - marks * dt) <= 1e-9 * T, times, marks * dt)
     shape = (len(policies), len(starts), len(marks), mc.paths)
     # states, deltas, log-discounts and rewards, in the order _march yields
     records = [np.empty(shape + (model.dim,)),
@@ -249,7 +257,7 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None,
     if reward:
         records.append(np.empty(shape))
     for lo, s, *live in _march(model, policies, starts, steps, dt, mc,
-                               set(marks.tolist()), t0, kept, reward):
+                               set(marks.tolist()), t0, reward):
         for r in np.flatnonzero(marks == s):
             for record, value in zip(records, live):
                 record[:, :, r, lo:lo + value.shape[2]] = value
@@ -260,8 +268,7 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0, kept=None,
               & np.isfinite(log_discount[:, :, -1]))
     if reward:
         finite &= np.isfinite(integral[:, :, -1])
-    return PathBatch(marks * dt, states, log_discount, integral, deltas,
-                     ~finite)
+    return PathBatch(times, states, log_discount, integral, deltas, ~finite)
 
 
 def _moments(x):
@@ -340,14 +347,15 @@ def constant_policies(model):
 def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     """``{factor: EstimatorResult}`` of ``(P, S, records)`` arrays.
 
-    Records are at ``times`` and ``T``.  The factors are ``e^{int h}``
+    Records are at ``times`` and ``T``, and ``horizon`` holds their
+    simulated times (``simulate_paths``).  The factors are ``e^{int h}``
     ("unit" of "discount"), ``e^{int h} f`` ("f" of "discounted_reward"),
     or ``e^{int h} max(|f|, 1)`` and ``e^{int h} max(|g|, 1)`` ("f" and "g"
     of "discounted_moments"), each evaluated on the records, so the paths
     are simulated without the reward integral and only the rewards a
     statistic needs are evaluated.  Policies are simulated by
     ``simulate_paths`` and reduced in groups whose records fit in
-    ``_RECORD_BYTES``, the groups rewinding one set of generators.
+    ``_RECORD_BYTES``; each group re-keys the generators of the one before.
     """
     if statistic not in ("discount", "discounted_reward", "discounted_moments"):
         raise ParameterError(f"unknown statistic {statistic!r}")
@@ -355,11 +363,10 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     floats = model.dim + model.controls.shape[1] + 2
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
     size = max(1, _RECORD_BYTES // per_policy)
-    kept = {} if len(policies) > size else None
     groups = []
     for first in range(0, len(policies), size):
         batch = simulate_paths(model, policies[first:first + size], starts,
-                               T, mc, times, kept=kept, reward=False)
+                               T, mc, times, reward=False)
         y, d = batch.states, batch.deltas
         with np.errstate(over="ignore", invalid="ignore"):
             disc = np.exp(batch.log_discount)
@@ -372,7 +379,8 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
                            "g": _per_row(model.terminal_reward, y)}
                 samples = {factor: disc * np.maximum(np.abs(v), 1.0)
                            for factor, v in samples.items()}
-        groups.append({factor: _reduce(v, batch.excluded[:, :, None], mc, T)
+        groups.append({factor: _reduce(v, batch.excluded[:, :, None], mc,
+                                       batch.times)
                        for factor, v in samples.items()})
         del batch, y, d, disc, samples  # before the next group's records
     return {factor: replace(est, **{name: np.concatenate(
@@ -448,16 +456,18 @@ def horizon_convergence(model, policy, y0, horizons, mc, kappa_table=None):
 
     Simulates once to the largest horizon and reads the running discounted
     reward integral at every requested horizon (terminal reward excluded,
-    matching the infinite-horizon functional).  Flags non-convergence when
-    the successive differences fail to shrink; when a kappa table is given,
-    the final difference is compared to the envelope tail integral.
+    matching the infinite-horizon functional), labelled, like the tail
+    integral's limits, at the Euler step that simulates it
+    (``simulate_paths``).  Flags non-convergence when the successive
+    differences fail to shrink; when a kappa table is given, the final
+    difference is compared to the envelope tail integral.
     """
     horizons = np.asarray(horizons, float)
     if np.any(np.diff(horizons) <= 0):
         raise ParameterError("horizons must be strictly increasing")
     batch = simulate_paths(model, [policy], [np.atleast_1d(y0)],
                            float(horizons[-1]), mc, horizons)
-    payoff = batch.reward_integral[0, 0]
+    horizons, payoff = batch.times, batch.reward_integral[0, 0]
     res = _reduce(payoff, batch.excluded[0, 0] | ~np.isfinite(payoff), mc, horizons)
     results = _split(res)
     diffs = np.abs(np.diff(res.mean))
@@ -562,7 +572,8 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     """Check one of the analytic moment bounds by simulation.
 
     The left-hand expectation is estimated on a time grid under the
-    constant policy at each control point; every grid point must satisfy
+    constant policy at each control point; every grid point, taken at the
+    Euler step that simulates it (``simulate_paths``), must satisfy
     ``estimate <= bound * (1 + 3 * relative SE)``.  The margin reported per
     row is ``(bound * (1 + 3 relSE) - estimate) / bound``; the worst margin
     over all rows decides ``met``.
@@ -571,9 +582,10 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     times = np.asarray(np.linspace(T / 4, T, 4) if times is None else times, float)
     est = discounted_estimates(model, constant_policies(model), [y0], T, mc,
                                times, bound_spec.statistic)
-    rows = [_bound_row(float(t), p, factor, float(e.mean[p, 0, r]),
-                       float(e.std_error[p, 0, r]), bound_spec.value(float(t), y0))
-            for p in range(model.n_controls) for r, t in enumerate(times)
+    simulated = next(iter(est.values())).horizon[:len(times)].tolist()
+    rows = [_bound_row(t, p, factor, float(e.mean[p, 0, r]),
+                       float(e.std_error[p, 0, r]), bound_spec.value(t, y0))
+            for p in range(model.n_controls) for r, t in enumerate(simulated)
             for factor, e in est.items()]
     return BoundVerification(met=bool(all(r["met"] for r in rows)),
                              worst_margin=float(min(r["margin"] for r in rows)),

@@ -534,6 +534,23 @@ class TestOptions:
         assert "radius" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_kappa_grid_before_the_first_step_names_dt_sim(self, tmp_path,
+                                                          capsys):
+        # the first grid time 0.5 / 16 rounds to Euler step 0 of 0.1
+        assert run("kappa", "--model", MODEL, "--out", tmp_path,
+                   "--horizon", 0.5, "--dt-sim", 0.1, "--paths", 20,
+                   "--radius", 0) == 2
+        assert "--dt-sim" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kappa_rows_at_the_simulated_step(self, tmp_path):
+        assert run("kappa", "--model", MODEL, "--out", tmp_path,
+                   "--horizon", 2, "--dt-sim", 0.1, "--paths", 20,
+                   "--radius", 0, "--seed", 1) == 0
+        rows = (tmp_path / "kappa.csv").read_text().splitlines()[1:3]
+        assert [float(r.split(",")[0]) for r in rows] == [0.1, 0.2]
+        assert float(rows[0].split(",")[1]) == pytest.approx(np.exp(-0.1))
+
     def test_closed_form_needs_market(self, tmp_path, capsys):
         assert run("solve", "--model", MODEL, "--out", tmp_path,
                    "--closed-form", "--nodes", 11, "--steps", 10) == 2

@@ -230,6 +230,26 @@ class TestEstimateKappa:
         with pytest.raises(ParameterError, match="radius"):
             hk.estimate_kappa(m, -1, 0.5, hk.constant_policies(m), mc)
 
+    def test_rows_labelled_at_the_simulated_step(self):
+        # grid 0.125, 0.25, ... on steps of 0.1: 0.125 is simulated at 0.1,
+        # 0.375 at 0.4; under h = -1 and |f| <= 1 the envelope is e^{-t}
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
+        tab = hk.estimate_kappa(m, 0, 2.0, hk.constant_policies(m), mc)
+        assert tab.t[:3].tolist() == [0.1, 0.2, 0.4]
+        assert tab.t[-1] == 2.0
+        assert np.allclose(tab.kappa, np.exp(-tab.t), rtol=1e-12, atol=0)
+
+    def test_grid_times_on_one_step_give_one_row(self):
+        # grid spacing 1/16 on steps of 0.1: 0.0625 and 0.125 are both
+        # simulated at step 1, 0.9375 and 1.0 at step 10
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
+        tab = hk.estimate_kappa(m, 0, 1.0, hk.constant_policies(m), mc)
+        assert np.allclose(tab.t, 0.1 * np.arange(1, 11), rtol=1e-12)
+        assert tab.t[-1] == 1.0
+        assert np.allclose(tab.kappa, np.exp(-tab.t), rtol=1e-12, atol=0)
+
     def test_deterministic(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=200, dt=2e-2, seed=3)

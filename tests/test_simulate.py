@@ -1,4 +1,7 @@
 import dataclasses
+import inspect
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit import simulate as sim
-from hjbkit.errors import ParameterError, PathExclusionError
+from hjbkit.errors import ParameterError, PathExclusionError, RecordTimeError
 from hjbkit.simulate import _reduce, simulate_paths
 
 from conftest import constant_model, ou_model, zero_policy
@@ -200,6 +203,164 @@ class TestReproducibility:
                                hk.MonteCarloConfig(paths=1000, dt=1e-2, seed=9))
         assert np.array_equal(large.states[0, 0, -1, :100],
                               small.states[0, 0, -1])
+
+
+def _pooled_call(seed=5, antithetic=False, policy=_clipped_policy, paths=8):
+    """Two starts, ten steps and a record inside the horizon."""
+    mc = hk.MonteCarloConfig(paths=paths, dt=0.05, seed=seed,
+                             antithetic=antithetic)
+    return simulate_paths(ou_model(reward="bounded"), [policy],
+                          [[0.5], [-1.0]], 0.5, mc, [0.25])
+
+
+def _cold_call(monkeypatch, **kwargs):
+    """``_pooled_call`` on an empty generator pool: every stream built new."""
+    monkeypatch.setattr(sim, "_POOL", {})
+    return _pooled_call(**kwargs)
+
+
+def _assert_same(a, b):
+    assert np.array_equal(a.times, b.times)
+    for name in RECORDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+class TestGeneratorPool:
+    """Pooled generators replay the streams a cold pool builds, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def short_chunks(self, monkeypatch):
+        # draws between steps, where a generator shared with another
+        # simulation would have moved on
+        monkeypatch.setattr(sim, "_CHUNK", 3)
+
+    def test_warm_pool(self, monkeypatch, antithetic):
+        cold = _cold_call(monkeypatch, antithetic=antithetic)
+        _pooled_call(seed=9, paths=20)  # leaves 20 generators mid-stream
+        _assert_same(_pooled_call(antithetic=antithetic), cold)
+
+    def test_after_a_policy_raised_mid_march(self, monkeypatch, antithetic):
+        cold = _cold_call(monkeypatch, antithetic=antithetic)
+
+        def failing(y, t):
+            if t > 0.2:
+                raise RuntimeError("policy failed")
+            return _clipped_policy(y, t)
+
+        with pytest.raises(RuntimeError, match="policy failed"):
+            _pooled_call(seed=9, antithetic=antithetic, policy=failing)
+        assert len(sim._POOL["gens"]) == 8  # handed back by the failed block
+        _assert_same(_pooled_call(antithetic=antithetic), cold)
+
+    def test_policy_that_simulates(self, monkeypatch, antithetic):
+        cold_inner = _cold_call(monkeypatch, seed=11, antithetic=antithetic)
+        cold = _cold_call(monkeypatch, antithetic=antithetic)
+        inner = []
+
+        def nesting(y, t):
+            inner.append(_pooled_call(seed=11, antithetic=antithetic))
+            return _clipped_policy(y, t)
+
+        _assert_same(_pooled_call(antithetic=antithetic, policy=nesting), cold)
+        assert len(inner) == 10
+        for batch in inner:
+            _assert_same(batch, cold_inner)
+
+    def test_threads_equal_serial_calls(self, monkeypatch, antithetic):
+        seeds = [1, 2, 3, 4]  # more threads than cores
+        serial = {seed: _cold_call(monkeypatch, seed=seed,
+                                   antithetic=antithetic) for seed in seeds}
+        results = {seed: [] for seed in seeds}
+
+        def work(seed):
+            for _ in range(5):
+                results[seed].append(_pooled_call(seed=seed,
+                                                  antithetic=antithetic))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            assert len(results[seed]) == 5
+            for batch in results[seed]:
+                _assert_same(batch, serial[seed])
+        assert len(sim._POOL["gens"]) == 8
+
+    def test_three_blocks(self, monkeypatch, antithetic):
+        cold = _cold_call(monkeypatch, antithetic=antithetic)
+        monkeypatch.setattr(sim, "_POOL", {})
+        monkeypatch.setattr(sim, "_BLOCK", 3)  # blocks of 3, 3 and 2 paths
+        _assert_same(_pooled_call(antithetic=antithetic), cold)
+        assert len(sim._POOL["gens"]) <= sim._BLOCK
+
+
+def test_simulate_paths_signature():
+    # perfbench's tracer reads T and mc as the positional args[3] and args[4]
+    params = list(inspect.signature(simulate_paths).parameters)
+    assert params[:5] == ["model", "policies", "starts", "T", "mc"]
+    # the generators live in the pool: no function carries them across calls
+    assert [name for name, fn in inspect.getmembers(sim, inspect.isfunction)
+            if "kept" in inspect.signature(fn).parameters] == []
+
+
+class TestRecordTimes:
+    def test_labelled_at_the_simulated_step(self):
+        # dt 0.1: 0.125 is simulated at step 1 and 0.375 at step 4; 0.3 is
+        # 3 dt to rounding and keeps its requested label
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
+        batch = simulate_paths(m, [zero_policy()], [[0.5]], 2.0, mc,
+                               [0.125, 0.375, 0.3])
+        assert batch.times.tolist() == [0.1, 0.4, 0.3, 2.0]
+        steps = simulate_paths(m, [zero_policy()], [[0.5]], 2.0, mc,
+                               [0.1, 0.4, 0.3])
+        _assert_same(batch, steps)
+
+    def test_time_before_the_first_step(self):
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
+        with pytest.raises(RecordTimeError, match="0.03 lies before") as exc:
+            simulate_paths(m, [zero_policy()], [[0.5]], 0.5, mc, [0.03, 0.5])
+        assert isinstance(exc.value, ParameterError)
+        for t in (0.0, -0.2, 0.6):
+            with pytest.raises(ParameterError, match=r"\(0, T\]"):
+                simulate_paths(m, [zero_policy()], [[0.5]], 0.5, mc, [t])
+
+    def test_horizons_labelled_at_the_simulated_step(self):
+        # dt 0.1: 0.15 is simulated at step 1, where the integral of f = 1
+        # is 0.1; the tail integral is taken between the simulated times
+        m = constant_model(f=1.0, h=0.0)
+        mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=0)
+        tab = hk.KappaTable(t=[0.0, 1.0], kappa=[1.0, 0.0], p_terminal=[0, 0],
+                            policy_ids=[0, 0], radius_n=0, policies_probed="",
+                            integral_kappa=0.5, integral_weighted=0.5,
+                            envelope_K=1.0, envelope_M=0.0, decay_rate=-1.0,
+                            lip_L2=0.0)
+        rep = hk.horizon_convergence(m, zero_policy(), [0.5], [0.15, 0.5],
+                                     mc, kappa_table=tab)
+        assert rep.horizons.tolist() == [0.1, 0.5]
+        assert [r.horizon for r in rep.results] == [0.1, 0.5]
+        assert rep.results[0].mean == pytest.approx(0.1)
+        assert rep.tail_bound == tab.integral(0.1, 0.5) != tab.integral(0.15, 0.5)
+
+    def test_bound_rows_at_the_simulated_step(self):
+        m = ou_model()
+        spec = hk.UniformDiscountBound(w=1.0, L1=1.0, L2=-1.0)
+        mc = hk.MonteCarloConfig(paths=200, dt=0.1, seed=0)
+        off = hk.verify_bounds(m, spec, [0.5], 1.0, mc, times=[0.125, 0.375])
+        on = hk.verify_bounds(m, spec, [0.5], 1.0, mc, times=[0.1, 0.4])
+        assert [r["t"] for r in off.rows[:2]] == [0.1, 0.4]
+        assert off.rows == on.rows
 
 
 class TestAntithetic:
@@ -516,11 +677,17 @@ class TestBoundVerification:
         monkeypatch.setattr(sim, "simulate_paths", recorded)
         monkeypatch.setattr(sim, "_BLOCK", 64)  # four blocks of paths
         monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one control per group
+        monkeypatch.setattr(sim, "_POOL", {})  # a cold pool
         grouped = estimates()
         assert groups == [1, 1]
-        assert len(built) == mc.paths
+        # one block's generators, re-keyed by every later block and group
+        assert 0 < len(built) <= sim._BLOCK
+        built.clear()
+        warm = estimates()
+        assert built == []
         for name in ("mean", "std_error", "excluded"):
             assert np.array_equal(getattr(grouped, name), getattr(whole, name))
+            assert np.array_equal(getattr(warm, name), getattr(whole, name))
 
     def test_envelope_bound(self):
         m = ou_model()
