@@ -5,8 +5,9 @@ Subcommands: ``check`` (assumption screens), ``solve`` (grid solvers),
 (constant-coefficient benchmark), ``kappa`` (discount-moment envelopes).
 
 Exit codes: 0 success, 1 verification/convergence failure, 2 usage or
-parse error.  Every artifact embeds the config digest and the seed; with a
-fixed seed reruns are byte-identical.
+parse error.  Every artifact, JSON or CSV, embeds the config digest and the
+seed; with a fixed seed reruns are byte-identical.  The CSV text is written
+and read by ``reports`` and ``pde``: this module parses no CSV itself.
 """
 
 import argparse
@@ -39,6 +40,11 @@ def _config_digest(args):
             with open(path, "rb") as fh:
                 payload[f"{name}_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _provenance(args, digest):
+    """The comment lines that head every CSV artifact."""
+    return [f"config_digest={digest}", f"seed={args.seed}"]
 
 
 def _write_json(args, name, payload, digest):
@@ -102,7 +108,7 @@ def cmd_solve(args, digest):
     except StabilityError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    header = [f"config_digest={digest}", f"seed={args.seed}"]
+    header = _provenance(args, digest)
     vf.to_csv(os.path.join(args.out, "value.csv"), header)
     pf.to_csv(os.path.join(args.out, "policy.csv"), header)
     _write_json(args, "solve_report.json", report.as_dict(), digest)
@@ -111,44 +117,6 @@ def cmd_solve(args, digest):
               file=sys.stderr)
         return 1
     return 0
-
-
-def _read_csv(path):
-    """Grid, time stamps and ``(layers, nodes, columns)`` table of a solve CSV.
-
-    Rows are ``y,t,<columns>`` in any order: the value is column 0 of
-    ``value.csv``, the control components are the columns of ``policy.csv``.
-    Every stamp needs one row per node of ``linspace(y_min, y_max, nodes)``,
-    to 1e-9 spacings; a malformed file raises ``ParameterError``.
-    """
-    def malformed(why):
-        return ParameterError(f"malformed solve CSV {path}: {why}")
-
-    rows = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith(("#", "y,")):
-                    rows.append([float(v) for v in line.split(",")])
-        rows = np.array(rows, ndmin=2)
-    except ValueError as err:  # a non-numeric cell or rows of unequal length
-        raise malformed(err) from None
-    if rows.shape[1] < 3:
-        raise malformed("no data rows of y, t and values")
-    rows = rows[np.lexsort((rows[:, 0], rows[:, 1]))]
-    stamps = np.unique(rows[:, 1])
-    nodes = len(rows) // len(stamps)
-    table = rows[:nodes * len(stamps)].reshape(len(stamps), nodes, -1)
-    ys = table[0, :, 0]
-    if nodes * len(stamps) != len(rows) or np.any(table[..., 0] != ys) \
-            or np.any(table[..., 1] != stamps[:, None]):
-        raise malformed("the rows do not fill one node list at every stamp")
-    even = np.linspace(ys[0], ys[-1], nodes)
-    if nodes < 3 or np.any(np.abs(ys - even) > 1e-9 * (even[1] - even[0])):
-        raise malformed("the y values are not 3 or more evenly spaced nodes")
-    return (pde.Grid1D(float(ys[0]), float(ys[-1]), nodes), stamps,
-            np.ascontiguousarray(table[..., 2:]))
 
 
 _BOUNDS = {
@@ -177,6 +145,22 @@ def _bound_spec(doc):
                   for f in dataclasses.fields(cls)})
 
 
+def _probes(text, grid):
+    """The ``--probes`` states: finite numbers in ``[y_min, y_max]``."""
+    probes = []
+    for item in text.split(","):
+        try:
+            y = float(item)
+        except ValueError:
+            y = np.nan
+        if not grid.y_min <= y <= grid.y_max:
+            raise ParameterError(
+                f"--probes: {item!r} is not a finite number in the field's "
+                f"range [{grid.y_min:g}, {grid.y_max:g}]")
+        probes.append(y)
+    return probes
+
+
 def cmd_verify(args, digest):
     mdl, _ = _load_model(args)
     mc = simulate.MonteCarloConfig(paths=args.paths, dt=args.dt_sim,
@@ -203,14 +187,12 @@ def cmd_verify(args, digest):
     if args.field:
         if not args.policy:
             raise ParameterError("--policy is required with --field")
-        grid, stamps, table = _read_csv(args.field)
-        fld = pde.ValueField(grid, table[..., 0], stamps)
-        grid, stamps, table = _read_csv(args.policy)
-        policy = pde.PolicyField(grid, table, stamps).as_policy()
+        fld = pde.ValueField.read_csv(args.field)
+        policy = pde.PolicyField.read_csv(args.policy).as_policy()
         horizon = float(fld.time_stamps[-1]) if args.horizon is None \
             else args.horizon
         finite = len(fld.time_stamps) > 1
-        probes = [float(v) for v in args.probes.split(",")] if args.probes \
+        probes = _probes(args.probes, fld.grid) if args.probes \
             else list(fld.grid.ys[fld.grid.nodes // 4::max(1, fld.grid.nodes // 4)])
         rows = []
         cmp_model = mdl if finite else dataclasses.replace(
@@ -265,7 +247,7 @@ def cmd_kappa(args, digest):
                                    seed=args.seed)
     table = model_mod.estimate_kappa(
         mdl, args.radius, args.horizon, simulate.constant_policies(mdl), mc)
-    table.to_csv(os.path.join(args.out, "kappa.csv"))
+    table.to_csv(os.path.join(args.out, "kappa.csv"), _provenance(args, digest))
     _write_json(args, "kappa.json", table.as_dict(), digest)
     return 0 if not table.non_integrable else 1
 

@@ -19,9 +19,24 @@ with ``np.add.reduce`` (what ``np.sum`` calls) over the last axis, not
 ``@``, whose rounding changes with the batch shape.
 """
 
+import json
+import os
+
 import numpy as np
 
 __all__ = ["build_scalar", "build_terminal", "build_drift"]
+
+
+def _read_json(source):
+    """The document of a model or market file, for ``load_model`` and
+    ``load_market``: ``source`` is a path (``str``, ``bytes`` or
+    ``os.PathLike``), an open text file, or the parsed mapping itself."""
+    if hasattr(source, "read"):
+        return json.load(source)
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source) as fh:
+            return json.load(fh)
+    return dict(source)
 
 
 def _dot(a, b):

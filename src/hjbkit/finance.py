@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import coefficients
 from .errors import ParameterError
 from .model import ControlModel, check_assumption1
 from .reports import Report
@@ -351,16 +352,9 @@ def wealth_value(x, market, u):
 
 
 def load_market(source):
-    """Build a MarketModel from a JSON market file (path or parsed dict)."""
-    import json
-
-    from . import coefficients
-
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = dict(source)
+    """Build a MarketModel from a JSON market file: a path, an open text
+    file or the parsed mapping."""
+    doc = coefficients._read_json(source)
 
     def coeff(key):
         value = doc[key]

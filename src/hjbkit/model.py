@@ -10,7 +10,6 @@ must be numpy-vectorized over a leading batch axis (see ``coefficients``).
 every Monte Carlo reduction of simulated paths lives in ``simulate``.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import coefficients
 from .errors import CoefficientError, ParameterError
 from .hamiltonian import control_tables
-from .reports import Report
+from .reports import Report, write_csv
 from .simulate import discounted_estimates
 
 __all__ = [
@@ -310,11 +309,10 @@ class KappaTable(Report):
             )
         return float(total)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("t,kappa,p,policy_id\n")
-            for t, k, p, pid in zip(self.t, self.kappa, self.p_terminal, self.policy_ids):
-                fh.write(f"{float(t)!r},{float(k)!r},{float(p)!r},{int(pid)}\n")
+    def to_csv(self, path, header_lines=()):
+        write_csv(path, header_lines, ["t", "kappa", "p", "policy_id"],
+                  zip(self.t.tolist(), self.kappa.tolist(),
+                      self.p_terminal.tolist(), self.policy_ids.tolist()))
 
 
 def _ball_mesh(dim, n, points, seed):
@@ -422,12 +420,9 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
 
 
 def load_model(source):
-    """Build a ControlModel from a JSON model file (path or parsed dict)."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = dict(source)
+    """Build a ControlModel from a JSON model file: a path, an open text
+    file or the parsed mapping."""
+    doc = coefficients._read_json(source)
     dim = int(doc["dim"])
     controls = np.atleast_2d(np.asarray(doc["controls"], float))
     return ControlModel(

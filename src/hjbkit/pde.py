@@ -26,6 +26,9 @@ table of the controls it returns.  The step must satisfy
 ``dt * (1/dy^2 + max|i|/dy + max h+) <= 1`` with the maxima taken over
 grid x the controls applied (the grid list, or each step's override
 controls); this is enforced, not assumed.
+
+A field's ``to_csv`` writes one ``y,t,<columns>`` row per node and stamp;
+its ``read_csv`` reads the file back bit for bit and rejects any other.
 """
 
 import itertools
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import (DivergenceError, ParameterError, PolicyIterationError,
                      StabilityError)
 from .hamiltonian import control_tables, maximize
-from .reports import Report
+from .reports import Report, read_csv, write_csv
 
 __all__ = [
     "Grid1D",
@@ -97,15 +100,43 @@ class TimeGrid:
         return self.horizon / self.steps
 
 
-def _write_csv(path, header_lines, grid, stamps, columns, table):
-    """``y,t,<columns>`` rows of a ``(layers, nodes, columns)`` table."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(["y", "t"] + columns) + "\n")
-        for t, layer in zip(stamps, table):
-            for y, row in zip(grid.ys, layer):
-                fh.write(",".join(repr(float(v)) for v in (y, t, *row)) + "\n")
+def _control_names(k):
+    return [f"delta_star_{j}" for j in range(k)]
+
+
+def _csv_rows(grid, stamps, table):
+    """``y, t, <columns>`` rows of a ``(layers, nodes, columns)`` table,
+    made one layer at a time."""
+    ys = grid.ys.tolist()
+    for t, layer in zip(stamps.tolist(), table):
+        for y, row in zip(ys, layer.tolist()):
+            yield [y, t, *row]
+
+
+def _read_layers(path, names):
+    """Grid, stamps and ``(layers, nodes, k)`` table of a field's CSV rows.
+
+    The header is ``y,t`` and ``names(k)``, ``k >= 1``; the rows, in any
+    order, fill 3 or more evenly spaced nodes (to 1e-9 spacings) per stamp.
+    """
+    def malformed(why):
+        return ParameterError(f"malformed solve CSV {path}: {why}")
+
+    columns, rows = read_csv(path)
+    expected = ["y", "t"] + names(max(len(columns) - 2, 1))
+    if columns != expected:
+        raise malformed(f"header {','.join(columns)}, not {','.join(expected)}")
+    if not len(rows) or not np.isfinite(rows).all():
+        raise malformed("no data rows, or a cell that is not finite")
+    ys, stamps = np.unique(rows[:, 0]), np.unique(rows[:, 1])
+    if not len(np.unique(rows[:, :2], axis=0)) == len(rows) == len(ys) * len(stamps):
+        raise malformed("the rows do not fill one node list at every stamp")
+    even = np.linspace(ys[0], ys[-1], len(ys))
+    if len(ys) < 3 or np.any(np.abs(ys - even) > 1e-9 * (even[1] - even[0])):
+        raise malformed("the y values are not 3 or more evenly spaced nodes")
+    rows = rows[np.lexsort((rows[:, 0], rows[:, 1]))]
+    return (Grid1D(float(ys[0]), float(ys[-1]), len(ys)), stamps,
+            rows.reshape(len(stamps), len(ys), -1)[..., 2:].copy())
 
 
 @dataclass
@@ -129,8 +160,14 @@ class ValueField:
         return self.values[j]
 
     def to_csv(self, path, header_lines=()):
-        _write_csv(path, header_lines, self.grid, self.time_stamps,
-                   ["u"], self.values[..., None])
+        write_csv(path, header_lines, ["y", "t", "u"],
+                  _csv_rows(self.grid, self.time_stamps, self.values[..., None]))
+
+    @classmethod
+    def read_csv(cls, path):
+        """The field ``to_csv`` wrote to ``path``, header ``y,t,u``."""
+        grid, stamps, table = _read_layers(path, lambda k: ["u"])
+        return cls(grid, table[..., 0], stamps)
 
 
 @dataclass
@@ -169,9 +206,15 @@ class PolicyField:
         return policy
 
     def to_csv(self, path, header_lines=()):
-        columns = [f"delta_star_{j}" for j in range(self.controls.shape[-1])]
-        _write_csv(path, header_lines, self.grid, self.time_stamps, columns,
-                   self.controls)
+        write_csv(path, header_lines,
+                  ["y", "t"] + _control_names(self.controls.shape[-1]),
+                  _csv_rows(self.grid, self.time_stamps, self.controls))
+
+    @classmethod
+    def read_csv(cls, path):
+        """The field ``to_csv`` wrote to ``path``, header ``y,t,delta_star_0…``."""
+        grid, stamps, table = _read_layers(path, _control_names)
+        return cls(grid, table, stamps)
 
 
 @dataclass

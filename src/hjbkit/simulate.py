@@ -458,13 +458,23 @@ def horizon_convergence(model, policy, y0, horizons, mc, kappa_table=None):
     reward integral at every requested horizon (terminal reward excluded,
     matching the infinite-horizon functional), labelled, like the tail
     integral's limits, at the Euler step that simulates it
-    (``simulate_paths``).  Flags non-convergence when the successive
-    differences fail to shrink; when a kappa table is given, the final
-    difference is compared to the envelope tail integral.
+    (``simulate_paths``).  Two horizons simulated at one Euler step raise
+    ``ParameterError``: their difference would read 0 by construction.
+    Flags non-convergence when the successive differences fail to shrink;
+    when a kappa table is given, the final difference is compared to the
+    envelope tail integral.
     """
     horizons = np.asarray(horizons, float)
     if np.any(np.diff(horizons) <= 0):
         raise ParameterError("horizons must be strictly increasing")
+    dt = _steps_for(float(horizons[-1]), mc.dt)[1]
+    marks = np.rint(horizons / dt).astype(int)
+    same = np.flatnonzero(np.diff(marks) == 0)
+    if len(same):
+        j = int(same[0])
+        raise ParameterError(
+            "horizons {!r} and {!r} are both simulated at Euler step {} of "
+            "{:g}".format(*horizons[j:j + 2].tolist(), marks[j], dt))
     batch = simulate_paths(model, [policy], [np.atleast_1d(y0)],
                            float(horizons[-1]), mc, horizons)
     horizons, payoff = batch.times, batch.reward_integral[0, 0]

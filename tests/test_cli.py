@@ -154,6 +154,29 @@ class TestVerify:
         expected = [float(v) for v in probes[-1].split("=")[-1].split(",")]
         assert [row["y"] for row in rows] == pytest.approx(expected)
 
+    def test_swapped_field_and_policy_is_usage_error(self, tmp_path, capsys,
+                                                     solved):
+        # the policy's control column is no value field, nor the value a policy
+        code = run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--field", solved / "policy.csv",
+                   "--policy", solved / "value.csv",
+                   "--paths", 200, "--dt-sim", 1e-2)
+        assert code == 2
+        assert str(solved / "policy.csv") in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("probe", ["a,b", "99", "nan"])
+    def test_unusable_probe_is_usage_error(self, tmp_path, capsys, solved,
+                                           probe):
+        code = run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--field", solved / "value.csv",
+                   "--policy", solved / "policy.csv", f"--probes={probe}",
+                   "--paths", 200, "--dt-sim", 1e-2)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert probe.split(",")[0] in err and "[-3, 3]" in err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
     def test_corrupted_field_fails(self, tmp_path, solved):
         lines = (solved / "value.csv").read_text().splitlines()
         out = []
@@ -547,9 +570,19 @@ class TestOptions:
         assert run("kappa", "--model", MODEL, "--out", tmp_path,
                    "--horizon", 2, "--dt-sim", 0.1, "--paths", 20,
                    "--radius", 0, "--seed", 1) == 0
-        rows = (tmp_path / "kappa.csv").read_text().splitlines()[1:3]
+        rows = [ln for ln in (tmp_path / "kappa.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:3]
         assert [float(r.split(",")[0]) for r in rows] == [0.1, 0.2]
         assert float(rows[0].split(",")[1]) == pytest.approx(np.exp(-0.1))
+
+    def test_kappa_csv_carries_provenance(self, tmp_path):
+        assert run("kappa", "--model", MODEL, "--out", tmp_path,
+                   "--horizon", 2, "--dt-sim", 0.1, "--paths", 20,
+                   "--radius", 0, "--seed", 3) == 0
+        digest = json.loads((tmp_path / "kappa.json").read_text())["config_digest"]
+        lines = (tmp_path / "kappa.csv").read_text().splitlines()
+        assert lines[:3] == [f"# config_digest={digest}", "# seed=3",
+                             "t,kappa,p,policy_id"]
 
     def test_closed_form_needs_market(self, tmp_path, capsys):
         assert run("solve", "--model", MODEL, "--out", tmp_path,

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -250,6 +251,12 @@ class TestSerialization:
         m = hk.load_market(DATA + "/merton_market.json")
         assert m.short_rate == 0.02
         assert m.is_constant
+
+    def test_load_market_path_and_open_file(self):
+        path = pathlib.Path(DATA) / "merton_market.json"
+        with open(path) as fh:
+            markets = [hk.load_market(path), hk.load_market(fh)]
+        assert markets == [hk.load_market(str(path))] * 2
 
     def test_load_market_callable_descriptor(self):
         doc = {"short_rate": 0.02, "excess_drift": 0.04, "volatility": 0.2,

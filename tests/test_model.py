@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -348,6 +349,17 @@ class TestLoadModel:
         assert len(m.controls) == 3
         rep = hk.check_assumption1(m, m.domain_box, samples=64, seed=0)
         assert rep.passed
+
+    def test_path_and_open_file(self):
+        path = pathlib.Path(__file__).parent / "data" / "ou_model.json"
+        with open(path) as fh:
+            models = [hk.load_model(path), hk.load_model(fh),
+                      hk.load_model(str(path))]
+        y = np.linspace(-2.0, 2.0, 9)[:, None]
+        for m in models:
+            assert np.array_equal(m.controls, models[-1].controls)
+            assert np.array_equal(m.drift(y, m.controls[1]),
+                                  models[-1].drift(y, m.controls[1]))
 
     def test_unknown_kind_rejected(self):
         doc = {"dim": 1, "controls": [[0.0]],

@@ -604,30 +604,61 @@ class TestFields:
             out = pol(np.array([[np.nan], [np.inf], [-np.inf]]), 1.0)
         assert np.array_equal(out, [[0, 1], [20, 1], [0, 1]])
 
+    @staticmethod
+    def _assert_value_round_trip(vf, path):
+        vf.to_csv(path, ["seed=0"])
+        back = pde.ValueField.read_csv(path)
+        assert back.grid == vf.grid
+        assert np.array_equal(back.values, vf.values)
+        assert np.array_equal(back.time_stamps, vf.time_stamps)
+
     def test_value_csv_round_trip(self, tmp_path):
-        from hjbkit.cli import _read_csv
         m = constant_model()
         g = hk.Grid1D(-1, 1, 21)
         vf, _, _ = hk.solve_finite_horizon(m, g, hk.TimeGrid(0.5, 1000),
                                            slice_stride=250)
-        path = tmp_path / "value.csv"
-        vf.to_csv(path, ["seed=0"])
-        grid, stamps, table = _read_csv(path)
-        assert grid == g
-        assert np.array_equal(table[..., 0], vf.values)
-        assert np.array_equal(stamps, vf.time_stamps)
+        assert len(vf.time_stamps) == 5
+        self._assert_value_round_trip(vf, tmp_path / "value.csv")
+
+    def test_stationary_value_csv_round_trip(self, tmp_path):
+        vf, _, _ = hk.solve_stationary(ou_model(), hk.Grid1D(-3, 3, 61), 1e-8)
+        self._assert_value_round_trip(vf, tmp_path / "value.csv")
 
     def test_policy_csv_round_trip(self, tmp_path):
-        from hjbkit.cli import _read_csv
         m = ou_model()
         g = hk.Grid1D(-3, 3, 61)
         _, pf, _ = hk.solve_infinite_horizon(m, g, 2.5e-3, 1e-5, 100.0)
+        # a second control column of distinct, full-precision values
+        second = np.broadcast_to(np.sin(g.ys) / 3.0, pf.controls.shape[:2])
+        pf = pde.PolicyField(g, np.stack([pf.controls[..., 0], second], -1),
+                             pf.time_stamps)
         path = tmp_path / "policy.csv"
         pf.to_csv(path)
-        grid, stamps, table = _read_csv(path)
-        assert grid == g
-        assert np.array_equal(table, pf.controls)
-        assert np.array_equal(stamps, pf.time_stamps)
+        back = pde.PolicyField.read_csv(path)
+        assert back.grid == g
+        assert np.array_equal(back.controls, pf.controls)
+        assert np.array_equal(back.time_stamps, pf.time_stamps)
+
+    def test_each_field_reads_only_its_own_header(self, tmp_path):
+        g = hk.Grid1D(-1, 1, 5)
+        pde.ValueField(g, np.ones((2, 5)), [0.0, 1.0]).to_csv(
+            tmp_path / "value.csv")
+        pde.PolicyField(g, np.zeros((2, 5, 2)), [0.0, 1.0]).to_csv(
+            tmp_path / "policy.csv")
+        for cls, name in [(pde.ValueField, "policy.csv"),
+                          (pde.PolicyField, "value.csv")]:
+            with pytest.raises(ParameterError, match="header") as exc:
+                cls.read_csv(tmp_path / name)
+            assert str(tmp_path / name) in str(exc.value)
+        # a duplicated row in place of another keeps the row count
+        lines = (tmp_path / "value.csv").read_text().splitlines()
+        lines[-1] = lines[-2]
+        (tmp_path / "dup.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match="fill"):
+            pde.ValueField.read_csv(tmp_path / "dup.csv")
+        (tmp_path / "bare.csv").write_text("y,t\n0.0,0.0\n")
+        with pytest.raises(ParameterError, match="header"):
+            pde.PolicyField.read_csv(tmp_path / "bare.csv")
 
 
 class TestGradientBound:

@@ -353,6 +353,16 @@ class TestRecordTimes:
         assert rep.results[0].mean == pytest.approx(0.1)
         assert rep.tail_bound == tab.integral(0.1, 0.5) != tab.integral(0.15, 0.5)
 
+    @pytest.mark.parametrize("horizons", [[0.1, 0.12, 0.3],
+                                          [0.1, 0.1 + 1e-10, 0.3]])
+    def test_horizons_on_one_step_rejected(self, horizons):
+        # both first horizons are read at Euler step 1 of 0.1: their
+        # difference would be 0 by construction, not a sign of convergence
+        m = constant_model(f=1.0, h=0.0)
+        mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=0)
+        with pytest.raises(ParameterError, match="Euler step 1 of 0.1"):
+            hk.horizon_convergence(m, zero_policy(), [0.5], horizons, mc)
+
     def test_bound_rows_at_the_simulated_step(self):
         m = ou_model()
         spec = hk.UniformDiscountBound(w=1.0, L1=1.0, L2=-1.0)
