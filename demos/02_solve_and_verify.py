@@ -57,21 +57,14 @@ def main():
           {float(y): float(p) for y, p in zip(grid.ys[::10],
                                               p_pi.controls[0, ::10, 0])})
 
-    # Monte Carlo check through the discounted-reward representation,
-    # reward-only functional to match the stationary value
-    horizon = float(v_pi.time_stamps[0])
-    reward_only = hk.ControlModel(
-        dim=1, drift=model.drift, discount_rate=model.discount_rate,
-        running_reward=model.running_reward,
-        terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]),
-        controls=model.controls, lip_L1=model.lip_L1, lip_L2=model.lip_L2)
+    # Monte Carlo check through the discounted-reward representation under
+    # the field's own feedback policy, up to its stamped horizon
     mc = hk.MonteCarloConfig(paths=4000, dt=1e-2, seed=0)
-    ests = hk.estimate_value(reward_only, p_pi.as_policy(),
-                             [[y] for y in probes], 0.0, horizon, mc)
-    print(f"Monte Carlo to the stamped horizon {horizon:.1f}:")
-    for y, node, est in zip(probes, nodes, ests):
-        print(f"  y={y:+.1f}: pde={v_pi.values[0][node]:.5f} "
-              f"mc={est.mean:.5f} +- {est.std_error:.1e}")
+    check = hk.verify_field(model, v_pi, p_pi, mc, 5e-3, probes)
+    print(f"Monte Carlo to the stamped horizon {v_pi.time_stamps[-1]:.1f}:")
+    for row in check.rows:
+        print(f"  y={row['y']:+.1f}: pde={row['pde']:.5f} "
+              f"mc={row['mc']:.5f} +- {row['std_error']:.1e}")
 
 
 if __name__ == "__main__":

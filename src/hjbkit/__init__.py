@@ -63,6 +63,7 @@ from .simulate import (
     horizon_convergence,
     simulate_paths,
     verify_bounds,
+    verify_field,
 )
 
 __version__ = "0.1.0"

@@ -188,29 +188,13 @@ def cmd_verify(args, digest):
         if not args.policy:
             raise ParameterError("--policy is required with --field")
         fld = pde.ValueField.read_csv(args.field)
-        policy = pde.PolicyField.read_csv(args.policy).as_policy()
-        horizon = float(fld.time_stamps[-1]) if args.horizon is None \
-            else args.horizon
-        finite = len(fld.time_stamps) > 1
-        probes = _probes(args.probes, fld.grid) if args.probes \
-            else list(fld.grid.ys[fld.grid.nodes // 4::max(1, fld.grid.nodes // 4)])
-        rows = []
-        cmp_model = mdl if finite else dataclasses.replace(
-            mdl, terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]))
-        nodes = [int(np.argmin(np.abs(fld.grid.ys - y))) for y in probes]
-        ests = simulate.estimate_value(cmp_model, policy,
-                                       fld.grid.ys[nodes][:, None], 0.0,
-                                       horizon, mc)
-        for node, est in zip(nodes, ests):
-            u_pde = float(fld.layer(0.0 if finite else None)[node])
-            gap = abs(u_pde - est.mean)
-            ok = gap <= 3.0 * est.std_error + args.tol
-            rows.append({"y": float(fld.grid.ys[node]), "pde": u_pde,
-                         "mc": est.mean, "std_error": est.std_error,
-                         "gap": gap, "met": bool(ok)})
-            if not ok:
-                status = 1
-        results["field_probes"] = rows
+        report = simulate.verify_field(
+            mdl, fld, pde.PolicyField.read_csv(args.policy), mc, args.tol,
+            _probes(args.probes, fld.grid) if args.probes else None,
+            args.horizon)
+        results["field_probes"] = report.rows
+        if not report.met:
+            status = 1
 
     if not results:
         raise ParameterError("nothing to verify: pass --field and/or --bounds")

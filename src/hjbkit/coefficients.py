@@ -16,13 +16,16 @@ pairs as rows, so a callable gets ``(rows, N)`` states and ``(rows, k)``
 controls and returns one value per row (the drift one ``N``-vector).  A
 row's value must not depend on the other rows, so the builders contract
 with ``np.add.reduce`` (what ``np.sum`` calls) over the last axis, not
-``@``, whose rounding changes with the batch shape.
+``@``, whose rounding changes with the batch shape.  ``_each_row`` is the
+package's one rule that spreads an output to one value per row.
 """
 
 import json
 import os
 
 import numpy as np
+
+from .errors import ParameterError
 
 __all__ = ["build_scalar", "build_terminal", "build_drift"]
 
@@ -37,6 +40,12 @@ def _read_json(source):
         with open(source) as fh:
             return json.load(fh)
     return dict(source)
+
+
+def _each_row(out, shape):
+    """``out`` as a float array of ``shape``; one that broadcasts is copied."""
+    out = np.asarray(out, float)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def _dot(a, b):
@@ -70,15 +79,6 @@ def build_scalar(desc, dim):
             return out
 
         return coeff
-    if kind == "linear_abs":
-        const = float(desc.get("const", 0.0))
-        abs_coeff = float(desc.get("abs_coeff", 1.0))
-
-        def coeff(y, delta):
-            y = np.asarray(y, float)
-            return const + abs_coeff * np.linalg.norm(y, axis=-1)
-
-        return coeff
     if kind == "power_delta":
         # coeff * delta[index]^exponent, e.g. the c^gamma running reward
         coeff_v = float(desc.get("coeff", 1.0))
@@ -86,16 +86,13 @@ def build_scalar(desc, dim):
         exponent = float(desc["exponent"])
 
         def coeff(y, delta):
-            y = np.asarray(y, float)
             delta = np.asarray(delta, float)
-            out = coeff_v * delta[..., index] ** exponent
-            return np.broadcast_to(out, y.shape[:-1]).copy() \
-                if np.shape(out) != y.shape[:-1] else out
+            return _each_row(coeff_v * delta[..., index] ** exponent, np.shape(y)[:-1])
 
         return coeff
     if kind == "tabulated":
         if dim != 1:
-            raise ValueError("tabulated coefficients support dim=1 only")
+            raise ParameterError(f"tabulated coefficients need dim=1, not {dim}")
         y_grid = np.asarray(desc["y_grid"], float)
         values = np.asarray(desc["values"], float)  # (n_controls, n_y)
 
@@ -113,7 +110,7 @@ def build_scalar(desc, dim):
             return out
 
         return coeff
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    raise ParameterError(f"unknown coefficient kind {kind!r}")
 
 
 def build_terminal(desc, dim):
@@ -141,7 +138,7 @@ def build_drift(desc, dim):
             out = const + _dot(y[..., None, :], y_matrix)
             if d_matrix is not None:
                 out = out + _dot(np.asarray(delta, float)[..., None, :], d_matrix)
-            return np.broadcast_to(out, y.shape).copy() if out.shape != y.shape else out
+            return _each_row(out, y.shape)
 
         return drift
     if kind == "components":
@@ -152,4 +149,4 @@ def build_drift(desc, dim):
             return np.stack([p(y, delta) for p in parts], axis=-1)
 
         return drift
-    raise ValueError(f"unknown drift kind {kind!r}")
+    raise ParameterError(f"unknown drift kind {kind!r}")

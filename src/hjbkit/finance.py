@@ -13,8 +13,8 @@ the reduced problem is exactly an instance of the general framework:
 with the control pair ``(pi, c)`` constrained to ``[-R, R] x [0, m]``.
 
 A market coefficient, constant or a callable of the factor, is read by
-``_coefficient`` alone: a constant is one float in the reduced coefficients
-and closed-form controls, spread per row only by the ``MarketModel`` accessors.
+``_coefficient`` alone: a constant stays one float until a result needs
+one value per row (``coefficients._each_row``).
 """
 
 import warnings
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients
+from .coefficients import _each_row
 from .errors import ParameterError
 from .model import ControlModel, check_assumption1
 from .reports import Report
@@ -56,12 +57,6 @@ def _coefficient(value):
     return coefficient
 
 
-def _rows(out, y):
-    """``out``, one value per row of the states ``y``: a float is spread."""
-    shape = np.shape(y)[:-1]
-    return out if np.shape(out) == shape else np.broadcast_to(out, shape)
-
-
 @dataclass(frozen=True)
 class MarketModel:
     """Market primitives driving the consumption-investment problem."""
@@ -88,18 +83,6 @@ class MarketModel:
         if not (self.position_cap > 0 and self.consumption_cap > 0):
             raise ParameterError("position and consumption caps must be positive")
 
-    def r(self, y):
-        return _rows(_coefficient(self.short_rate)(y), y)
-
-    def b(self, y):
-        return _rows(_coefficient(self.excess_drift)(y), y)
-
-    def sigma(self, y):
-        return _rows(_coefficient(self.volatility)(y), y)
-
-    def i(self, y):
-        return _rows(_coefficient(self.factor_drift)(y), y)
-
     @property
     def is_constant(self):
         return not any(callable(c) for c in
@@ -112,32 +95,25 @@ def _reduced_coefficients(market):
         market.factor_drift, market.short_rate, market.excess_drift,
         market.volatility))
 
+    # y is only passed on or measured: _coefficient converts what it reads
     def drift(y, delta):
-        y = np.asarray(y, float)
-        delta = np.asarray(delta, float)
-        pi = delta[..., 0]
-        return _rows(i(y) + rho * pi * sigma(y), y)[..., None]
+        pi = np.asarray(delta, float)[..., 0]
+        return _each_row(i(y) + rho * pi * sigma(y), np.shape(y)[:-1])[..., None]
 
     def discount_rate(y, delta):
-        y = np.asarray(y, float)
         delta = np.asarray(delta, float)
         pi, c = delta[..., 0], delta[..., 1]
         s = sigma(y)
         # s * s, not s ** 2: a float's power goes through C pow(), the
         # array square is one product, and both must round alike
-        return _rows(gamma * (r(y) + b(y) * pi
-                              - 0.5 * (1.0 - gamma) * (s * s) * pi ** 2 - c) - w, y)
+        return _each_row(gamma * (r(y) + b(y) * pi - 0.5 * (1.0 - gamma)
+                                  * (s * s) * pi ** 2 - c) - w, np.shape(y)[:-1])
 
     def running_reward(y, delta):
-        y = np.asarray(y, float)
-        c = np.asarray(delta, float)[..., 1]
-        out = c ** gamma
-        return np.broadcast_to(out, y.shape[:-1]).copy() \
-            if np.shape(out) != y.shape[:-1] else out
+        return _each_row(np.asarray(delta, float)[..., 1] ** gamma, np.shape(y)[:-1])
 
     def terminal_reward(y):
-        y = np.asarray(y, float)
-        return np.ones(y.shape[:-1])
+        return np.ones(np.shape(y)[:-1])
 
     return drift, discount_rate, running_reward, terminal_reward
 
@@ -211,7 +187,7 @@ def closed_form_controls(y, u, u_y, market):
     pi, c = _maximizers(market, y, u_arr, u_y)
     if np.ndim(u) == 0:
         return float(np.ravel(pi)[0]), float(np.ravel(c)[0])
-    return pi, np.broadcast_to(c, np.shape(pi)).copy()
+    return pi, _each_row(c, np.shape(pi))
 
 
 def control_override(market):
@@ -281,18 +257,16 @@ class DiscountReport(Report):
     precondition_witnesses: list
 
 
-def _psi_max(market, y, xi):
-    """Concave quadratic in pi maximized in closed form with the cap clip."""
-    gamma, w = market.risk_aversion, market.discount
-    ycol = np.asarray(y, float)[:, None]
-    s = market.sigma(ycol)
-    b = market.b(ycol)
-    Q_coeff = xi  # the (gamma Q rho / alpha)(1 - e^{alpha(s-t)}) factor endpoint
-    lin = (Q_coeff + gamma * b) * s
+def _psi_max(market, ycol, xi):
+    """Max over the capped pi of ``(xi sigma + gamma b) pi - (gamma -
+    gamma^2) sigma^2 pi^2 / 2``, the discount exponent's portfolio terms."""
+    gamma = market.risk_aversion
+    s = _coefficient(market.volatility)(ycol)
+    lin = xi * s + gamma * _coefficient(market.excess_drift)(ycol)
     quad = 0.5 * (gamma - gamma ** 2) * s ** 2
     vertex = np.where(quad > 0, lin / (2.0 * quad), 0.0)
     pi = np.clip(vertex, -market.position_cap, market.position_cap)
-    return lin * pi - quad * pi ** 2 - w
+    return lin * pi - quad * pi ** 2
 
 
 def discount_admissible(market, alpha, beta, P, Q, box=(-5.0, 5.0),
@@ -313,24 +287,24 @@ def discount_admissible(market, alpha, beta, P, Q, box=(-5.0, 5.0),
     ys = np.sort(np.concatenate([
         rng.uniform(box[0], box[1], samples), np.asarray(box, float)]))
     ycol = ys[:, None]
+    i, r = (_each_row(_coefficient(c)(ycol), ys.shape)
+            for c in (market.factor_drift, market.short_rate))
     witnesses = []
     for condition, value, bound in (
-            ("factor_drift", market.i(ycol), -alpha * ys + beta),
-            ("short_rate", gamma * market.r(ycol) - w, -P + Q * ys)):
+            ("factor_drift", i, -alpha * ys + beta),
+            ("short_rate", gamma * r - w, -P + Q * ys)):
         for j in np.nonzero(value > bound + 1e-12)[0][:5]:
             witnesses.append({"condition": condition, "y": float(ys[j]),
                               "value": float(value[j]),
                               "bound": float(bound[j])})
 
-    linear_rate = gamma * Q * beta / alpha - gamma * P
-    prefactor = gamma * Q / alpha
+    # h <= -P + Q y + psi, and the drift bound caps int Q Y ds
+    linear_rate = -P + Q * beta / alpha
+    prefactor = Q / alpha
     # the time-kernel factor (1 - e^{alpha(s-t)}) ranges over [0, 1)
-    xi_hi = gamma * Q * market.correlation / alpha
-    psi_sup = max(
-        float(np.max(_psi_max(market, ys, 0.0))),
-        float(np.max(_psi_max(market, ys, xi_hi))),
-    )
-    martingale = 0.5 * (gamma * Q / alpha) ** 2
+    xi_hi = Q * market.correlation / alpha
+    psi_sup = max(float(np.max(_psi_max(market, ycol, xi))) for xi in (0.0, xi_hi))
+    martingale = 0.5 * (Q / alpha) ** 2
     total = linear_rate + psi_sup + martingale
     return DiscountReport(
         admissible=bool(total < 0 and not witnesses),

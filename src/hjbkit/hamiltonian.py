@@ -4,8 +4,8 @@
 
 ``control_tables`` tabulates a control family, one call per coefficient.
 ``maximize`` is the one operator behind the grid marches, the residual
-audit, ``scan`` and ``eval_H``; each caller contracts the drift with its
-own gradient.  The maximum is an exact scan over the finite control list;
+audit and ``eval_H``; each caller contracts the drift with its own
+gradient.  The maximum is an exact scan over the finite control list;
 ties go to the lowest control index so policies are bit-reproducible.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["HamiltonianValue", "eval_H", "scan", "control_tables", "maximize"]
+__all__ = ["HamiltonianValue", "eval_H", "control_tables", "maximize"]
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,3 @@ def eval_H(model, y, u, p):
         argmax_index=int(j),
         runner_up_gap=gap,
     )
-
-
-def scan(model, y_batch, u_batch, p_batch):
-    """Control scan over a batch of (y, u, p): ``(values, argmax_indices)``."""
-    i, h, f = control_tables(model, np.asarray(y_batch, float))
-    drift_term = np.sum(i * np.asarray(p_batch, float), axis=-1)
-    return maximize(drift_term, h, f, np.asarray(u_batch, float))

@@ -84,12 +84,11 @@ class ControlModel:
         fn = getattr(self, name)
         out = np.asarray(fn(y) if delta is None else fn(y, delta), float)
         shape = y.shape if name == "drift" else y.shape[:-1]
-        if out.shape != shape:
-            try:
-                out = np.broadcast_to(out, shape).copy()
-            except ValueError:
-                raise ParameterError(f"coefficient {name!r} returned shape "
-                                     f"{out.shape} for {shape} rows") from None
+        try:
+            out = coefficients._each_row(out, shape)
+        except ValueError:
+            raise ParameterError(f"coefficient {name!r} returned shape "
+                                 f"{out.shape} for {shape} rows") from None
         if not np.isfinite(out).all():
             row = tuple(np.argwhere(~np.isfinite(out))[0][:y.ndim - 1])
             if np.ndim(delta) > 1:

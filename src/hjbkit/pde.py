@@ -286,7 +286,7 @@ def _scanner(model, grid, override, admissible):
     if override is None:
         tables = admissible(_tabulate(model, grid.ys))
 
-    def scan(u):
+    def rhs_at(u):
         if override is None:
             H, idx = _upwind_max(u, dy, *tables)
             pol, used = model.controls[idx], tables
@@ -296,7 +296,7 @@ def _scanner(model, grid, override, admissible):
             H, idx = _upwind_max(u, dy, *used)
         return 0.5 * _second_difference(u, dy, grid.boundary) + H, pol, idx, used
 
-    return scan
+    return rhs_at
 
 
 def _march(model, grid, u, dt, span, override):
@@ -321,9 +321,9 @@ def _march(model, grid, u, dt, span, override):
         cfl = max(cfl, dt / dt_max)
         return tables
 
-    scan = _scanner(model, grid, override, checked)
+    rhs_at = _scanner(model, grid, override, checked)
     for n in itertools.count():
-        rhs, pol, _, _ = scan(u)
+        rhs, pol, _, _ = rhs_at(u)
         nxt = u + dt * rhs
         if grid.boundary == "linear_extrapolation":
             nxt[0] = 2.0 * nxt[1] - nxt[2]
@@ -519,15 +519,15 @@ def solve_stationary(model, grid, tol, control_override=None):
         return tables
 
     t0 = _time.perf_counter()
-    scan = _scanner(model, grid, control_override, discounting)
-    _, pol, idx, tables = scan(np.zeros(grid.nodes))
+    rhs_at = _scanner(model, grid, control_override, discounting)
+    _, pol, idx, tables = rhs_at(np.zeros(grid.nodes))
     for it in range(1, _MAX_POLICY_ITERATIONS + 1):
         i, _, h, f = (t[idx, nodes] for t in tables)
         u, stable = _solve_policy(grid, i, h, f)
         if not np.isfinite(u).all():
             raise PolicyIterationError(
                 f"policy iteration {it}: the linear solve is not finite")
-        rhs, pol, idx, tables = scan(u)
+        rhs, pol, idx, tables = rhs_at(u)
         dvdt = float(np.abs(rhs[rows]).max())
         if dvdt < tol:
             break
@@ -541,7 +541,7 @@ def solve_stationary(model, grid, tol, control_override=None):
             "from: the edge rows admit another one")
 
     _, _, h, f = (t[idx, nodes] for t in tables)
-    del scan, tables  # release the grid tables: residual builds its own
+    del rhs_at, tables  # release the grid tables: residual builds its own
     rate = -float(h.max())
     horizon = np.log(max(float(np.abs(f).max()) / (rate * tol), np.e)) / rate
     return (ValueField(grid, u, horizon), PolicyField(grid, pol, horizon),

@@ -16,10 +16,10 @@ exact in the noise term.  Both integrals are accumulated by left-endpoint
 quadrature, keeping the discount multiplicative per step.
 
 Every Monte Carlo estimate takes its records from ``simulate_paths`` and
-reduces them here, in ``_reduce``: value estimates, horizon studies, and
-``discounted_estimates`` for the bound checks and ``model.estimate_kappa``,
-which evaluates its rewards on the records and so simulates without the
-reward integral.
+reduces them here, in ``_reduce``: value estimates (``verify_field`` checks
+a solved field by them), horizon studies, and ``discounted_estimates`` for
+the bound checks and ``model.estimate_kappa``, which evaluates its rewards
+on the records and so simulates without the reward integral.
 It applies the 0.1% exclusion budget per (policy, start), pairs antithetic
 paths, and averages only along a C-contiguous last path axis, where an
 axis mean equals each row's 1-D mean bit for bit.
@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coefficients import _each_row
 from .errors import ParameterError, PathExclusionError, RecordTimeError
 from .reports import Report
 
@@ -54,6 +55,7 @@ __all__ = [
     "coupled_contraction",
     "horizon_convergence",
     "verify_bounds",
+    "verify_field",
     "DriftDiscountBound",
     "UniformDiscountBound",
     "DiffusionDiscountBound",
@@ -317,7 +319,7 @@ def _per_row(fn, y, *controls):
     """``fn`` on the ``(..., N)`` states of ``y`` as rows: one value each."""
     rows = y.reshape(-1, y.shape[-1])
     out = fn(rows, *(d.reshape(len(rows), -1) for d in controls))
-    return np.broadcast_to(np.asarray(out, float), len(rows)).reshape(y.shape[:-1])
+    return _each_row(out, rows.shape[:1]).reshape(y.shape[:-1])
 
 
 def estimate_value(model, policy, starts, t, T, mc):
@@ -600,3 +602,39 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     return BoundVerification(met=bool(all(r["met"] for r in rows)),
                              worst_margin=float(min(r["margin"] for r in rows)),
                              rows=rows)
+
+
+@dataclass(frozen=True)
+class FieldVerification(Report):
+    met: bool
+    rows: list
+
+
+def verify_field(model, field, policy_field, mc, tol, probes=None,
+                 horizon=None):
+    """PDE–Monte Carlo check of one solve's value and policy fields.
+
+    Fields whose grids or time stamps differ raise ``ParameterError``.
+    Probes (every quarter of the grid by default) start at their nearest
+    nodes, up to ``horizon`` (the last stamp by default); a one-stamp
+    (stationary) field drops the terminal reward.  A row is met when
+    ``gap <= 3·std_error + tol``.
+    """
+    grid, stamps = field.grid, field.time_stamps
+    if grid != policy_field.grid or not np.array_equal(
+            stamps, policy_field.time_stamps):
+        raise ParameterError("value and policy fields differ in grid or stamps")
+    if len(stamps) == 1:
+        model = replace(model, terminal_reward=lambda y: np.zeros(np.shape(y)[:-1]))
+    if probes is None:
+        probes = grid.ys[grid.nodes // 4::max(1, grid.nodes // 4)]
+    nodes = [int(np.argmin(np.abs(grid.ys - y))) for y in probes]
+    ests = estimate_value(model, policy_field.as_policy(), grid.ys[nodes][:, None],
+                          0.0, float(stamps[-1]) if horizon is None else horizon, mc)
+    rows = []
+    for y, u, est in zip(grid.ys[nodes], field.layer(0.0)[nodes], ests):
+        gap = abs(float(u) - est.mean)
+        rows.append({"y": float(y), "pde": float(u), "mc": est.mean,
+                     "std_error": est.std_error, "gap": gap,
+                     "met": bool(gap <= 3.0 * est.std_error + tol)})
+    return FieldVerification(met=all(r["met"] for r in rows), rows=rows)

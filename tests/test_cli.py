@@ -24,6 +24,25 @@ class TestCheck:
         assert rep["seed"] == 1
         assert "config_digest" in rep
 
+    @pytest.mark.parametrize("key, desc, dim", [
+        ("discount_rate", {"kind": "linear_ab"}, 1),
+        ("running_reward", {"kind": "linear_abs"}, 1),
+        ("drift", {"kind": "linear_ab"}, 1),
+        ("discount_rate", {"kind": "tabulated", "y_grid": [0.0, 1.0],
+                           "values": [[0.0, 1.0]]}, 2),
+    ], ids=["scalar_typo", "deleted_linear_abs", "drift_typo",
+            "tabulated_dim_2"])
+    def test_unknown_coefficient_kind_is_usage_error(self, tmp_path, capsys,
+                                                     key, desc, dim):
+        doc = json.loads(open(MODEL).read())
+        if dim != 1:
+            doc.update(dim=dim, drift={"kind": "affine"}, domain_box=None)
+        doc[key] = desc
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        assert run("check", "--model", bad, "--out", tmp_path / "out") == 2
+        assert desc["kind"] in capsys.readouterr().err
+
     def test_violating_model(self, tmp_path):
         doc = json.loads(open(MODEL).read())
         doc["L2"] = -2.0  # claims a stronger contraction than the drift has
@@ -153,6 +172,24 @@ class TestVerify:
                           .read_text())["field_probes"]
         expected = [float(v) for v in probes[-1].split("=")[-1].split(",")]
         assert [row["y"] for row in rows] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("grid", [("-1", "1", "11"), ("-3", "3", "31")],
+                             ids=["other_grid", "other_stamps"])
+    def test_field_and_policy_of_two_solves_is_usage_error(
+            self, tmp_path, capsys, solved, grid):
+        # a finite-horizon policy against the stationary field on [-3, 3]
+        lo, hi, nodes = grid
+        finite = tmp_path / "finite"
+        assert run("solve", "--model", MODEL, "--out", finite, "--nodes",
+                   nodes, f"--grid-min={lo}", "--grid-max", hi,
+                   "--horizon", 0.5, "--steps", 100) == 0
+        code = run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--field", solved / "value.csv",
+                   "--policy", finite / "policy.csv", "--probes", "0,1",
+                   "--paths", 200, "--dt-sim", 1e-2)
+        assert code == 2
+        assert "grid or stamps" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
 
     def test_swapped_field_and_policy_is_usage_error(self, tmp_path, capsys,
                                                      solved):

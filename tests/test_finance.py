@@ -8,6 +8,7 @@ from scipy import optimize
 
 import hjbkit as hk
 from hjbkit.errors import ParameterError
+from hjbkit.finance import _reduced_coefficients
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
@@ -75,7 +76,9 @@ class TestMarketValidation:
             consumption_cap=1.0,
             factor_drift=lambda y: -y[..., 0], lip_L1=0.05, lip_L2=-1.0)
         assert not m.is_constant
-        assert m.r(np.array([[0.0]])) == pytest.approx([0.02])
+        # the reduced discount rate reads r(0) = 0.02: gamma r - w = -0.09
+        h = _reduced_coefficients(m)[1]
+        assert h(np.array([[0.0]]), np.array([[0.0, 0.0]])) == pytest.approx([-0.09])
 
 
 class TestReduction:
@@ -229,6 +232,27 @@ class TestDiscountAdmissible:
         assert any(w["condition"] == "short_rate"
                    for w in rep.precondition_witnesses)
 
+    @pytest.mark.parametrize("r, b, sigma, gamma, w", [
+        (0.02, 0.04, 0.2, 0.5, 0.1),     # demo 04's market, A = -0.07
+        (0.02, 0.04, 0.2, 0.5, 0.025),   # A = +0.005: not admissible
+        (0.01, 0.03, 0.25, 0.4, 0.05),   # interior portfolio, A < 0
+        (0.01, 0.03, 0.25, 0.4, 0.005),  # interior portfolio, A > 0
+    ])
+    def test_constant_market_rate_is_merton_growth_rate(self, r, b, sigma,
+                                                        gamma, w):
+        # with Q = 0 and P = w - gamma r the screened exponent is the
+        # reduced model's largest discount rate, Merton's A
+        m = hk.MarketModel(short_rate=r, excess_drift=b, volatility=sigma,
+                           correlation=0.5, risk_aversion=gamma, discount=w,
+                           position_cap=2.0, consumption_cap=1.0,
+                           factor_drift=0.0)
+        A = gamma * r - w + gamma * b ** 2 / (2 * (1 - gamma) * sigma ** 2)
+        rep = hk.discount_admissible(m, alpha=0.1, beta=0.5,
+                                     P=w - gamma * r, Q=0.0)
+        assert rep.total_rate == pytest.approx(A, abs=1e-12)
+        assert rep.admissible == (A < 0)
+        assert rep.precondition_witnesses == []
+
     def test_alpha_validated(self):
         with pytest.raises(ParameterError):
             hk.discount_admissible(self._mean_reverting(), alpha=0.0,
@@ -265,7 +289,9 @@ class TestSerialization:
                "factor_drift": {"kind": "affine", "y_coeff": [-1.0]},
                "L1": 0.01, "L2": -1.0}
         m = hk.load_market(doc)
-        assert m.i(np.array([[2.0]])) == pytest.approx([-2.0])
+        drift = _reduced_coefficients(m)[0]  # i(y) at pi = 0
+        assert drift(np.array([[2.0]]), np.array([[0.0, 0.0]])) == pytest.approx(
+            np.array([[-2.0]]))
 
     def test_reduced_descriptor_round_trip(self, merton_market):
         from hjbkit.finance import reduced_model_descriptor

@@ -943,3 +943,74 @@ class TestOneCallPerStep:
         simulate_paths(spied, hk.constant_policies(m)[:n_policies],
                        [[0.0], [1.0]], 0.7, mc)
         assert calls == dict.fromkeys(calls, 7)
+
+
+def inline_field_rows(model, fld, pf, mc, tol, probes=None, horizon=None):
+    """Reference: the field check as the CLI computed it inline before
+    ``verify_field`` existed, kept here as its oracle."""
+    policy = pf.as_policy()
+    horizon = float(fld.time_stamps[-1]) if horizon is None else horizon
+    finite = len(fld.time_stamps) > 1
+    probes = probes if probes else \
+        list(fld.grid.ys[fld.grid.nodes // 4::max(1, fld.grid.nodes // 4)])
+    cmp_model = model if finite else dataclasses.replace(
+        model, terminal_reward=lambda y: np.zeros(np.asarray(y).shape[:-1]))
+    nodes = [int(np.argmin(np.abs(fld.grid.ys - y))) for y in probes]
+    ests = hk.estimate_value(cmp_model, policy, fld.grid.ys[nodes][:, None],
+                             0.0, horizon, mc)
+    rows = []
+    for node, est in zip(nodes, ests):
+        u_pde = float(fld.layer(0.0 if finite else None)[node])
+        gap = abs(u_pde - est.mean)
+        rows.append({"y": float(fld.grid.ys[node]), "pde": u_pde,
+                     "mc": est.mean, "std_error": est.std_error, "gap": gap,
+                     "met": bool(gap <= 3.0 * est.std_error + tol)})
+    return rows
+
+
+class TestVerifyField:
+    GRID = hk.Grid1D(-2.0, 2.0, 21)
+    MC = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=3)
+
+    @staticmethod
+    def _model():
+        # y-dependent reward and a terminal reward a stationary check drops
+        return dataclasses.replace(
+            ou_model(reward="bounded"),
+            terminal_reward=lambda y: 1.0 + 0.5 * np.asarray(y)[..., 0] ** 2)
+
+    def test_finite_field_rows_match_inline_check(self):
+        m = self._model()
+        vf, pf, _ = hk.solve_finite_horizon(m, self.GRID, hk.TimeGrid(0.5, 100),
+                                            slice_stride=25)
+        rep = hk.verify_field(m, vf, pf, self.MC, 5e-3)
+        assert rep.rows == inline_field_rows(m, vf, pf, self.MC, 5e-3)
+        assert [r["y"] for r in rep.rows] == self.GRID.ys[5::5].tolist()
+        assert rep.met == all(r["met"] for r in rep.rows)
+
+    def test_stationary_field_rows_match_inline_check(self):
+        m = self._model()
+        vf, pf, _ = hk.solve_stationary(m, self.GRID, 1e-8)
+        probes = [-1.05, 0.3, 2.0]
+        rep = hk.verify_field(m, vf, pf, self.MC, 0.0, probes, horizon=3.0)
+        assert rep.rows == inline_field_rows(m, vf, pf, self.MC, 0.0, probes,
+                                             horizon=3.0)
+        assert rep.as_dict()["rows"] == rep.rows
+
+    @pytest.mark.parametrize("other", [hk.Grid1D(-2.0, 2.0, 41),
+                                       hk.Grid1D(-1.0, 1.0, 21)],
+                             ids=["finer", "narrower"])
+    def test_fields_of_two_grids_are_rejected(self, other):
+        m = ou_model()
+        vf, _, _ = hk.solve_stationary(m, self.GRID, 1e-8)
+        _, pf, _ = hk.solve_stationary(m, other, 1e-8)
+        with pytest.raises(ParameterError, match="grid or stamps"):
+            hk.verify_field(m, vf, pf, self.MC, 5e-3)
+
+    def test_fields_of_two_horizons_are_rejected(self):
+        m = ou_model()
+        vf, _, _ = hk.solve_finite_horizon(m, self.GRID, hk.TimeGrid(0.5, 100),
+                                           slice_stride=25)
+        _, pf, _ = hk.solve_stationary(m, self.GRID, 1e-8)
+        with pytest.raises(ParameterError, match="grid or stamps"):
+            hk.verify_field(m, vf, pf, self.MC, 5e-3)
