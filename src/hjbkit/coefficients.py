@@ -18,6 +18,14 @@ row's value must not depend on the other rows, so the builders contract
 with ``np.add.reduce`` (what ``np.sum`` calls) over the last axis, not
 ``@``, whose rounding changes with the batch shape.  ``_each_row`` is the
 package's one rule that spreads an output to one value per row.
+
+The controls can arrive as a non-C-contiguous ``(rows, k)`` view: the
+Monte Carlo step keeps each control column contiguous.  ``_dot`` forms its
+product C-contiguous before reducing, so a contraction does not depend on
+the layout of its operands.  A one-column contraction skips the reduce,
+whose only effect there is to add ``0.0`` (turning ``-0.0`` into
+``+0.0``): every affine sum starts from ``const + 0.0``, which is never
+``-0.0``, and a sum that is never ``-0.0`` is unchanged by that sign.
 """
 
 import json
@@ -49,11 +57,38 @@ def _each_row(out, shape):
 
 
 def _dot(a, b):
-    return np.add.reduce(np.asarray(a, float) * np.asarray(b, float), axis=-1)
+    """``np.add.reduce(a * b, axis=-1)`` of a C-contiguous product, but a
+    one-column product as it is, without the reduce's ``+ 0.0``."""
+    prod = np.multiply(a, b, order="C")
+    return prod[..., 0] if prod.shape[-1] == 1 else np.add.reduce(prod, axis=-1)
 
 
-def build_scalar(desc, dim):
-    """Build a scalar coefficient map c(y, delta) from a descriptor."""
+def _sized(desc, key, shape, default=None):
+    """``desc[key]`` as a float array of ``shape``, where ``-1`` is any
+    size; ``ParameterError`` naming the descriptor when it does not fit."""
+    if key not in desc:
+        return default
+    value = np.asarray(desc[key], float)
+    try:
+        return value.reshape(shape)
+    except ValueError:
+        raise ParameterError(f"{desc['kind']} descriptor: {key} of shape "
+                             f"{value.shape} does not fit {shape}") from None
+
+
+def _state_part(desc, dim):
+    """``y -> const + y_coeff·y`` of an affine descriptor, never ``-0.0``."""
+    const = float(desc.get("const", 0.0)) + 0.0
+    y_coeff = _sized(desc, "y_coeff", (dim,), np.zeros(dim))
+    return lambda y: const + _dot(y_coeff, np.asarray(y, float))
+
+
+def build_scalar(desc, dim, k=None):
+    """Build a scalar coefficient map c(y, delta) from a descriptor.
+
+    With ``k``, the control count, a control coefficient must have ``k``
+    entries; without it any length is taken.
+    """
     kind = desc["kind"]
     if kind == "constant":
         value = float(desc["value"])
@@ -64,16 +99,14 @@ def build_scalar(desc, dim):
 
         return coeff
     if kind in ("affine", "quadratic_delta"):
-        const = float(desc.get("const", 0.0))
-        y_coeff = np.asarray(desc.get("y_coeff", np.zeros(dim)), float)
-        d_lin = np.asarray(desc.get("delta_coeff", 0.0), float)
-        d_quad = np.asarray(desc.get("delta_quad", 0.0), float) if kind == "quadratic_delta" else None
+        state = _state_part(desc, dim)
+        width = (-1 if k is None else k,)
+        d_lin = _sized(desc, "delta_coeff", width, 0.0)
+        d_quad = _sized(desc, "delta_quad", width, 0.0) if kind == "quadratic_delta" else None
 
         def coeff(y, delta):
-            y = np.asarray(y, float)
             delta = np.asarray(delta, float)
-            out = const + _dot(y_coeff, y)
-            out = out + _dot(d_lin, delta)
+            out = state(y) + _dot(d_lin, delta)
             if d_quad is not None:
                 out = out + _dot(d_quad, delta ** 2)
             return out
@@ -114,8 +147,16 @@ def build_scalar(desc, dim):
 
 
 def build_terminal(desc, dim):
-    """Build the terminal reward map g(y) from a descriptor."""
+    """Build the terminal reward map g(y) = c(y, 0) from a descriptor.
+
+    At the control 0, finite control coefficients of an affine descriptor
+    add ``+0.0`` to a state part that is never ``-0.0``: only the state
+    part is evaluated.
+    """
     scalar = build_scalar(desc, dim)
+    if desc["kind"] in ("affine", "quadratic_delta") and all(
+            np.isfinite(desc.get(key, 0.0)).all() for key in ("delta_coeff", "delta_quad")):
+        return _state_part(desc, dim)
     zero = np.zeros(1)
 
     def terminal(y):
@@ -124,14 +165,16 @@ def build_terminal(desc, dim):
     return terminal
 
 
-def build_drift(desc, dim):
-    """Build the drift map i(y, delta) -> R^N from a descriptor."""
+def build_drift(desc, dim, k=None):
+    """Build the drift map i(y, delta) -> R^N from a descriptor.
+
+    With ``k``, the control count, ``delta_matrix`` must be ``(dim, k)``.
+    """
     kind = desc["kind"]
     if kind == "affine":
-        const = np.broadcast_to(np.asarray(desc.get("const", 0.0), float), (dim,))
-        y_matrix = np.asarray(desc.get("y_matrix", np.zeros((dim, dim))), float).reshape(dim, dim)
-        d_raw = desc.get("delta_matrix")
-        d_matrix = None if d_raw is None else np.asarray(d_raw, float).reshape(dim, -1)
+        const = np.broadcast_to(np.asarray(desc.get("const", 0.0), float), (dim,)) + 0.0
+        y_matrix = _sized(desc, "y_matrix", (dim, dim), np.zeros((dim, dim)))
+        d_matrix = _sized(desc, "delta_matrix", (dim, -1 if k is None else k))
 
         def drift(y, delta):
             y = np.asarray(y, float)
@@ -143,7 +186,7 @@ def build_drift(desc, dim):
         return drift
     if kind == "components":
         # one scalar descriptor per state coordinate
-        parts = [build_scalar(d, dim) for d in desc["components"]]
+        parts = [build_scalar(d, dim, k) for d in desc["components"]]
 
         def drift(y, delta):
             return np.stack([p(y, delta) for p in parts], axis=-1)

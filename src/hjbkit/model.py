@@ -424,11 +424,12 @@ def load_model(source):
     doc = coefficients._read_json(source)
     dim = int(doc["dim"])
     controls = np.atleast_2d(np.asarray(doc["controls"], float))
+    k = controls.shape[1]
     return ControlModel(
         dim=dim,
-        drift=coefficients.build_drift(doc["drift"], dim),
-        discount_rate=coefficients.build_scalar(doc["discount_rate"], dim),
-        running_reward=coefficients.build_scalar(doc["running_reward"], dim),
+        drift=coefficients.build_drift(doc["drift"], dim, k),
+        discount_rate=coefficients.build_scalar(doc["discount_rate"], dim, k),
+        running_reward=coefficients.build_scalar(doc["running_reward"], dim, k),
         terminal_reward=coefficients.build_terminal(doc["terminal_reward"], dim),
         controls=controls,
         lip_L1=float(doc["L1"]),

@@ -258,19 +258,24 @@ def _centered_gradient(u, dy):
 
 
 def _tabulate(model, ys, controls=None):
-    """``(i, i >= 0, h, f)`` of each control on the nodes, controls first."""
+    """``(i, upwind, h, f)`` of each control on the nodes, controls first.
+
+    ``upwind`` indexes ``_upwind_max``'s differences: node ``j`` reads the
+    forward one, ``j + 1``, where ``i >= 0``, else the backward one, ``j``.
+    """
     i, h, f = control_tables(model, ys[:, None], controls)
     i = i[..., 0]
-    return i, i >= 0.0, h, f
+    return i, np.arange(len(ys)) + (i >= 0.0), h, f
 
 
 def _upwind_max(u, dy, i, upwind, h, f):
     """Max and first argmax over the controls, drifts upwinded by sign."""
-    # forward differences are d[1:], backward d[:-1]; one-sided at edges
+    # d[j] is the backward difference at node j, d[j + 1] the forward one;
+    # one-sided at the edges
     d = np.empty(len(u) + 1)
     d[1:-1] = (u[1:] - u[:-1]) / dy
     d[0], d[-1] = d[1], d[-2]
-    return maximize(i * np.where(upwind, d[1:], d[:-1]), h, f, u)
+    return maximize(i * d.take(upwind), h, f, u)
 
 
 def _scanner(model, grid, override, admissible):

@@ -162,6 +162,11 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     m, N)`` view, so the noise is never copied per pair.  The increments
     are scaled by ``√dt`` once per chunk, after the antithetic negation.
     ``y`` is written last, as a callable's output may be a view of it.
+
+    The states are row-major, ``(P·S·m, N)``; the controls are held
+    control-major, ``(k, P, S·m)``, so each control column ``delta[..., j]``
+    a coefficient reads is contiguous.  The policies write, the
+    coefficients read and ``d`` yields ``(…, k)`` views of that buffer.
     """
     P, S, N, k = len(policies), len(starts), model.dim, model.controls.shape[1]
     sqdt = np.sqrt(dt)
@@ -175,12 +180,13 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
         y.reshape(P, S, m, N)[:] = starts[:, None]
         ld = np.zeros(P * S * m)
         rw = np.zeros(P * S * m) if reward else None
-        d = np.empty((P, S * m, k))
+        d = np.empty((k, P, S * m))  # control-major: contiguous columns
         scratch, step = np.empty(P * S * m), np.empty((P * S * m, N))
-        by_policy, controls = y.reshape(P, S * m, N), d.reshape(-1, k)
+        by_policy, controls = y.reshape(P, S * m, N), d.reshape(k, -1).T
+        policy_controls = d.transpose(1, 2, 0)  # (P, S·m, k)
         pairs = y.reshape(P * S, m, N)
         noise = step[:m]  # the step's increments, contiguous: read per pair
-        live = (y.reshape(P, S, m, N), d.reshape(P, S, m, k),
+        live = (y.reshape(P, S, m, N), d.reshape(k, P, S, m).transpose(1, 2, 3, 0),
                 ld.reshape(P, S, m), None if rw is None else rw.reshape(P, S, m))
         gens = _POOL.pop("gens", [])  # one atomic call: never lent twice
         try:
@@ -199,7 +205,7 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
                 t = t0 + s * dt
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     for p, policy in enumerate(policies):
-                        d[p] = policy(by_policy[p], t)
+                        policy_controls[p] = policy(by_policy[p], t)
                     drift = np.asarray(model.drift(y, controls), float)
                     hv = np.asarray(model.discount_rate(y, controls), float)
                     if reward:

@@ -43,6 +43,19 @@ class TestCheck:
         assert run("check", "--model", bad, "--out", tmp_path / "out") == 2
         assert desc["kind"] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, bad", [
+        ({"dim": 2, "domain_box": None}, "y_matrix"),
+        ({"controls": [[0.0, 1.0]]}, "delta_matrix"),
+    ])
+    def test_coefficient_that_does_not_fit_is_usage_error(self, tmp_path, capsys,
+                                                          change, bad):
+        doc = json.loads(open(MODEL).read())
+        doc.update(change)
+        bad_model = tmp_path / "bad_model.json"
+        bad_model.write_text(json.dumps(doc))
+        assert run("check", "--model", bad_model, "--out", tmp_path / "out") == 2
+        assert bad in capsys.readouterr().err
+
     def test_violating_model(self, tmp_path):
         doc = json.loads(open(MODEL).read())
         doc["L2"] = -2.0  # claims a stronger contraction than the drift has

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import pathlib
 import tracemalloc
 
@@ -360,6 +361,30 @@ class TestLoadModel:
             assert np.array_equal(m.controls, models[-1].controls)
             assert np.array_equal(m.drift(y, m.controls[1]),
                                   models[-1].drift(y, m.controls[1]))
+
+    @pytest.mark.parametrize("key, desc, bad", [
+        ("drift", {"kind": "affine", "y_matrix": [[-1.0], [0.0]]}, "y_matrix"),
+        ("drift", {"kind": "affine", "delta_matrix": [[1.0]]}, "delta_matrix"),
+        ("drift", {"kind": "components", "components": [
+            {"kind": "affine", "delta_coeff": [1.0, 0.0, 0.0]}]}, "delta_coeff"),
+        ("discount_rate", {"kind": "affine", "y_coeff": [1.0, 1.0]}, "y_coeff"),
+        ("discount_rate", {"kind": "affine", "delta_coeff": [1.0]}, "delta_coeff"),
+        ("running_reward", {"kind": "quadratic_delta", "delta_quad": [-1.0]},
+         "delta_quad"),
+    ])
+    def test_coefficient_that_does_not_fit_dim_or_controls_rejected(self, key, desc,
+                                                                     bad):
+        # two control columns: a one-column delta_matrix would be broadcast
+        # across both and sum them
+        doc = json.loads((pathlib.Path(__file__).parent / "data"
+                          / "ou_model.json").read_text())
+        doc.update(controls=[[0.0, 1.0]], drift={
+            "kind": "affine", "y_matrix": [[-1.0]], "delta_matrix": [[1.0, 0.0]]},
+            running_reward={"kind": "constant", "value": 1.0})
+        hk.load_model(doc)
+        doc[key] = desc
+        with pytest.raises(ParameterError, match=bad):
+            hk.load_model(doc)
 
     def test_unknown_kind_rejected(self):
         doc = {"dim": 1, "controls": [[0.0]],

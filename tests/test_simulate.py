@@ -304,6 +304,68 @@ class TestGeneratorPool:
         assert len(sim._POOL["gens"]) <= sim._BLOCK
 
 
+def _nine_control_model():
+    """dim 1 and k = 9: a discount rate and a drift reading every column."""
+    rng = np.random.default_rng(9)
+    return hk.load_model({
+        "dim": 1, "controls": rng.uniform(-1.0, 1.0, (2, 9)).tolist(),
+        "drift": {"kind": "affine", "y_matrix": [[-1.0]],
+                  "delta_matrix": [(0.1 * rng.standard_normal(9)).tolist()]},
+        "discount_rate": {"kind": "affine", "const": -0.5,
+                          "delta_coeff": rng.standard_normal(9).tolist()},
+        "running_reward": {"kind": "constant", "value": 1.0},
+        "terminal_reward": {"kind": "constant", "value": 0.0},
+        "L1": 1.0, "L2": -1.0})
+
+
+def _spy_model(k, seen):
+    """Zero coefficients that note whether each control column is contiguous."""
+    def spy(shape):
+        def coefficient(y, delta):
+            delta = np.asarray(delta)
+            seen.append(all(delta[..., j].flags.c_contiguous for j in range(k)))
+            return np.zeros(shape(np.shape(y)))
+        return coefficient
+
+    return hk.ControlModel(
+        dim=1, drift=spy(lambda s: s), discount_rate=spy(lambda s: s[:-1]),
+        running_reward=spy(lambda s: s[:-1]),
+        terminal_reward=lambda y: np.zeros(np.shape(y)[:-1]),
+        controls=np.zeros((1, k)), lip_L1=1.0, lip_L2=-1.0)
+
+
+class TestControlLayout:
+    def test_nine_control_log_discounts_equal_a_row_major_reference(self):
+        # numpy reduces 8 or more columns in another order when the product
+        # is not C-contiguous, so this fails if the layout leaks into a row
+        model, steps, dt = _nine_control_model(), 6, 0.25
+        mc = hk.MonteCarloConfig(paths=300, dt=dt, seed=3)
+        starts = np.array([[-0.5], [1.0]])
+        policies = [lambda y, t: np.sin(y[..., :1] * np.arange(1.0, 10.0) + t),
+                    lambda y, t: model.controls[1]]
+        batch = simulate_paths(model, policies, starts, steps * dt, mc,
+                               dt * np.arange(1, steps + 1), reward=False)
+        before = np.concatenate(
+            [np.broadcast_to(starts[:, None, None], (2, 2, 1, mc.paths, 1)),
+             batch.states[:, :, :-1]], axis=2)
+        ld = np.zeros((2, 2, mc.paths))
+        for r in range(steps):
+            d = np.ascontiguousarray(batch.deltas[:, :, r]).reshape(-1, 9)
+            h = model.discount_rate(before[:, :, r].reshape(-1, 1), d)
+            ld = ld + h.reshape(ld.shape) * dt
+            assert np.array_equal(ld.view(np.uint64),
+                                  batch.log_discount[:, :, r].view(np.uint64))
+
+    @pytest.mark.parametrize("reward", [True, False])
+    def test_every_control_column_a_coefficient_reads_is_contiguous(self, reward):
+        seen = []
+        mc = hk.MonteCarloConfig(paths=5, dt=0.1, seed=0)
+        simulate_paths(_spy_model(3, seen),
+                       [lambda y, t: np.repeat(y, 3, axis=-1), lambda y, t: [1, 2, 3]],
+                       [[0.0], [1.0]], 0.3, mc, reward=reward)
+        assert len(seen) == 3 * (3 if reward else 2) and all(seen)
+
+
 def test_simulate_paths_signature():
     # perfbench's tracer reads T and mc as the positional args[3] and args[4]
     params = list(inspect.signature(simulate_paths).parameters)
