@@ -8,6 +8,12 @@ Exit codes: 0 success, 1 verification/convergence failure, 2 usage or
 parse error.  Every artifact, JSON or CSV, embeds the config digest and the
 seed; with a fixed seed reruns are byte-identical.  The CSV text is written
 and read by ``reports`` and ``pde``: this module parses no CSV itself.
+
+``main`` builds its parser on every call but adds only the invoked
+subcommand's arguments: each ``add_argument`` builds a help formatter that
+reads the terminal size, and all five subcommands' took a quarter of a
+short ``merton`` run.  The other four stay registered by name, so the help
+and the "invalid choice" message still list all five.
 """
 
 import argparse
@@ -265,19 +271,13 @@ def _add_stationary(p, dt, dt_help):
                    help="time cap of the long-time march fallback")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hjbkit",
-        description="discounted stochastic control: solve, simulate, verify")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run the assumption screens")
+def _check_arguments(p):
     _add_common(p)
     _add_grid(p, nodes=False)
     p.add_argument("--samples", type=int, default=256)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", help="run a grid solver")
+
+def _solve_arguments(p):
     _add_common(p)
     _add_grid(p)
     p.add_argument("--horizon", type=float, default=1.0)
@@ -289,9 +289,9 @@ def build_parser():
                    help="use the closed-form market controls")
     p.add_argument("--slice-stride", type=int, default=10 ** 9,
                    help="retain every n-th time slice")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="Monte Carlo cross-checks")
+
+def _verify_arguments(p):
     _add_common(p)
     p.add_argument("--field", help="value.csv from solve")
     p.add_argument("--policy", help="policy.csv from solve")
@@ -302,25 +302,49 @@ def build_parser():
     p.add_argument("--dt-sim", type=float, default=1e-2)
     p.add_argument("--tol", type=float, default=5e-3,
                    help="extra allowance on |PDE - MC|")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("merton", help="constant-coefficient benchmark")
+
+def _merton_arguments(p):
     _add_common(p, market_only=True)
     _add_grid(p)
     _add_stationary(p, 2e-3, "time step of the long-time march fallback")
     p.add_argument("--skip-solve", action="store_true")
     p.add_argument("--emit-reduced", action="store_true",
                    help="embed the reduced model descriptor")
-    p.set_defaults(func=cmd_merton)
 
-    p = sub.add_parser("kappa", help="discount-moment envelope table")
+
+def _kappa_arguments(p):
     _add_common(p)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--horizon", type=float, default=4.0)
     p.add_argument("--paths", type=int, default=4000)
     p.add_argument("--dt-sim", type=float, default=1e-2)
-    p.set_defaults(func=cmd_kappa)
 
+
+# subcommand -> (help line, function adding its arguments, function it runs)
+_COMMANDS = {
+    "check": ("run the assumption screens", _check_arguments, cmd_check),
+    "solve": ("run a grid solver", _solve_arguments, cmd_solve),
+    "verify": ("Monte Carlo cross-checks", _verify_arguments, cmd_verify),
+    "merton": ("constant-coefficient benchmark", _merton_arguments, cmd_merton),
+    "kappa": ("discount-moment envelope table", _kappa_arguments, cmd_kappa),
+}
+
+
+def build_parser(command=None):
+    """The ``hjbkit`` parser: every subcommand is registered, but only the
+    arguments of ``command`` are added (not even ``-h`` to the others),
+    those of all five when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="hjbkit",
+        description="discounted stochastic control: solve, simulate, verify")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, func) in _COMMANDS.items():
+        filled = command in (None, name)
+        p = sub.add_parser(name, help=help_line, add_help=filled)
+        if filled:
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -336,9 +360,9 @@ def _join_probes(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_join_probes(sys.argv[1:] if argv is None
-                                          else argv))
+    argv = _join_probes(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         digest = _config_digest(args)
         os.makedirs(args.out, exist_ok=True)

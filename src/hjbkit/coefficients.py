@@ -83,6 +83,26 @@ def _state_part(desc, dim):
     return lambda y: const + _dot(y_coeff, np.asarray(y, float))
 
 
+def _check_controls(desc, controls):
+    """``ParameterError`` when ``desc`` reads a control column or a table row
+    that the ``(n, k)`` control list ``controls`` does not have."""
+    kind = desc["kind"]
+    if kind == "components":
+        for part in desc["components"]:
+            _check_controls(part, controls)
+    elif kind == "power_delta":
+        index = int(desc.get("index", 0))
+        if not 0 <= index < controls.shape[1]:
+            raise ParameterError(f"power_delta descriptor: index {index} is not "
+                                 f"one of the {controls.shape[1]} control columns")
+    elif kind == "tabulated":
+        rows = len(desc["values"])
+        for j in np.rint(controls[:, 0]).astype(int):
+            if not 0 <= j < rows:
+                raise ParameterError(f"tabulated descriptor: values has {rows} "
+                                     f"rows, none for the control index {j}")
+
+
 def build_scalar(desc, dim, k=None):
     """Build a scalar coefficient map c(y, delta) from a descriptor.
 
@@ -168,11 +188,14 @@ def build_terminal(desc, dim):
 def build_drift(desc, dim, k=None):
     """Build the drift map i(y, delta) -> R^N from a descriptor.
 
-    With ``k``, the control count, ``delta_matrix`` must be ``(dim, k)``.
+    An affine ``const`` is a scalar or has ``dim`` entries.  With ``k``, the
+    control count, ``delta_matrix`` must be ``(dim, k)``.
     """
     kind = desc["kind"]
     if kind == "affine":
-        const = np.broadcast_to(np.asarray(desc.get("const", 0.0), float), (dim,)) + 0.0
+        const = np.asarray(desc.get("const", 0.0), float)
+        const = (np.full(dim, const) if const.ndim == 0
+                 else _sized(desc, "const", (dim,))) + 0.0
         y_matrix = _sized(desc, "y_matrix", (dim, dim), np.zeros((dim, dim)))
         d_matrix = _sized(desc, "delta_matrix", (dim, -1 if k is None else k))
 

@@ -425,7 +425,7 @@ def load_model(source):
     dim = int(doc["dim"])
     controls = np.atleast_2d(np.asarray(doc["controls"], float))
     k = controls.shape[1]
-    return ControlModel(
+    mdl = ControlModel(
         dim=dim,
         drift=coefficients.build_drift(doc["drift"], dim, k),
         discount_rate=coefficients.build_scalar(doc["discount_rate"], dim, k),
@@ -436,3 +436,8 @@ def load_model(source):
         lip_L2=float(doc["L2"]),
         domain_box=doc.get("domain_box"),
     )
+    for key in ("drift", "discount_rate", "running_reward"):
+        coefficients._check_controls(doc[key], controls)
+    # the terminal reward is read at the control 0
+    coefficients._check_controls(doc["terminal_reward"], np.zeros((1, 1)))
+    return mdl

@@ -1,10 +1,15 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hjbkit import model, pde, simulate
-from hjbkit.cli import main
+from hjbkit.cli import build_parser, main
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 MODEL = DATA + "/ou_model.json"
@@ -46,6 +51,13 @@ class TestCheck:
     @pytest.mark.parametrize("change, bad", [
         ({"dim": 2, "domain_box": None}, "y_matrix"),
         ({"controls": [[0.0, 1.0]]}, "delta_matrix"),
+        ({"drift": {"kind": "affine", "const": [0.0, 1.0],
+                    "y_matrix": [[-1.0]], "delta_matrix": [[1.0]]}}, "const"),
+        ({"running_reward": {"kind": "power_delta", "index": 3,
+                             "exponent": 0.5}}, "index 3"),
+        # controls 0, 0.5 and 1 read rows rint(0) = rint(0.5) = 0 and 1
+        ({"discount_rate": {"kind": "tabulated", "y_grid": [0.0, 1.0],
+                            "values": [[-1.0, -1.0]]}}, "control index 1"),
     ])
     def test_coefficient_that_does_not_fit_is_usage_error(self, tmp_path, capsys,
                                                           change, bad):
@@ -401,6 +413,113 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'frobnicate'" in err
+        assert all(f"'{name}'" in err
+                   for name in ("check", "solve", "verify", "merton", "kappa"))
+
+
+# one argv per subcommand that sets every option, away from its default
+EVERY_OPTION = {
+    "check": ["--model", "m.json", "--market", "k.json", "--npi", "5",
+              "--nc", "7", "--out", "o2", "--seed", "3", "--grid-min", "-1",
+              "--grid-max", "2", "--samples", "16"],
+    "solve": ["--model", "m.json", "--market", "k.json", "--npi", "5",
+              "--nc", "7", "--out", "o2", "--seed", "3", "--grid-min", "-1",
+              "--grid-max", "2", "--nodes", "11",
+              "--boundary", "linear_extrapolation", "--horizon", "2",
+              "--steps", "50", "--infinite", "--dt", "0.01", "--tol-dt", "1e-4",
+              "--t-max", "10", "--closed-form", "--slice-stride", "5"],
+    "verify": ["--model", "m.json", "--market", "k.json", "--npi", "5",
+               "--nc", "7", "--out", "o2", "--seed", "3", "--field", "v.csv",
+               "--policy", "p.csv", "--probes=-1,0", "--bounds", "b.json",
+               "--horizon", "0.5", "--paths", "100", "--dt-sim", "0.05",
+               "--tol", "0.01"],
+    "merton": ["--market", "k2.json", "--npi", "5", "--nc", "7", "--out", "o2",
+               "--seed", "3", "--grid-min", "-1", "--grid-max", "2",
+               "--nodes", "11", "--boundary", "linear_extrapolation",
+               "--dt", "0.01", "--tol-dt", "1e-4", "--t-max", "10",
+               "--skip-solve", "--emit-reduced"],
+    "kappa": ["--model", "m.json", "--market", "k.json", "--npi", "5",
+              "--nc", "7", "--out", "o2", "--seed", "3", "--radius", "1",
+              "--horizon", "2", "--paths", "100", "--dt-sim", "0.05"],
+}
+# the same subcommands with their required options only
+DEFAULTS_ONLY = {name: ["--out", "o"] + (["--market", "k.json"]
+                                          if name == "merton" else [])
+                 for name in EVERY_OPTION}
+
+
+def _help(parser, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    """``main`` builds only the invoked subcommand's arguments; the result
+    must be the parser that builds them all."""
+
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_one_subcommand_parser_equals_the_full_one(self, command, capsys):
+        every = [command] + EVERY_OPTION[command]
+        defaults = [command] + DEFAULTS_ONLY[command]
+        full = build_parser()
+        for argv in (every, defaults):
+            assert (build_parser(command).parse_args(argv)
+                    == full.parse_args(argv))
+        assert _help(build_parser(command), command, capsys) == _help(
+            full, command, capsys)
+        # the first argv sets every option the subcommand has
+        given, default = (vars(full.parse_args(argv))
+                          for argv in (every, defaults))
+        assert {key for key in given if given[key] == default[key]} == {
+            "command", "func"}
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{check,solve,verify,merton,kappa}" in capsys.readouterr().out
+
+    def test_no_subcommand_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "required: command" in capsys.readouterr().err
+
+    def test_main_adds_no_argument_of_another_subcommand(self, tmp_path,
+                                                         monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(self, *flags, **kwargs):
+            added.extend(flags)
+            return add_argument(self, *flags, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        assert run("merton", "--market", MARKET, "--out", tmp_path,
+                   "--skip-solve") == 0
+        assert "--skip-solve" in added
+        # --model belongs to every other subcommand
+        assert not {"--model", "--samples", "--steps", "--field",
+                    "--radius"} & set(added)
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["--help"], "{check,solve,verify,merton,kappa}"),
+    (["merton", "--help"], "--market"),
+])
+def test_module_entry_point(argv, listed):
+    # ``python -m hjbkit`` reads its arguments from sys.argv
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hjbkit", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert listed in proc.stdout
 
 
 class TestReproducibility:

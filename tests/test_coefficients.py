@@ -139,3 +139,22 @@ def test_scalar_coefficient_of_another_width_is_rejected(key, value, kind):
 def test_drift_matrix_of_another_shape_is_rejected(key, value):
     with pytest.raises(ParameterError, match=key):
         build_drift({"kind": "affine", key: value}, 2, 2)
+
+
+@pytest.mark.parametrize("const", [-0.0, 0.5, [-0.0, 0.5], None])
+def test_drift_const_is_a_scalar_or_one_entry_per_state(const):
+    # const spread over the dim entries, ``-0.0`` turned into ``+0.0``
+    desc = {"kind": "affine", "y_matrix": [[-1.0, 0.0], [0.0, 1.0]]}
+    if const is not None:
+        desc["const"] = const
+    y = np.array([[0.0, -0.0], [1.5, -2.0]])
+    want = (np.broadcast_to(np.asarray(0.0 if const is None else const, float),
+                            (2,)) + 0.0) + np.sum(
+        y[..., None, :] * np.array(desc["y_matrix"]), axis=-1)
+    _same_bits(build_drift(desc, 2)(y, np.zeros(1)), want)
+
+
+@pytest.mark.parametrize("const", [[0.0, 1.0, 2.0], [1.0], [[1.0, 2.0, 3.0]]])
+def test_drift_const_of_another_length_is_rejected(const):
+    with pytest.raises(ParameterError, match="affine descriptor: const"):
+        build_drift({"kind": "affine", "const": const}, 2)

@@ -386,6 +386,41 @@ class TestLoadModel:
         with pytest.raises(ParameterError, match=bad):
             hk.load_model(doc)
 
+    @pytest.mark.parametrize("key, desc, bad", [
+        ("running_reward", {"kind": "power_delta", "index": 1,
+                            "exponent": 0.5}, "index 1"),
+        ("running_reward", {"kind": "power_delta", "index": -1,
+                            "exponent": 0.5}, "index -1"),
+        ("drift", {"kind": "components", "components": [
+            {"kind": "power_delta", "index": 2, "exponent": 1.0}]}, "index 2"),
+        # the terminal reward is read at the control 0 alone
+        ("terminal_reward", {"kind": "power_delta", "index": 1,
+                             "exponent": 1.0}, "index 1"),
+        ("discount_rate", {"kind": "tabulated", "y_grid": [0.0, 1.0],
+                           "values": [[-1.0, -1.0]] * 2}, "control index 2"),
+        ("terminal_reward", {"kind": "tabulated", "y_grid": [0.0, 1.0],
+                             "values": []}, "control index 0"),
+    ])
+    def test_control_indexed_descriptor_checked_against_controls(self, key,
+                                                                 desc, bad):
+        # controls 0, 1 and 2 read table rows 0, 1 and 2
+        doc = json.loads((pathlib.Path(__file__).parent / "data"
+                          / "ou_model.json").read_text())
+        doc["controls"] = [[0.0], [1.0], [2.0]]
+        hk.load_model(doc)
+        doc[key] = desc
+        with pytest.raises(ParameterError, match=bad):
+            hk.load_model(doc)
+
+    def test_negative_control_has_no_table_row(self):
+        doc = json.loads((pathlib.Path(__file__).parent / "data"
+                          / "ou_model.json").read_text())
+        doc.update(controls=[[-1.0], [0.0]], discount_rate={
+            "kind": "tabulated", "y_grid": [0.0, 1.0],
+            "values": [[-1.0, -1.0], [-2.0, -2.0]]})
+        with pytest.raises(ParameterError, match="control index -1"):
+            hk.load_model(doc)
+
     def test_unknown_kind_rejected(self):
         doc = {"dim": 1, "controls": [[0.0]],
                "drift": {"kind": "mystery"},
