@@ -78,7 +78,11 @@ def _sized(desc, key, shape, default=None):
 
 def _state_part(desc, dim):
     """``y -> const + y_coeff·y`` of an affine descriptor, never ``-0.0``."""
-    const = float(desc.get("const", 0.0)) + 0.0
+    const = np.asarray(desc.get("const", 0.0), float)
+    if const.ndim:
+        raise ParameterError(f"{desc['kind']} descriptor: const of shape "
+                             f"{const.shape} is not a scalar")
+    const = float(const) + 0.0
     y_coeff = _sized(desc, "y_coeff", (dim,), np.zeros(dim))
     return lambda y: const + _dot(y_coeff, np.asarray(y, float))
 
@@ -148,6 +152,11 @@ def build_scalar(desc, dim, k=None):
             raise ParameterError(f"tabulated coefficients need dim=1, not {dim}")
         y_grid = np.asarray(desc["y_grid"], float)
         values = np.asarray(desc["values"], float)  # (n_controls, n_y)
+        # no rows at all is left to the control check, which names the index
+        if values.size and values.shape[1:] != y_grid.shape:
+            raise ParameterError(f"tabulated descriptor: values of shape "
+                                 f"{values.shape} do not fit the "
+                                 f"{y_grid.size} y_grid points")
 
         def coeff(y, delta, _grid=y_grid, _vals=values):
             y = np.asarray(y, float)[..., 0]

@@ -124,9 +124,9 @@ def to_control_model(market, control_resolution):
     if n_pi < 2 or n_c < 2:
         raise ParameterError("control resolutions must be >= 2")
     R, m = market.position_cap, market.consumption_cap
-    pis = np.linspace(-R, R, n_pi)
-    cs = np.linspace(0.0, m, n_c)
-    controls = np.array([(p, c) for p in pis for c in cs])
+    grid = np.meshgrid(np.linspace(-R, R, n_pi), np.linspace(0.0, m, n_c),
+                       indexing="ij")  # pi outer, c inner
+    controls = np.stack(grid, axis=-1).reshape(-1, 2)
     drift, h, f, g = _reduced_coefficients(market)
 
     def reduced(L1, L2):

@@ -32,16 +32,20 @@ def control_tables(model, y, controls=None):
     ``controls`` is ``(C, k)``, each control at every point (the model's
     list by default), or ``(C, n, k)``, one per point as an override
     returns.  The ``C·n`` (control, point) pairs are the rows of one
-    ``eval_checked`` call per coefficient; the tables are shaped ``(C,) +
-    y.shape[:-1]``, the drift with a last axis ``N``.
+    ``eval_checked`` call per coefficient, control-major: the states are
+    a fresh C-contiguous ``tile`` of the points, the controls of a
+    ``(C, k)`` family a fresh ``repeat`` of each, those of a ``(C, n, k)``
+    family a read-only view (a copy when not contiguous).  The tables are
+    shaped ``(C,) + y.shape[:-1]``, the drift with a last axis ``N``.
     """
     y = np.asarray(y, float)
     d = model.controls if controls is None else np.asarray(controls, float)
-    pairs = (len(d), y.size // y.shape[-1])
-    states = np.broadcast_to(y.reshape(-1, y.shape[-1]), pairs + y.shape[-1:])
-    deltas = np.broadcast_to(d if d.ndim == 3 else d[:, None], pairs + d.shape[-1:])
-    rows = states.reshape(-1, y.shape[-1]), deltas.reshape(-1, d.shape[-1])
-    shape = (len(d),) + y.shape[:-1]
+    states = y.reshape(-1, y.shape[-1])
+    C, n, k = len(d), len(states), d.shape[-1]
+    deltas = (np.repeat(d, n, axis=0) if d.ndim == 2
+              else np.broadcast_to(d, (C, n, k)).reshape(-1, k))
+    rows = np.tile(states, (C, 1)), deltas
+    shape = (C,) + y.shape[:-1]
     return (model.eval_checked("drift", *rows).reshape(shape + y.shape[-1:]),
             model.eval_checked("discount_rate", *rows).reshape(shape),
             model.eval_checked("running_reward", *rows).reshape(shape))

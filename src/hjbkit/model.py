@@ -59,7 +59,9 @@ class ControlModel:
         controls = np.atleast_2d(np.asarray(self.controls, float))
         if controls.size == 0:
             raise ParameterError("control list must be nonempty")
-        if len(np.unique(controls, axis=0)) != len(controls):
+        # equal rows are neighbours once sorted; a NaN equals nothing
+        rows = controls[np.lexsort(controls.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ParameterError("control list contains duplicates")
         object.__setattr__(self, "controls", controls)
         if self.dim < 1:
@@ -153,6 +155,7 @@ def check_assumption1(model, box, samples, seed):
 
     witnesses = {}
     L1, L2 = model.lip_L1, model.lip_L2
+    pairs, scale, dist2 = np.stack([ya, yb]), L1 * dist, dist ** 2
 
     def record(name, ratio, first=None):
         # ratios (pairs,) or (controls from ``first``, pairs): the first
@@ -170,15 +173,14 @@ def check_assumption1(model, box, samples, seed):
             }
 
     ga, gb = (model.eval_checked("terminal_reward", y) for y in (ya, yb))
-    record("terminal_reward", np.abs(ga - gb) / (L1 * dist))
+    record("terminal_reward", np.abs(ga - gb) / scale)
 
     step = max(1, _SCREEN_ROWS // (2 * len(dist)))
     for first in range(0, model.n_controls, step):
-        i, h, f = control_tables(model, np.stack([ya, yb]),
-                                 model.controls[first:first + step])
-        record("running_reward", np.abs(f[:, 0] - f[:, 1]) / (L1 * dist), first)
-        record("discount_rate", np.abs(h[:, 0] - h[:, 1]) / (L1 * dist), first)
-        s = np.sum(diff * (i[:, 0] - i[:, 1]), axis=-1) / dist ** 2
+        i, h, f = control_tables(model, pairs, model.controls[first:first + step])
+        record("running_reward", np.abs(f[:, 0] - f[:, 1]) / scale, first)
+        record("discount_rate", np.abs(h[:, 0] - h[:, 1]) / scale, first)
+        s = np.sum(diff * (i[:, 0] - i[:, 1]), axis=-1) / dist2
         # normalize the one-sided bound s <= L2 so that equality reads 1
         record("drift", s / L2 if L2 > 0 else 2.0 - s / L2, first)
 
@@ -372,7 +374,7 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
     # exponential-in-|y| envelope fit across start points
     m_y = est[0].max(axis=(0, 2))
     radii = np.linalg.norm(mesh, axis=-1)
-    if len(np.unique(radii)) >= 2:
+    if radii.min() < radii.max():  # two distinct radii
         slope, intercept = np.polyfit(radii, np.log(np.maximum(m_y, 1e-300)), 1)
         env_M, env_K = max(float(slope), 0.0), float(np.exp(intercept))
     else:

@@ -58,6 +58,13 @@ class TestCheck:
         # controls 0, 0.5 and 1 read rows rint(0) = rint(0.5) = 0 and 1
         ({"discount_rate": {"kind": "tabulated", "y_grid": [0.0, 1.0],
                             "values": [[-1.0, -1.0]]}}, "control index 1"),
+        ({"running_reward": {"kind": "quadratic_delta", "const": [1.0],
+                             "delta_quad": [-1.0]}},
+         "quadratic_delta descriptor: const of shape (1,)"),
+        # rows of two values for three grid points
+        ({"discount_rate": {"kind": "tabulated", "y_grid": [0.0, 1.0, 2.0],
+                            "values": [[-1.0, -1.0]] * 3}},
+         "values of shape (3, 2)"),
     ])
     def test_coefficient_that_does_not_fit_is_usage_error(self, tmp_path, capsys,
                                                           change, bad):

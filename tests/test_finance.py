@@ -91,6 +91,15 @@ class TestReduction:
         assert m.controls[:, 1].min() == 0.0
         assert m.controls[:, 1].max() == 1.0
 
+    @pytest.mark.parametrize("resolution", [(2, 2), (5, 4), (21, 21), (41, 41)])
+    def test_control_grid_is_the_nested_loop_one(self, merton_market, resolution):
+        m = hk.to_control_model(merton_market, resolution)
+        pis = np.linspace(-2.0, 2.0, resolution[0])
+        cs = np.linspace(0.0, 1.0, resolution[1])
+        loop = np.array([(p, c) for p in pis for c in cs])  # pi outer, c inner
+        assert m.controls.tobytes() == loop.tobytes()
+        assert m.controls.shape == loop.shape and m.controls.flags.c_contiguous
+
     def test_reduced_coefficients_match_formulas(self, merton_market):
         m = hk.to_control_model(merton_market, (5, 5))
         y = np.array([[0.3]])

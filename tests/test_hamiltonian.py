@@ -241,3 +241,64 @@ def test_override_coefficient_error_names_the_bad_node():
         hk.solve_finite_horizon(bad, grid, hk.TimeGrid(0.1, 10),
                                 control_override=override)
     assert (err.value.y, err.value.delta) == ([grid.ys[6]], [0.75])
+
+
+def broadcast_rows(y, d):
+    """The rows of ``control_tables`` as broadcast views reshaped: the oracle."""
+    pairs = (len(d), y.size // y.shape[-1])
+    states = np.broadcast_to(y.reshape(-1, y.shape[-1]), pairs + y.shape[-1:])
+    deltas = np.broadcast_to(d if d.ndim == 3 else d[:, None], pairs + d.shape[-1:])
+    return states.reshape(-1, y.shape[-1]), deltas.reshape(-1, d.shape[-1])
+
+
+def spied_model(dim, controls, seen, write=False):
+    """A model whose coefficients record the rows they receive and, with
+    ``write``, then overwrite every row they are allowed to."""
+    def spy(name):
+        def coef(y, d):
+            seen.append((name, y.copy(), d.copy()))
+            if write:
+                for rows in (y, d):
+                    if rows.flags.writeable:
+                        rows[...] = 7.0
+            shape = y.shape if name == "drift" else y.shape[:-1]
+            return np.zeros(shape)
+        return coef
+
+    return hk.ControlModel(dim=dim, terminal_reward=lambda y: 0.0,
+                           controls=controls, lip_L1=1.0, lip_L2=-1.0,
+                           **{name: spy(name) for name in COEFFICIENTS})
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_tables_pass_the_broadcast_rows_bit_for_bit(dim, per_point):
+    rng = np.random.default_rng(dim)
+    controls = np.vstack([[-0.0, 0.5], rng.uniform(-1, 1, (4, 2))])
+    y = rng.uniform(-2, 2, (2, 3, dim))  # both sides of three pairs, as the screen
+    y[0, 0] = -0.0
+    family = (controls[rng.integers(0, 5, (2, 6))] if per_point
+              else controls[1:4])
+    seen = []
+    control_tables(spied_model(dim, controls, seen), y, family)
+    ref = broadcast_rows(y, family)
+    assert [name for name, _, _ in seen] == list(COEFFICIENTS)
+    for _, states, deltas in seen:
+        assert states.shape == ref[0].shape and deltas.shape == ref[1].shape
+        assert states.tobytes() == ref[0].tobytes()
+        assert deltas.tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize("per_point", [False, True])
+def test_rows_written_by_a_coefficient_reach_no_caller_array(per_point):
+    controls = np.array([[0.0], [0.5], [1.0]])
+    family = np.array([[[0.5], [1.0], [0.0], [0.5]]]) if per_point else None
+    y = np.linspace(-1.0, 1.0, 4)[:, None]
+    kept = [controls.copy(), y.copy(), None if family is None else family.copy()]
+    seen = []
+    model = spied_model(1, controls, seen, write=True)
+    control_tables(model, y, family)
+    assert np.array_equal(model.controls, kept[0])
+    assert np.array_equal(y, kept[1])
+    if per_point:
+        assert np.array_equal(family, kept[2])

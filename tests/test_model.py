@@ -38,6 +38,23 @@ def test_duplicate_controls_rejected():
                         lip_L1=1.0, lip_L2=-1.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]),
+             min_size=k, max_size=k), min_size=1, max_size=8)))
+def test_duplicate_verdict_is_that_of_unique_rows(rows):
+    # +-0.0 rows are duplicates, rows with a NaN never are, +-inf rows are
+    controls = np.array(rows)
+    m = ou_model()
+    duplicates = len(np.unique(controls, axis=0)) != len(controls)
+    try:
+        dataclasses.replace(m, controls=controls)
+    except ParameterError as err:
+        assert duplicates and "duplicates" in str(err)
+    else:
+        assert not duplicates
+
+
 @pytest.mark.parametrize("l1,l2", [(0.0, -1.0), (-1.0, -1.0), (1.0, 0.0)])
 def test_lipschitz_constants_validated(l1, l2):
     m = ou_model()
