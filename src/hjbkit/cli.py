@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import finance, model as model_mod, pde, simulate
+from . import coefficients, finance, model as model_mod, pde, simulate
 from .errors import (HjbkitError, ParameterError, PolicyIterationError,
                      RecordTimeError, StabilityError)
 
@@ -133,21 +133,12 @@ _BOUNDS = {
 }
 
 
-def _number(key, value):
-    """A bounds-file value cast by ``float``; a non-number is a usage error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"bounds file: {key} must be a number, "
-                             f"not {value!r}") from None
-
-
 def _bound_spec(doc):
     kind = doc["kind"]
     cls = _BOUNDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ParameterError(f"unknown bound kind {kind!r}")
-    return cls(**{f.name: _number(f.name, doc[f.name])
+    return cls(**{f.name: coefficients._numbers(doc, f.name, where="bounds file")
                   for f in dataclasses.fields(cls)})
 
 
@@ -175,17 +166,17 @@ def cmd_verify(args, digest):
     results = {}
 
     if args.bounds:
-        with open(args.bounds) as fh:
-            doc = json.load(fh)
+        doc = coefficients._read_json(args.bounds)
         if "T" in doc and args.horizon is not None:
             raise ParameterError("pass one of bounds-file T / --horizon, not both")
-        T = doc.get("T", 1.0 if args.horizon is None else args.horizon)
-        y0 = [_number("y0", v) for v in np.atleast_1d(doc.get("y0", 0.0))]
-        times = doc.get("times")
+
+        def number(key, shape=(), default=None):
+            return coefficients._numbers(doc, key, shape, default, "bounds file")
+
         report = simulate.verify_bounds(
-            mdl, _bound_spec(doc), y0, _number("T", T), mc,
-            times=None if times is None else
-            [_number("times", v) for v in np.atleast_1d(times)])
+            mdl, _bound_spec(doc), number("y0", (-1,), 0.0),
+            number("T", default=1.0 if args.horizon is None else args.horizon),
+            mc, None if doc.get("times") is None else number("times", (-1,)))
         results["bounds"] = report.as_dict()
         if not report.met:
             status = 1

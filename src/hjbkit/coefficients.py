@@ -26,6 +26,9 @@ the layout of its operands.  A one-column contraction skips the reduce,
 whose only effect there is to add ``0.0`` (turning ``-0.0`` into
 ``+0.0``): every affine sum starts from ``const + 0.0``, which is never
 ``-0.0``, and a sum that is never ``-0.0`` is unchanged by that sign.
+
+``_numbers`` reads every number of a model, market or bounds file: only
+finite numbers of the expected shape pass.
 """
 
 import json
@@ -50,6 +53,37 @@ def _read_json(source):
     return dict(source)
 
 
+def _numbers(doc, key, shape=(), default=None, where=None):
+    """``doc[key]`` as a float, or as a float array of a nonempty ``shape``
+    (``-1``: any size; ``None``: any shape), which a scalar fills if the
+    shape holds one entry; ``default`` if absent, where one is given.  An
+    entry that is not a finite number, or other axes, is a ``ParameterError``
+    naming ``key`` and ``where``, the file kind (by default the descriptor's).
+    """
+    if default is not None and key not in doc:
+        return default
+    raw = doc[key]
+    if shape == () and type(raw) is float and np.isfinite(raw):
+        return raw  # the common case, without the array round trip
+    where = where or f"{doc['kind']} descriptor"
+    try:
+        value = np.asarray(raw, float)
+    except (TypeError, ValueError, OverflowError):
+        value = np.array(np.nan)
+    # nested deeper than a list of the shape: an entry is itself a list
+    if not np.isfinite(value).all() or (
+            shape is not None and value.ndim > max(len(shape), 1)):
+        raise ParameterError(f"{where}: {key} must be a number, not {raw!r} "
+                             "(every entry finite)")
+    if shape is None:
+        return value
+    fit = value.reshape((1,) * len(shape)) if value.ndim == 0 else value
+    if fit.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, fit.shape)):
+        raise ParameterError(f"{where}: {key} of shape {value.shape} does not "
+                             f"fit {shape}")
+    return fit if shape else float(fit)
+
+
 def _each_row(out, shape):
     """``out`` as a float array of ``shape``; one that broadcasts is copied."""
     out = np.asarray(out, float)
@@ -63,59 +97,24 @@ def _dot(a, b):
     return prod[..., 0] if prod.shape[-1] == 1 else np.add.reduce(prod, axis=-1)
 
 
-def _sized(desc, key, shape, default=None):
-    """``desc[key]`` as a float array of ``shape``, where ``-1`` is any
-    size; ``ParameterError`` naming the descriptor when it does not fit."""
-    if key not in desc:
-        return default
-    value = np.asarray(desc[key], float)
-    try:
-        return value.reshape(shape)
-    except ValueError:
-        raise ParameterError(f"{desc['kind']} descriptor: {key} of shape "
-                             f"{value.shape} does not fit {shape}") from None
-
-
 def _state_part(desc, dim):
     """``y -> const + y_coeff·y`` of an affine descriptor, never ``-0.0``."""
-    const = np.asarray(desc.get("const", 0.0), float)
-    if const.ndim:
-        raise ParameterError(f"{desc['kind']} descriptor: const of shape "
-                             f"{const.shape} is not a scalar")
-    const = float(const) + 0.0
-    y_coeff = _sized(desc, "y_coeff", (dim,), np.zeros(dim))
+    const = _numbers(desc, "const", default=0.0) + 0.0
+    y_coeff = _numbers(desc, "y_coeff", (dim,), np.zeros(dim))
     return lambda y: const + _dot(y_coeff, np.asarray(y, float))
 
 
-def _check_controls(desc, controls):
-    """``ParameterError`` when ``desc`` reads a control column or a table row
-    that the ``(n, k)`` control list ``controls`` does not have."""
-    kind = desc["kind"]
-    if kind == "components":
-        for part in desc["components"]:
-            _check_controls(part, controls)
-    elif kind == "power_delta":
-        index = int(desc.get("index", 0))
-        if not 0 <= index < controls.shape[1]:
-            raise ParameterError(f"power_delta descriptor: index {index} is not "
-                                 f"one of the {controls.shape[1]} control columns")
-    elif kind == "tabulated":
-        rows = len(desc["values"])
-        for j in np.rint(controls[:, 0]).astype(int):
-            if not 0 <= j < rows:
-                raise ParameterError(f"tabulated descriptor: values has {rows} "
-                                     f"rows, none for the control index {j}")
-
-
-def build_scalar(desc, dim, k=None):
+def build_scalar(desc, dim, controls=None):
     """Build a scalar coefficient map c(y, delta) from a descriptor.
 
-    With ``k``, the control count, a control coefficient must have ``k``
-    entries; without it any length is taken.
+    With ``controls``, the ``(n, k)`` control list, a control coefficient
+    must have ``k`` entries, a ``power_delta`` index must be one of the
+    ``k`` columns and a ``tabulated`` table needs a row for every control;
+    without it none of this is checked.
     """
     kind = desc["kind"]
     if kind == "constant":
-        value = float(desc["value"])
+        value = _numbers(desc, "value")
 
         def coeff(y, delta):
             y = np.asarray(y, float)
@@ -124,9 +123,10 @@ def build_scalar(desc, dim, k=None):
         return coeff
     if kind in ("affine", "quadratic_delta"):
         state = _state_part(desc, dim)
-        width = (-1 if k is None else k,)
-        d_lin = _sized(desc, "delta_coeff", width, 0.0)
-        d_quad = _sized(desc, "delta_quad", width, 0.0) if kind == "quadratic_delta" else None
+        width = (-1 if controls is None else controls.shape[1],)
+        d_lin = _numbers(desc, "delta_coeff", width, 0.0)
+        d_quad = (_numbers(desc, "delta_quad", width, 0.0)
+                  if kind == "quadratic_delta" else None)
 
         def coeff(y, delta):
             delta = np.asarray(delta, float)
@@ -138,9 +138,12 @@ def build_scalar(desc, dim, k=None):
         return coeff
     if kind == "power_delta":
         # coeff * delta[index]^exponent, e.g. the c^gamma running reward
-        coeff_v = float(desc.get("coeff", 1.0))
-        index = int(desc.get("index", 0))
-        exponent = float(desc["exponent"])
+        coeff_v = _numbers(desc, "coeff", default=1.0)
+        index = int(_numbers(desc, "index", default=0))
+        exponent = _numbers(desc, "exponent")
+        if controls is not None and not 0 <= index < controls.shape[1]:
+            raise ParameterError(f"power_delta descriptor: index {index} is not "
+                                 f"one of the {controls.shape[1]} control columns")
 
         def coeff(y, delta):
             delta = np.asarray(delta, float)
@@ -150,13 +153,20 @@ def build_scalar(desc, dim, k=None):
     if kind == "tabulated":
         if dim != 1:
             raise ParameterError(f"tabulated coefficients need dim=1, not {dim}")
-        y_grid = np.asarray(desc["y_grid"], float)
-        values = np.asarray(desc["values"], float)  # (n_controls, n_y)
+        y_grid = _numbers(desc, "y_grid", (-1,))
+        values = _numbers(desc, "values", None)  # (n_controls, n_y)
         # no rows at all is left to the control check, which names the index
         if values.size and values.shape[1:] != y_grid.shape:
             raise ParameterError(f"tabulated descriptor: values of shape "
                                  f"{values.shape} do not fit the "
                                  f"{y_grid.size} y_grid points")
+        if controls is not None:
+            # each control's first entry, rounded, is its row (if it has one)
+            for j in np.rint(controls[:, :1]).astype(int).ravel():
+                if not 0 <= j < len(values):
+                    raise ParameterError(f"tabulated descriptor: values has "
+                                         f"{len(values)} rows, none for the "
+                                         f"control index {j}")
 
         def coeff(y, delta, _grid=y_grid, _vals=values):
             y = np.asarray(y, float)[..., 0]
@@ -178,35 +188,34 @@ def build_scalar(desc, dim, k=None):
 def build_terminal(desc, dim):
     """Build the terminal reward map g(y) = c(y, 0) from a descriptor.
 
-    At the control 0, finite control coefficients of an affine descriptor
-    add ``+0.0`` to a state part that is never ``-0.0``: only the state
-    part is evaluated.
+    The control 0 must have the ``power_delta`` column and the
+    ``tabulated`` row the descriptor reads.  At the control 0, the (finite)
+    control coefficients of an affine descriptor add ``+0.0`` to a state
+    part that is never ``-0.0``: only the state part is evaluated.
     """
-    scalar = build_scalar(desc, dim)
-    if desc["kind"] in ("affine", "quadratic_delta") and all(
-            np.isfinite(desc.get(key, 0.0)).all() for key in ("delta_coeff", "delta_quad")):
+    if desc["kind"] in ("affine", "quadratic_delta"):
+        build_scalar(desc, dim)  # reads every entry, of any control width
         return _state_part(desc, dim)
-    zero = np.zeros(1)
-
-    def terminal(y):
-        return scalar(y, zero)
-
-    return terminal
+    zero = np.zeros((1, 1))
+    scalar = build_scalar(desc, dim, zero)
+    return lambda y: scalar(y, zero[0])
 
 
-def build_drift(desc, dim, k=None):
+def build_drift(desc, dim, controls=None):
     """Build the drift map i(y, delta) -> R^N from a descriptor.
 
-    An affine ``const`` is a scalar or has ``dim`` entries.  With ``k``, the
-    control count, ``delta_matrix`` must be ``(dim, k)``.
+    An affine ``const`` is a scalar or has ``dim`` entries.  With
+    ``controls``, the ``(n, k)`` control list, ``delta_matrix`` must be
+    ``(dim, k)`` and every component is checked as ``build_scalar`` checks.
     """
     kind = desc["kind"]
     if kind == "affine":
-        const = np.asarray(desc.get("const", 0.0), float)
-        const = (np.full(dim, const) if const.ndim == 0
-                 else _sized(desc, "const", (dim,))) + 0.0
-        y_matrix = _sized(desc, "y_matrix", (dim, dim), np.zeros((dim, dim)))
-        d_matrix = _sized(desc, "delta_matrix", (dim, -1 if k is None else k))
+        shape = () if np.isscalar(desc.get("const", 0.0)) else (dim,)
+        const = np.full(dim, _numbers(desc, "const", shape, 0.0)) + 0.0
+        y_matrix = _numbers(desc, "y_matrix", (dim, dim), np.zeros((dim, dim)))
+        width = -1 if controls is None else controls.shape[1]
+        d_matrix = (_numbers(desc, "delta_matrix", (dim, width))
+                    if "delta_matrix" in desc else None)
 
         def drift(y, delta):
             y = np.asarray(y, float)
@@ -218,7 +227,7 @@ def build_drift(desc, dim, k=None):
         return drift
     if kind == "components":
         # one scalar descriptor per state coordinate
-        parts = [build_scalar(d, dim, k) for d in desc["components"]]
+        parts = [build_scalar(d, dim, controls) for d in desc["components"]]
 
         def drift(y, delta):
             return np.stack([p(y, delta) for p in parts], axis=-1)

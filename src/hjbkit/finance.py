@@ -18,7 +18,7 @@ one value per row (``coefficients._each_row``).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -156,23 +156,6 @@ def to_control_model(market, control_resolution):
     return cm
 
 
-def _maximizers(market, y, u, u_y):
-    """``(pi, c)`` of ``closed_form_controls`` for arrays, without the checks."""
-    ycol = np.asarray(y, float).reshape(-1, 1)
-    gamma = market.risk_aversion
-    # floats if constant: s * s, not s ** 2, as in the reduced discount rate
-    s = _coefficient(market.volatility)(ycol)
-    b = _coefficient(market.excess_drift)(ycol)
-    pi = (market.correlation * s * np.asarray(u_y, float) + gamma * b * u) \
-        / ((gamma - gamma ** 2) * (s * s) * u)
-    pi = np.clip(pi, -market.position_cap, market.position_cap)
-    # u ~ 0 early in the long-time march: the power overflows but the clip
-    # pins it at the cap, so the warning is spurious
-    with np.errstate(over="ignore"):
-        c = np.clip(u ** (1.0 / (gamma - 1.0)), 0.0, market.consumption_cap)
-    return pi, c
-
-
 def closed_form_controls(y, u, u_y, market):
     """Clipped maximizers of the reduced Hamiltonian at one (y, u, u_y).
 
@@ -184,18 +167,30 @@ def closed_form_controls(y, u, u_y, market):
     u_arr = np.asarray(u, float)
     if np.any(u_arr <= 0):
         raise ParameterError("closed-form controls require u > 0")
-    pi, c = _maximizers(market, y, u_arr, u_y)
+    ycol = np.asarray(y, float).reshape(-1, 1)
+    gamma = market.risk_aversion
+    # floats if constant: s * s, not s ** 2, as in the reduced discount rate
+    s = _coefficient(market.volatility)(ycol)
+    b = _coefficient(market.excess_drift)(ycol)
+    pi = (market.correlation * s * np.asarray(u_y, float) + gamma * b * u_arr) \
+        / ((gamma - gamma ** 2) * (s * s) * u_arr)
+    pi = np.clip(pi, -market.position_cap, market.position_cap)
+    # u ~ 0 early in the long-time march: the power overflows but the clip
+    # pins it at the cap, so the warning is spurious
+    with np.errstate(over="ignore"):
+        c = np.clip(u_arr ** (1.0 / (gamma - 1.0)), 0.0, market.consumption_cap)
     if np.ndim(u) == 0:
         return float(np.ravel(pi)[0]), float(np.ravel(c)[0])
     return pi, _each_row(c, np.shape(pi))
 
 
 def control_override(market):
-    """Vectorized (y, u, p) -> (pi*, c*) map for the grid solvers."""
+    """Vectorized (y, u, p) -> (pi*, c*) map for the grid solvers: the
+    closed-form controls at ``u`` clamped to at least ``1e-300``."""
 
     def override(ys, u, grad):
         uu = np.maximum(np.asarray(u, float), 1e-300)
-        return np.stack(_maximizers(market, ys, uu, grad), axis=-1)
+        return np.stack(closed_form_controls(ys, uu, grad, market), axis=-1)
 
     return override
 
@@ -330,25 +325,18 @@ def load_market(source):
     file or the parsed mapping."""
     doc = coefficients._read_json(source)
 
-    def coeff(key):
-        value = doc[key]
-        if isinstance(value, dict):
-            return coefficients.build_terminal(value, 1)
-        return float(value)
+    def read(key, coefficient=False):
+        if coefficient and isinstance(doc[key], dict):
+            return coefficients.build_terminal(doc[key], 1)
+        return coefficients._numbers(doc, key, where="market file")
 
-    return MarketModel(
-        short_rate=coeff("short_rate"),
-        excess_drift=coeff("excess_drift"),
-        volatility=coeff("volatility"),
-        correlation=float(doc["correlation"]),
-        risk_aversion=float(doc["risk_aversion"]),
-        discount=float(doc["discount"]),
-        position_cap=float(doc["position_cap"]),
-        consumption_cap=float(doc["consumption_cap"]),
-        factor_drift=coeff("factor_drift"),
-        lip_L1=doc.get("L1"),
-        lip_L2=doc.get("L2"),
-    )
+    # every field but lip_L1 and lip_L2; one typed ``object`` is a market
+    # coefficient, which may be a descriptor of the factor
+    return MarketModel(**{f.name: read(f.name, f.type is object)
+                          for f in fields(MarketModel)[:-2]},
+                       # an absent or null L1 or L2 is inferred
+                       **{f"lip_{key}": read(key) for key in ("L1", "L2")
+                          if doc.get(key) is not None})
 
 
 def reduced_model_descriptor(market, control_resolution):

@@ -35,8 +35,9 @@ def control_tables(model, y, controls=None):
     ``eval_checked`` call per coefficient, control-major: the states are
     a fresh C-contiguous ``tile`` of the points, the controls of a
     ``(C, k)`` family a fresh ``repeat`` of each, those of a ``(C, n, k)``
-    family a read-only view (a copy when not contiguous).  The tables are
-    shaped ``(C,) + y.shape[:-1]``, the drift with a last axis ``N``.
+    family a view (a copy when not contiguous); the three calls share them
+    read-only.  The tables are shaped ``(C,) + y.shape[:-1]``, the drift
+    with a last axis ``N``.
     """
     y = np.asarray(y, float)
     d = model.controls if controls is None else np.asarray(controls, float)
@@ -45,6 +46,8 @@ def control_tables(model, y, controls=None):
     deltas = (np.repeat(d, n, axis=0) if d.ndim == 2
               else np.broadcast_to(d, (C, n, k)).reshape(-1, k))
     rows = np.tile(states, (C, 1)), deltas
+    for r in rows:
+        r.flags.writeable = False
     shape = (C,) + y.shape[:-1]
     return (model.eval_checked("drift", *rows).reshape(shape + y.shape[-1:]),
             model.eval_checked("discount_rate", *rows).reshape(shape),

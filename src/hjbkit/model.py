@@ -424,22 +424,21 @@ def load_model(source):
     """Build a ControlModel from a JSON model file: a path, an open text
     file or the parsed mapping."""
     doc = coefficients._read_json(source)
-    dim = int(doc["dim"])
-    controls = np.atleast_2d(np.asarray(doc["controls"], float))
-    k = controls.shape[1]
-    mdl = ControlModel(
+
+    def number(key, shape=()):
+        return coefficients._numbers(doc, key, shape, where="model file")
+
+    dim = int(number("dim"))
+    controls = np.atleast_2d(number("controls", None))
+    box = doc.get("domain_box")
+    return ControlModel(
         dim=dim,
-        drift=coefficients.build_drift(doc["drift"], dim, k),
-        discount_rate=coefficients.build_scalar(doc["discount_rate"], dim, k),
-        running_reward=coefficients.build_scalar(doc["running_reward"], dim, k),
+        drift=coefficients.build_drift(doc["drift"], dim, controls),
+        discount_rate=coefficients.build_scalar(doc["discount_rate"], dim, controls),
+        running_reward=coefficients.build_scalar(doc["running_reward"], dim, controls),
         terminal_reward=coefficients.build_terminal(doc["terminal_reward"], dim),
         controls=controls,
-        lip_L1=float(doc["L1"]),
-        lip_L2=float(doc["L2"]),
-        domain_box=doc.get("domain_box"),
+        lip_L1=number("L1"),
+        lip_L2=number("L2"),
+        domain_box=None if box is None else number("domain_box", None).tolist(),
     )
-    for key in ("drift", "discount_rate", "running_reward"):
-        coefficients._check_controls(doc[key], controls)
-    # the terminal reward is read at the control 0
-    coefficients._check_controls(doc["terminal_reward"], np.zeros((1, 1)))
-    return mdl

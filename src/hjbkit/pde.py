@@ -139,6 +139,17 @@ def _read_layers(path, names):
             rows.reshape(len(stamps), len(ys), -1)[..., 2:].copy())
 
 
+def _check_table(what, grid, table, stamps):
+    """``ParameterError`` unless ``table`` holds one layer per time stamp,
+    one row per grid node, and finite entries only."""
+    if table.shape[:2] != (len(stamps), grid.nodes):
+        raise ParameterError(f"{what} of shape {table.shape} does not fit "
+                             f"{len(stamps)} time stamps x {grid.nodes} nodes")
+    # NaN and ±inf reach an extreme: no mask the size of the table is made
+    if not (np.isfinite(table.max()) and np.isfinite(table.min())):
+        raise ParameterError(f"{what} contains non-finite entries")
+
+
 @dataclass
 class ValueField:
     grid: Grid1D
@@ -148,10 +159,7 @@ class ValueField:
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, float))
         self.time_stamps = np.atleast_1d(np.asarray(self.time_stamps, float))
-        if len(self.values) != len(self.time_stamps):
-            raise ParameterError("layer count must match time stamps")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("value field contains non-finite entries")
+        _check_table("value field", self.grid, self.values, self.time_stamps)
 
     def layer(self, t=None):
         if t is None:
@@ -181,6 +189,7 @@ class PolicyField:
         if self.controls.ndim == 2:
             self.controls = self.controls[None]
         self.time_stamps = np.atleast_1d(np.asarray(self.time_stamps, float))
+        _check_table("policy field", self.grid, self.controls, self.time_stamps)
 
     def as_policy(self):
         """Feedback map (y, t) -> control, nearest node and time stamp.

@@ -58,7 +58,22 @@ CALLS = {
     "verify-bounds": ["verify", "--model", "{bound_model}", "--bounds",
                       "{bound}", "--paths", 500, "--dt-sim", 1e-2,
                       "--seed", 6],
+    "solve-closed-form": ["solve", "--closed-form", "--market", MARKET,
+                          "--grid-min", -1, "--grid-max", 1, "--nodes", 21,
+                          "--horizon", 0.05, "--steps", 20, "--seed", 8],
+    # the field and policy that "verify-field" reads back
+    "solve-factor": ["solve", "--market", "{factor_market}", "--npi", 3,
+                     "--nc", 3, "--nodes", 21, "--grid-min", -2,
+                     "--grid-max", 2, "--horizon", 1, "--steps", 200,
+                     "--slice-stride", 100, "--seed", 9],
+    "verify-field": ["verify", "--market", "{factor_market}", "--npi", 3,
+                     "--nc", 3, "--field", "{solved}/value.csv", "--policy",
+                     "{solved}/policy.csv", "--probes=-1,0,1", "--horizon", 1,
+                     "--paths", 500, "--dt-sim", 2e-2, "--seed", 10],
 }
+
+# a call that reads another call's artifacts: that call runs first
+NEEDS = {"verify-field": "solve-factor"}
 
 PINNED = {  # (exit code, {artifact: sha256})
     "check": (0, {
@@ -99,6 +114,26 @@ PINNED = {  # (exit code, {artifact: sha256})
         "verify_report.json":
             "a9047399fe38a3eab7cdfa7bbf5594e88c7ee8a470a6bcfe1050968f50d4d9d0",
     }),
+    "solve-closed-form": (0, {
+        "policy.csv":
+            "f43034d97acd88747a9aee435a62180247d3c7129f7fb97954ed22342b161896",
+        "solve_report.json":
+            "0bb5d0f4371f233ad7321d08578ddda839e2e4e74b0ede8227c632f7c479b727",
+        "value.csv":
+            "9aa06933087823fde578f9590907e84bf0c7278722090202eef7dd04396c19b8",
+    }),
+    "solve-factor": (0, {
+        "policy.csv":
+            "22226c5a007b46d258fa01a7690b6bc8d263f7419cbc0ede0a4d69ae7255320f",
+        "solve_report.json":
+            "bee61dd0babd0ce189bc1d8a546ec527de19d6be1e2b2e748c22fb46459f7536",
+        "value.csv":
+            "b81791855bd3b7c137767bf12638c624aeeac93db9c60d1b2018bf36894e1d3b",
+    }),
+    "verify-field": (0, {
+        "verify_report.json":
+            "4a2001a09db22bfb4c309ec880329931cc266a372b8836014b5ebf4b8300bef2",
+    }),
 }
 
 
@@ -114,16 +149,20 @@ def artifact_digests(out):
     return digests
 
 
-def run_call(name, tmp_path):
-    """Exit code and artifact digests of the call ``name``."""
+def run_call(name, tmp_path, out="out"):
+    """Exit code and artifact digests of the call ``name``, written to
+    ``tmp_path / out``."""
     inputs = {"factor_market": FACTOR_MARKET, "bound_model": BOUND_MODEL,
               "bound": BOUND}
     for key, doc in inputs.items():
         (tmp_path / f"{key}.json").write_text(json.dumps(doc))
-    argv = [str(a).format(**{k: tmp_path / f"{k}.json" for k in inputs})
+    if name in NEEDS:
+        run_call(NEEDS[name], tmp_path, "solved")
+    paths = {k: tmp_path / f"{k}.json" for k in inputs}
+    argv = [str(a).format(solved=tmp_path / "solved", **paths)
             for a in CALLS[name]]
-    code = main(argv + ["--out", str(tmp_path / "out")])
-    return code, artifact_digests(tmp_path / "out")
+    code = main(argv + ["--out", str(tmp_path / out)])
+    return code, artifact_digests(tmp_path / out)
 
 
 @pytest.mark.parametrize("name", CALLS)

@@ -705,6 +705,58 @@ class TestBoundsFile:
         assert rep["bounds"] == json.loads(json.dumps(direct.as_dict()))
 
 
+class TestNumbersInFiles:
+    """A model, market or bounds-file number that is null, NaN, infinite or
+    text exits 2 naming its key, before any artifact is written."""
+
+    BASES = {
+        "model": dict(json.loads(pathlib.Path(MODEL).read_text()),
+                      discount_rate={"kind": "power_delta", "coeff": -1.0,
+                                     "exponent": 0.0}),
+        "market": {"short_rate": 0.02, "volatility": 0.2, "correlation": 0.5,
+                   "risk_aversion": 0.5, "discount": 0.1, "position_cap": 2.0,
+                   "consumption_cap": 1.0,
+                   "excess_drift": {"kind": "affine", "const": 0.04,
+                                    "y_coeff": [0.03]},
+                   "factor_drift": {"kind": "affine", "y_coeff": [-1.0]}},
+        "bounds": {"kind": "envelope", "K": 3.0, "M": 1.0, "y0": 0.5, "T": 1.0},
+    }
+    ENTRIES = [("model", ("running_reward", "const")),
+               ("model", ("terminal_reward", "value")),
+               ("model", ("discount_rate", "exponent")),
+               ("model", ("L1",)), ("model", ("dim",)),
+               ("market", ("correlation",)), ("market", ("excess_drift", "const")),
+               ("bounds", ("K",)), ("bounds", ("T",))]
+
+    def _run(self, tmp_path, kind, doc):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        argv = {"model": ["check", "--model", path],
+                "market": ["check", "--market", path, "--npi", 3, "--nc", 3],
+                "bounds": ["verify", "--model", MODEL, "--bounds", path,
+                           "--paths", 10, "--dt-sim", 0.1]}[kind]
+        return run(*argv, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("kind", BASES)
+    def test_the_unedited_file_runs(self, tmp_path, kind):
+        assert self._run(tmp_path, kind, self.BASES[kind]) == 0
+
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf"), "x"],
+                             ids=["null", "NaN", "Infinity", "text"])
+    @pytest.mark.parametrize("kind, keys", ENTRIES,
+                             ids=["-".join((k,) + p) for k, p in ENTRIES])
+    def test_entry_that_is_not_a_finite_number(self, tmp_path, capsys, kind,
+                                               keys, value):
+        doc = json.loads(json.dumps(self.BASES[kind]))
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        assert self._run(tmp_path, kind, doc) == 2
+        assert f"{keys[-1]} must be a number" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+
 class TestOptions:
     @pytest.mark.parametrize("command, option", [
         (command, option) for command in ("verify", "kappa")

@@ -100,24 +100,24 @@ def test_affine_builders_equal_reference_bits(dim, k, const, absent):
             linear = linear + _reference_dot(delta[..., None, :],
                                              given["delta_matrix"])
         quad = scalar(y, delta) + _reference_dot(d_quad, delta ** 2)
+        one_control = np.zeros((1, k))
         for controls in (delta, _control_major(delta)):
-            _same_bits(build_scalar(dict(scalar_desc, kind="affine"), dim, k)(
-                y, controls), scalar(y, delta))
+            _same_bits(build_scalar(dict(scalar_desc, kind="affine"), dim,
+                                    one_control)(y, controls), scalar(y, delta))
             _same_bits(build_scalar(dict(scalar_desc, kind="quadratic_delta"),
-                                    dim, k)(y, controls), quad)
+                                    dim, one_control)(y, controls), quad)
             _same_bits(build_drift(dict(drift_desc, kind="affine",
-                                        const=[const] * dim), dim, k)(y, controls),
-                       linear)
+                                        const=[const] * dim), dim,
+                                   one_control)(y, controls), linear)
         _same_bits(build_terminal(dict(scalar_desc, kind="quadratic_delta"), dim)(y),
                    scalar(y, np.zeros(1)) + _reference_dot(d_quad, np.zeros(1)))
 
 
-def test_terminal_with_a_non_finite_control_coefficient_is_not_a_number():
-    # at the control 0 the term is 0·inf: the state part alone would be finite
-    terminal = build_terminal({"kind": "affine", "const": 1.0,
-                               "delta_coeff": [np.inf]}, 1)
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(terminal(np.ones((3, 1)))).all()
+def test_terminal_with_a_non_finite_control_coefficient_is_rejected():
+    # at the control 0 the term would be 0·inf, so the descriptor is refused
+    with pytest.raises(ParameterError, match="delta_coeff must be a number"):
+        build_terminal({"kind": "affine", "const": 1.0,
+                        "delta_coeff": [np.inf]}, 1)
 
 
 @pytest.mark.parametrize("key, value, kind", [
@@ -128,17 +128,20 @@ def test_terminal_with_a_non_finite_control_coefficient_is_not_a_number():
 ])
 def test_scalar_coefficient_of_another_width_is_rejected(key, value, kind):
     with pytest.raises(ParameterError, match=key):
-        build_scalar({"kind": kind, key: value}, 1, 2)
+        build_scalar({"kind": kind, key: value}, 1, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("key, value", [
     ("y_matrix", [[-1.0]]),
     ("delta_matrix", [[1.0], [1.0]]),
     ("delta_matrix", [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+    # the right entries on other axes, which used to be reshaped
+    ("y_matrix", [-1.0, 0.0, 0.0, -1.0]),
+    ("delta_matrix", [[[1.0, 0.0], [0.0, 1.0]]]),
 ])
 def test_drift_matrix_of_another_shape_is_rejected(key, value):
     with pytest.raises(ParameterError, match=key):
-        build_drift({"kind": "affine", key: value}, 2, 2)
+        build_drift({"kind": "affine", key: value}, 2, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("const", [-0.0, 0.5, [-0.0, 0.5], None])

@@ -302,3 +302,21 @@ def test_rows_written_by_a_coefficient_reach_no_caller_array(per_point):
     assert np.array_equal(y, kept[1])
     if per_point:
         assert np.array_equal(family, kept[2])
+
+
+@pytest.mark.parametrize("per_point", [False, True])
+def test_a_coefficient_cannot_write_into_the_shared_rows(per_point):
+    # the three calls share one copy of the rows: a drift that wrote 7.0
+    # into its controls would hand the discount rate rows of 7.0
+    seen = []
+    model = spied_model(1, np.array([[0.0], [0.5]]), seen)
+
+    def drift(y, d):
+        d[...] = 7.0
+        return np.zeros(y.shape)
+
+    model = dataclasses.replace(model, drift=drift)
+    family = np.zeros((2, 3, 1)) if per_point else None
+    with pytest.raises(ValueError, match="read-only"):
+        control_tables(model, np.zeros((3, 1)), family)
+    assert not seen

@@ -555,6 +555,18 @@ class TestFields:
         with pytest.raises(ParameterError):
             hk.ValueField(g, np.ones((2, 3)), [0.0])
 
+    @pytest.mark.parametrize("cls, table, stamps", [
+        # two layers for three stamps: the lookup would index past them
+        ("policy", np.zeros((2, 5, 1)), [0.0, 0.5, 1.0]),
+        ("policy", np.full((1, 5, 1), np.nan), [0.0]),
+        ("policy", np.zeros((1, 4, 1)), [0.0]),
+        ("value", np.zeros((1, 4)), [0.0]),
+    ], ids=["policy_layers", "policy_nan", "policy_nodes", "value_nodes"])
+    def test_field_table_fits_grid_and_stamps(self, cls, table, stamps):
+        field = {"policy": hk.PolicyField, "value": hk.ValueField}[cls]
+        with pytest.raises(ParameterError):
+            field(hk.Grid1D(-1, 1, 5), table, stamps)
+
     def test_policy_as_feedback_map(self):
         m = ou_model()
         g = hk.Grid1D(-3, 3, 61)
