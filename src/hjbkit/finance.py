@@ -119,7 +119,11 @@ def _reduced_coefficients(market):
 
 
 def to_control_model(market, control_resolution):
-    """Discretize (pi, c) and build the reduced factor-level ControlModel."""
+    """Discretize (pi, c) and build the reduced factor-level ControlModel.
+
+    An absent ``L1`` or ``L2`` is inferred from the assumption screen's
+    sampled quotients; ``L2`` only from a factor drift that contracts.
+    """
     n_pi, n_c = control_resolution
     if n_pi < 2 or n_c < 2:
         raise ParameterError("control resolutions must be >= 2")
@@ -144,7 +148,12 @@ def to_control_model(market, control_resolution):
             L1 = 1.5 * max(1.0, q["terminal_reward"], q["running_reward"],
                            q["discount_rate"])
         if L2 is None:
-            L2 = min(q["drift"], -1e-6)  # flat/expanding: nominal contraction
+            if q["drift"] >= 0:
+                raise ParameterError(
+                    "market: L2 cannot be inferred, as the factor drift shows "
+                    f"no contraction on the screen box {box[0]} (drift quotient "
+                    f"{q['drift']:.3g} >= 0); give L2")
+            L2 = min(q["drift"], -1e-6)
     cm = reduced(L1, L2)
     screen = check_assumption1(cm, box, samples=128, seed=0)
     if not screen.passed:

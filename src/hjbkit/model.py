@@ -428,7 +428,11 @@ def load_model(source):
     def number(key, shape=()):
         return coefficients._numbers(doc, key, shape, where="model file")
 
-    dim = int(number("dim"))
+    dim = number("dim")
+    if not (dim >= 1 and dim == int(dim)):
+        raise ParameterError(f"model file: dim must be a positive integer, "
+                             f"not {doc['dim']!r}")
+    dim = int(dim)
     controls = np.atleast_2d(number("controls", None))
     box = doc.get("domain_box")
     return ControlModel(

@@ -33,7 +33,8 @@ start of its stream and draws ``_CHUNK`` steps at a time, so the loop's
 memory does not grow with the horizon; the records take one value per
 policy, start, path and record time.  ``discounted_estimates`` simulates
 its policies, such as the ``constant_policies`` family, in groups whose
-records fit in ``_RECORD_BYTES``.
+records and one sample row fit in ``_RECORD_BYTES``, and builds the
+samples in place over the records.
 """
 
 from dataclasses import dataclass, replace
@@ -64,7 +65,7 @@ __all__ = [
 
 _BLOCK = 1 << 14      # paths per block
 _CHUNK = 128          # steps of increments drawn at a time
-_RECORD_BYTES = 1 << 25   # records per call of the grouped moment checks
+_RECORD_BYTES = 1 << 25   # records plus one sample row per moment-check group
 _EXCLUSION_BUDGET = 1e-3
 _STREAM_START = np.random.Philox(key=[0, 0]).state  # key swapped in per path
 _POOL = {}   # "gens": one list of path generators, lent to one block at a time
@@ -328,6 +329,19 @@ def _per_row(fn, y, *controls):
     return _each_row(out, rows.shape[:1]).reshape(y.shape[:-1])
 
 
+def _discounted(fn, disc, floor, y, *controls):
+    """``disc · fn``, or ``disc · max(|fn|, 1)`` with ``floor``, on the
+    ``(P, S, R, paths, ...)`` records: ``fn`` is evaluated one record time
+    at a time into one ``(P, S, R, paths)`` sample row, finished in place."""
+    out = np.empty(disc.shape)
+    for r in range(disc.shape[2]):
+        out[:, :, r] = _per_row(fn, y[:, :, r], *(d[:, :, r] for d in controls))
+    if floor:
+        np.abs(out, out=out)
+        np.maximum(out, 1.0, out=out)
+    return np.multiply(disc, out, out=out)
+
+
 def estimate_value(model, policy, starts, t, T, mc):
     """Monte Carlo estimates of the discounted reward functional on [t, T].
 
@@ -362,35 +376,42 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     of "discounted_moments"), each evaluated on the records, so the paths
     are simulated without the reward integral and only the rewards a
     statistic needs are evaluated.  Policies are simulated by
-    ``simulate_paths`` and reduced in groups whose records fit in
-    ``_RECORD_BYTES``; each group re-keys the generators of the one before.
+    ``simulate_paths`` and reduced in groups whose records and one sample
+    row fit in ``_RECORD_BYTES``; each group re-keys the generators of the
+    one before.  The samples are built in place over the records: the
+    discount overwrites the log-discounts, each reward is evaluated one
+    record time at a time into its own sample row, and the controls are
+    freed once ``f`` is built (``g`` reads only the states), the states
+    before the reduction.  At its peak a group holds its records plus one
+    sample row and one record time's coefficient temporaries: 1.44x its
+    records at the benchmark's ``kappa`` shape (``dim = k = 1``, 16 record
+    times).
     """
     if statistic not in ("discount", "discounted_reward", "discounted_moments"):
         raise ParameterError(f"unknown statistic {statistic!r}")
-    # record floats per path as simulate_paths sizes them with the reward
+    # record floats per path without the reward (dim + k + 1), plus the one
+    # sample row held beside them at a group's peak
     floats = model.dim + model.controls.shape[1] + 2
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
     size = max(1, _RECORD_BYTES // per_policy)
-    groups = []
+    moments, groups = statistic == "discounted_moments", []
     for first in range(0, len(policies), size):
         batch = simulate_paths(model, policies[first:first + size], starts,
                                T, mc, times, reward=False)
-        y, d = batch.states, batch.deltas
+        y, d, disc = batch.states, batch.deltas, batch.log_discount
+        excluded, horizon = batch.excluded[:, :, None], batch.times
+        del batch  # each record is freed once its last reader is done
         with np.errstate(over="ignore", invalid="ignore"):
-            disc = np.exp(batch.log_discount)
-            if statistic == "discount":
-                samples = {"unit": disc}
-            elif statistic == "discounted_reward":
-                samples = {"f": disc * _per_row(model.running_reward, y, d)}
-            else:
-                samples = {"f": _per_row(model.running_reward, y, d),
-                           "g": _per_row(model.terminal_reward, y)}
-                samples = {factor: disc * np.maximum(np.abs(v), 1.0)
-                           for factor, v in samples.items()}
-        groups.append({factor: _reduce(v, batch.excluded[:, :, None], mc,
-                                       batch.times)
+            np.exp(disc, out=disc)
+            samples = {"unit": disc} if statistic == "discount" else {
+                "f": _discounted(model.running_reward, disc, moments, y, d)}
+            del d  # g reads only the states
+            if moments:
+                samples["g"] = _discounted(model.terminal_reward, disc, True, y)
+        del y, disc
+        groups.append({factor: _reduce(v, excluded, mc, horizon)
                        for factor, v in samples.items()})
-        del batch, y, d, disc, samples  # before the next group's records
+        del samples  # before the next group's records
     return {factor: replace(est, **{name: np.concatenate(
         [getattr(g[factor], name) for g in groups])
         for name in ("mean", "std_error", "excluded")})

@@ -756,6 +756,23 @@ class TestNumbersInFiles:
         assert f"{keys[-1]} must be a number" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5])
+    def test_dim_that_is_not_a_positive_integer(self, tmp_path, capsys, dim):
+        doc = dict(json.loads(pathlib.Path(MODEL).read_text()), dim=dim)
+        assert self._run(tmp_path, "model", doc) == 2
+        err = capsys.readouterr().err
+        assert "dim must be a positive integer" in err
+        assert "y_matrix" not in err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_market_without_l2_and_a_flat_drift(self, tmp_path, capsys):
+        # the flat factor drift has no contraction to infer L2 from
+        doc = {k: v for k, v in json.loads(pathlib.Path(MARKET).read_text())
+               .items() if k not in ("L1", "L2")}
+        assert self._run(tmp_path, "market", doc) == 2
+        assert "L2 cannot be inferred" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestOptions:
     @pytest.mark.parametrize("command, option", [

@@ -184,6 +184,19 @@ class TestReduction:
         assert cm.lip_L2 == pytest.approx(-0.7)
         assert hk.check_assumption1(cm, [(-5.0, 5.0)], 128, 0).passed
 
+    @pytest.mark.parametrize("factor_drift", [0.0, lambda y: 0.1 * y[..., 0]],
+                             ids=["flat", "expanding"])
+    def test_lipschitz_fallback_needs_a_contracting_drift(self, factor_drift):
+        # no L2 passes the screen for a drift that does not contract
+        m = hk.MarketModel(
+            short_rate=0.02, excess_drift=0.04, volatility=0.2,
+            correlation=0.5, risk_aversion=0.5, discount=0.1,
+            position_cap=2.0, consumption_cap=1.0, factor_drift=factor_drift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="L2 cannot be inferred"):
+                hk.to_control_model(m, (3, 3))
+
 
 class TestClosedFormControls:
     def test_beats_grid_search(self, merton_market):

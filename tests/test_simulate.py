@@ -14,7 +14,7 @@ from hjbkit import simulate as sim
 from hjbkit.errors import ParameterError, PathExclusionError, RecordTimeError
 from hjbkit.simulate import _reduce, simulate_paths
 
-from conftest import constant_model, ou_model, zero_policy
+from conftest import DATA, constant_model, ou_model, zero_policy
 from families import family_models
 
 RECORDS = ("states", "log_discount", "reward_integral", "deltas", "excluded")
@@ -720,6 +720,57 @@ class TestBoundVerification:
         grouped = hk.verify_bounds(m, spec, [0.5], 1.0, mc)
         assert [r["control_index"] for r in grouped.rows][::4] == [0, 1, 2]
         assert grouped.rows == whole.rows
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("statistic", ["discount", "discounted_reward",
+                                           "discounted_moments"])
+    def test_control_groups_match_one_call_per_statistic(
+            self, monkeypatch, statistic, antithetic):
+        # |f| and |g| cross 1, so the moments' floor at 1 is exercised
+        m = dataclasses.replace(
+            ou_model(),
+            running_reward=lambda y, d: np.sum(y ** 2 - d, axis=-1),
+            terminal_reward=lambda y: 2.0 * np.sum(y, axis=-1))
+        mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=5,
+                                 antithetic=antithetic)
+
+        def estimates():
+            return sim.discounted_estimates(
+                m, hk.constant_policies(m), [[0.5], [-1.5]], 1.0, mc,
+                [0.25, 0.5], statistic)
+
+        whole = estimates()
+        monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one control per group
+        grouped = estimates()
+        assert list(grouped) == list(whole)
+        for factor, est in whole.items():
+            assert est.mean.shape == (3, 2, 3)
+            for name in ("mean", "std_error", "excluded"):
+                assert np.array_equal(getattr(grouped[factor], name),
+                                      getattr(est, name)), (factor, name)
+
+    def test_moment_samples_peak_near_their_records(self):
+        # the kappa shape of the benchmark: ou_model.json, its 3 constant
+        # policies, 7 starts, 16 record times up to the horizon 4
+        m = hk.load_model(DATA + "/ou_model.json")
+        policies = hk.constant_policies(m)
+        starts = np.linspace(-2.0, 2.0, 7)[:, None]
+        mc = hk.MonteCarloConfig(paths=300, dt=1e-2, seed=0)
+        args = (m, policies, starts, 4.0, mc, np.linspace(0.25, 4.0, 16))
+        batch = simulate_paths(*args, reward=False)
+        records = sum(getattr(batch, name).nbytes for name in
+                      ("states", "deltas", "log_discount", "excluded"))
+        del batch
+        sim.discounted_estimates(*args, "discounted_moments")  # warm caches
+        tracemalloc.start()
+        try:
+            sim.discounted_estimates(*args, "discounted_moments")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the records plus one sample row are 4/3 of the records; building
+        # each factor by whole-array expressions holds 3x
+        assert peak <= 1.5 * records
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_control_groups_build_each_stream_once(self, monkeypatch,
