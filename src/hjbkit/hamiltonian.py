@@ -55,7 +55,13 @@ def control_tables(model, y, controls=None):
 
 
 def maximize(drift_term, h, f, u):
-    """Max over axis 0 of ``drift_term + h*u + f`` and its first argmax."""
+    """Max over axis 0 of ``drift_term + h*u + f`` and its first argmax.
+
+    Any memory layout gives the same bits.  The scan runs fastest on
+    node-major (Fortran-ordered) tables, where each point's candidates are
+    contiguous; the grid march and the residual pass those, which at 441
+    controls and 41 points takes about a third of the C-ordered time.
+    """
     cand = h * u  # summed in place: one (controls, points) temporary
     cand += drift_term
     cand += f

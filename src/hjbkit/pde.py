@@ -22,10 +22,14 @@ diffusion, first difference upwinded by the sign of the drift per
 candidate control.  The Hamiltonian is ``hamiltonian.maximize`` on
 ``(controls, nodes)`` tables, shared with the residual audit (centred
 gradient) and ``eval_H``; a closed-form override enters as a one-row
-table of the controls it returns.  The step must satisfy
-``dt * (1/dy^2 + max|i|/dy + max h+) <= 1`` with the maxima taken over
-grid x the controls applied (the grid list, or each step's override
-controls); this is enforced, not assumed.
+table of the controls it returns.  The march and the residual keep that
+shape but hold the tables node-major (Fortran order), so the scan over
+axis 0 reads each node's controls from contiguous memory: at 441
+controls and 41 nodes one scan takes 57-83 µs, against 158-270 µs on
+C-ordered tables (timeit, interleaved in one process, 2-core host).
+The step must satisfy ``dt * (1/dy^2 + max|i|/dy + max h+) <= 1`` with
+the maxima taken over grid x the controls applied (the grid list, or
+each step's override controls); this is enforced, not assumed.
 
 A field's ``to_csv`` writes one ``y,t,<columns>`` row per node and stamp;
 its ``read_csv`` reads the file back bit for bit and rejects any other.
@@ -68,10 +72,16 @@ class Grid1D:
     boundary: str = "one_sided"
 
     def __post_init__(self):
+        for name in ("y_min", "y_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if not self.y_min < self.y_max:
             raise ParameterError("need y_min < y_max")
         if self.nodes < 3:
             raise ParameterError("need at least 3 nodes")
+        if not np.isfinite(self.spacing):
+            raise ParameterError("the spacing (y_max - y_min) / (nodes - 1) "
+                                 "must be finite")
         if self.boundary not in ("one_sided", "linear_extrapolation"):
             raise ParameterError(f"unknown boundary scheme {self.boundary!r}")
 
@@ -90,8 +100,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ParameterError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ParameterError("horizon must be positive and finite")
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
 
@@ -269,22 +279,31 @@ def _centered_gradient(u, dy):
 def _tabulate(model, ys, controls=None):
     """``(i, upwind, h, f)`` of each control on the nodes, controls first.
 
-    ``upwind`` indexes ``_upwind_max``'s differences: node ``j`` reads the
-    forward one, ``j + 1``, where ``i >= 0``, else the backward one, ``j``.
+    The tables keep ``control_tables``' ``(controls, nodes)`` shape but are
+    node-major (Fortran order), so ``maximize`` scans contiguous memory:
+    about a third of the C-ordered time at 441 controls and 41 nodes.  They
+    are converted one at a time, so at most one copy is alive beside the
+    C-ordered tables; a one-row table, as an override gives, is both orders
+    already and is not copied.  ``upwind`` indexes ``_upwind_max``'s
+    differences: node ``j`` reads the forward one, ``j + 1``, where
+    ``i >= 0``, else the backward one, ``j``.
     """
     i, h, f = control_tables(model, ys[:, None], controls)
-    i = i[..., 0]
+    i = np.asfortranarray(i[..., 0])
+    h = np.asfortranarray(h)
+    f = np.asfortranarray(f)
     return i, np.arange(len(ys)) + (i >= 0.0), h, f
 
 
 def _upwind_max(u, dy, i, upwind, h, f):
     """Max and first argmax over the controls, drifts upwinded by sign."""
     # d[j] is the backward difference at node j, d[j + 1] the forward one;
-    # one-sided at the edges
+    # one-sided at the edges.  Gathered through the transpose, the upwinded
+    # differences are node-major like ``i``, and so is the drift term
     d = np.empty(len(u) + 1)
     d[1:-1] = (u[1:] - u[:-1]) / dy
     d[0], d[-1] = d[1], d[-2]
-    return maximize(i * d.take(upwind), h, f, u)
+    return maximize(i * d.take(upwind.T).T, h, f, u)
 
 
 def _scanner(model, grid, override, admissible):
@@ -419,8 +438,8 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     infinite horizon for this model.
     """
     for name, value in (("dt", dt), ("tol_dt", tol_dt), ("t_max", t_max)):
-        if not value > 0:
-            raise ParameterError(f"{name} must be positive")
+        if not 0 < value < np.inf:
+            raise ParameterError(f"{name} must be positive and finite")
     t0 = _time.perf_counter()
     steps = int(np.ceil(t_max / dt))
     for s, (_, rhs, pol, v, cfl) in enumerate(
@@ -579,8 +598,8 @@ def residual(model, fld, control_override=None):
     uin = u[1:-1]
     controls = None if control_override is None else \
         [np.asarray(control_override(ys, uin, grad), float)]
-    i, h, f = control_tables(model, ys[:, None], controls)
-    H, _ = maximize(i[..., 0] * grad, h, f, uin)
+    i, _, h, f = _tabulate(model, ys, controls)
+    H, _ = maximize(i * grad, h, f, uin)
     return 0.5 * d2 + H
 
 

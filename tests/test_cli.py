@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ class TestSolve:
                    "--slice-stride", stride)
         assert code == 2
         assert "slice_stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--grid-min=-inf"], "y_min"), (["--grid-max=inf"], "y_max"),
+        (["--grid-min=-1e308", "--grid-max=1e308"], "spacing"),
+        (["--horizon=inf"], "horizon")])
+    def test_non_finite_grid_or_horizon_is_usage_error(self, tmp_path, capsys,
+                                                       flags, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("solve", "--model", MODEL, "--out", tmp_path,
+                       "--nodes", 11, "--steps", 10, "--horizon", 0.01, *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "coefficient" not in err
+        assert not (tmp_path / "solve_report.json").exists()
 
     def test_market_solve_with_closed_form(self, tmp_path):
         code = run("solve", "--market", MARKET, "--out", tmp_path,
@@ -341,7 +357,8 @@ class TestStationarySelection:
         assert code == 1
         assert "long-time march diverged" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dt, t_max", [(0, 1000), (5e-3, 0)])
+    @pytest.mark.parametrize("dt, t_max", [(0, 1000), (5e-3, 0),
+                                           (np.inf, 1000), (5e-3, np.inf)])
     def test_march_step_and_horizon_validated(self, tmp_path, capsys, dt,
                                               t_max):
         # h = 0.5: policy iteration does not apply, the march gets the flags

@@ -155,6 +155,21 @@ def test_operator_matches_loop_with_first_index_ties(tables):
         assert not any(np.array_equal(rows[j], rows[k]) for k in range(j))
 
 
+@settings(max_examples=200, deadline=None)
+@given(tables_with_duplicates())
+def test_operator_gives_the_same_bits_on_either_layout(tables):
+    # the grid march passes node-major tables; ties still go to the first
+    drift_term, h, f, u = tables
+    c_order = [np.ascontiguousarray(t) for t in (drift_term, h, f)]
+    f_order = [np.asfortranarray(t) for t in (drift_term, h, f)]
+    assert all(t.flags.f_contiguous for t in f_order)
+    value, idx = maximize(*c_order, u)
+    f_value, f_idx = maximize(*f_order, u)
+    assert f_value.tobytes() == value.tobytes()
+    assert f_idx.tobytes() == idx.tobytes()
+    assert np.array_equal(idx, loop_maximize(drift_term, h, f, u)[1])
+
+
 def test_operator_one_row():
     drift_term, h, f = (np.array([[0.5, -1.0]]), np.array([[-1.0, 0.0]]),
                         np.array([[2.0, 3.0]]))

@@ -9,6 +9,7 @@ import hjbkit as hk
 from hjbkit import pde
 from hjbkit.errors import (DivergenceError, ParameterError,
                            PolicyIterationError, StabilityError)
+from hjbkit.hamiltonian import control_tables, maximize
 
 from conftest import constant_model, ou_model
 
@@ -21,6 +22,19 @@ class TestGrids:
             hk.Grid1D(0.0, 1.0, 2)
         with pytest.raises(ParameterError):
             hk.Grid1D(0.0, 1.0, 11, boundary="mystery")
+
+    @pytest.mark.parametrize("y_min, y_max, name", [
+        (-np.inf, 1.0, "y_min"), (0.0, np.inf, "y_max"), (np.nan, 1.0, "y_min"),
+        (-1e308, 1e308, "spacing")])
+    def test_grid_bounds_and_spacing_must_be_finite(self, y_min, y_max, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=name):
+                hk.Grid1D(y_min, y_max, 11)
+
+    def test_time_grid_horizon_must_be_finite(self):
+        with pytest.raises(ParameterError, match="horizon"):
+            hk.TimeGrid(np.inf, 10)
 
     def test_spacing(self):
         g = hk.Grid1D(-1.0, 1.0, 21)
@@ -235,7 +249,7 @@ class TestInfiniteHorizon:
         _, _, rep = hk.solve_infinite_horizon(m, g, 2e-3, 1e-10, 0.5)
         assert not rep.converged
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("name", ["dt", "tol_dt", "t_max"])
     def test_step_and_stop_rule_validated(self, name, value):
         args = {"dt": 2e-3, "tol_dt": 1e-5, "t_max": 10.0, name: value}
@@ -520,6 +534,38 @@ class TestStationary:
             errors.append(np.abs(vf.values[0][inside] - exact).max())
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
+
+
+class TestNodeMajorTables:
+    """The march scans node-major tables; ``control_tables`` stays C-ordered."""
+
+    @staticmethod
+    def _scan_c_ordered(model, ys, controls, u, dy):
+        i, h, f = control_tables(model, ys[:, None], controls)
+        assert all(t.flags.c_contiguous for t in (i, h, f))
+        d = np.diff(u) / dy
+        forward, backward = np.append(d, d[-1]), np.insert(d, 0, d[0])
+        i = i[..., 0]
+        return maximize(i * np.where(i >= 0.0, forward, backward), h, f, u)
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_march_tables_are_node_major_and_scan_the_same(self, override,
+                                                           merton_market):
+        model = hk.to_control_model(merton_market, (21, 21))
+        grid = hk.Grid1D(-1.0, 1.0, 41)
+        ys, dy = grid.ys, grid.spacing
+        u = 3.0 + np.sin(2.0 * ys)
+        controls = None
+        if override:
+            ov = hk.control_override(merton_market)
+            controls = np.asarray(ov(ys, u, np.gradient(u, dy)), float)[None]
+        tables = pde._tabulate(model, ys, controls)
+        assert all(t.flags.f_contiguous for t in tables)
+        assert tables[0].shape == (1 if override else 441, 41)
+        value, idx = pde._upwind_max(u, dy, *tables)
+        ref, ref_idx = self._scan_c_ordered(model, ys, controls, u, dy)
+        assert value.tobytes() == ref.tobytes()
+        assert idx.tobytes() == ref_idx.tobytes()
 
 
 class TestResidual:
