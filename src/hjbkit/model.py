@@ -40,6 +40,10 @@ OVERFLOW_GUARD = 1e12
 #: 441 x 2 x 129 rows of a 21 x 21 market at once add 5 MB of peak memory
 _SCREEN_ROWS = 1 << 13
 
+#: times on ``estimate_kappa``'s internal grid and start points on its mesh
+_KAPPA_TIMES = 16
+_KAPPA_STARTS = 7
+
 
 @dataclass(frozen=True, eq=False)
 class ControlModel:
@@ -333,8 +337,7 @@ def _ball_mesh(dim, n, points, seed):
     return np.array(mesh[:points])
 
 
-def estimate_kappa(model, radius_n, horizon, policy_family, mc,
-                   t_points=16, y_points=7):
+def estimate_kappa(model, radius_n, horizon, policy_family, mc):
     """Estimate the time-decay envelopes of the discounted moments.
 
     For every time on an internal grid, at the Euler step that simulates
@@ -353,8 +356,8 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc,
         raise ParameterError("policy family must be nonempty")
     if radius_n < 0:
         raise ParameterError("radius must be >= 0")
-    t_grid = np.linspace(horizon / t_points, horizon, t_points)
-    mesh = _ball_mesh(model.dim, radius_n, y_points, mc.seed)
+    t_grid = np.linspace(horizon / _KAPPA_TIMES, horizon, _KAPPA_TIMES)
+    mesh = _ball_mesh(model.dim, radius_n, _KAPPA_STARTS, mc.seed)
 
     est = discounted_estimates(model, policy_family, mesh, horizon, mc, t_grid,
                                "discounted_moments")

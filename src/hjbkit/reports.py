@@ -1,7 +1,9 @@
 """What the CLI artifacts hold: one ``as_dict`` for every report dataclass,
-and the one writer and reader of CSV text, ``write_csv`` and ``read_csv``.
+and the one writer and reader of CSV text, ``write_csv`` and ``read_csv``
+(``np.loadtxt`` parses the cells).
 A field kept out of them (a wall-clock time) is named in the class's ``_omit``."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -43,15 +45,20 @@ def write_csv(path, comments, columns, rows):
 
 
 def read_csv(path):
-    """The header and ``(rows, columns)`` float array of a ``write_csv`` file,
-    ``#`` and blank lines skipped.  No header, a row of another length or a
-    cell that is not a number raises ``ParameterError`` naming ``path``."""
-    with open(path) as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln and ln[0] != "#"]
-    if not lines:
-        raise ParameterError(f"malformed CSV {path}: no header line")
-    try:
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        return lines[0].split(","), rows.reshape(len(rows), lines[0].count(",") + 1)
-    except ValueError as err:
-        raise ParameterError(f"malformed CSV {path}: {err}") from None
+    """The header and ``(rows, columns)`` float array of a ``write_csv`` file.
+
+    The header is the first line that is neither blank nor ``#``.  The rest
+    goes to ``np.loadtxt``, which skips empty lines, drops text after a
+    ``#`` and, being correctly rounded, reads every ``repr`` back bit for
+    bit.  No header, a row of another length or a cell that is not a number
+    raises ``ParameterError`` naming ``path``; no rows give a ``(0, columns)``
+    array."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            header = next(ln for ln in map(str.strip, fh) if ln and ln[0] != "#")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            return header.split(","), rows.reshape(len(rows), header.count(",") + 1)
+        except (StopIteration, ValueError) as err:
+            why = str(err) or "no header line"
+            raise ParameterError(f"malformed CSV {path}: {why}") from None

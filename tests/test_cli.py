@@ -125,7 +125,8 @@ class TestSolve:
     @pytest.mark.parametrize("flags, name", [
         (["--grid-min=-inf"], "y_min"), (["--grid-max=inf"], "y_max"),
         (["--grid-min=-1e308", "--grid-max=1e308"], "spacing"),
-        (["--horizon=inf"], "horizon")])
+        (["--horizon=inf"], "horizon"),
+        (["--grid-min=-1e-300", "--grid-max=1e-300"], "spacing")])
     def test_non_finite_grid_or_horizon_is_usage_error(self, tmp_path, capsys,
                                                        flags, name):
         with warnings.catch_warnings():
@@ -623,13 +624,17 @@ class TestSolveCsvInput:
         elif case == "uneven_y":
             y, rest = lines[mid].split(",", 1)
             lines[mid] = f"{float(y) + 1e-6!r},{rest}"
+        elif case == "swapped_rows":
+            lines[mid - 1], lines[mid] = lines[mid], lines[mid - 1]
         return lines
 
+    # a header with no rows must not leak np.loadtxt's "no data" warning
+    @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize("stamps", [[0.0, 0.5, 1.0], [7.0]],
                              ids=["layers", "stationary"])
     @pytest.mark.parametrize("case", ["no_data_rows", "non_numeric_cell",
                                       "extra_column", "missing_row",
-                                      "uneven_y"])
+                                      "uneven_y", "swapped_rows"])
     @pytest.mark.parametrize("role", ["field", "policy"])
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, stamps,
                                            case, role):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,9 @@ class TestGrids:
 
     @pytest.mark.parametrize("y_min, y_max, name", [
         (-np.inf, 1.0, "y_min"), (0.0, np.inf, "y_max"), (np.nan, 1.0, "y_min"),
-        (-1e308, 1e308, "spacing")])
+        (-1e308, 1e308, "spacing"),
+        # 1 / spacing ** 2 divides by zero, or overflows
+        (-1e-300, 1e-300, "spacing"), (-1e-155, 1e-155, "spacing")])
     def test_grid_bounds_and_spacing_must_be_finite(self, y_min, y_max, name):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -686,16 +689,38 @@ class TestFields:
         m = ou_model()
         g = hk.Grid1D(-3, 3, 61)
         _, pf, _ = hk.solve_infinite_horizon(m, g, 2.5e-3, 1e-5, 100.0)
-        # a second control column of distinct, full-precision values
-        second = np.broadcast_to(np.sin(g.ys) / 3.0, pf.controls.shape[:2])
+        # a second control column of distinct, full-precision values, with
+        # a negative zero, the least subnormal and the largest float
+        second = np.broadcast_to(np.sin(g.ys) / 3.0,
+                                 pf.controls.shape[:2]).copy()
+        second[0, :3] = -0.0, 5e-324, 1.7976931348623157e308
         pf = pde.PolicyField(g, np.stack([pf.controls[..., 0], second], -1),
                              pf.time_stamps)
         path = tmp_path / "policy.csv"
         pf.to_csv(path)
         back = pde.PolicyField.read_csv(path)
         assert back.grid == g
-        assert np.array_equal(back.controls, pf.controls)
+        assert back.controls.tobytes() == pf.controls.tobytes()
         assert np.array_equal(back.time_stamps, pf.time_stamps)
+
+    def test_read_memory_is_a_small_multiple_of_the_rows(self, tmp_path):
+        g = hk.Grid1D(-3, 3, 41)
+        layers = 4000
+        vf = pde.ValueField(g, np.random.default_rng(0).standard_normal(
+            (layers, g.nodes)), np.linspace(0.0, 1.0, layers))
+        path = tmp_path / "value.csv"
+        vf.to_csv(path, ["seed=0"])
+        pde.ValueField.read_csv(path)  # warm caches
+        tracemalloc.start()
+        try:
+            back = pde.ValueField.read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, vf.values)
+        # the y, t, u rows as floats; a Python float per cell and a string
+        # per line would take about 14 times as much
+        assert peak <= 2.5 * layers * g.nodes * 3 * 8
 
     def test_each_field_reads_only_its_own_header(self, tmp_path):
         g = hk.Grid1D(-1, 1, 5)
