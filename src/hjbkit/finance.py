@@ -25,7 +25,8 @@ import numpy as np
 from . import coefficients
 from .coefficients import _each_row
 from .errors import ParameterError
-from .model import ControlModel, check_assumption1
+from .hamiltonian import control_tables
+from .model import RATIO_TOL, ControlModel, check_assumption1
 from .reports import Report
 
 __all__ = [
@@ -88,6 +89,12 @@ class MarketModel:
         return not any(callable(c) for c in
                        (self.short_rate, self.excess_drift, self.volatility))
 
+    @property
+    def all_numbers(self):
+        """Every coefficient is a number, the factor drift too: no reduced
+        coefficient then depends on y."""
+        return self.is_constant and not callable(self.factor_drift)
+
 
 def _reduced_coefficients(market):
     gamma, w, rho = market.risk_aversion, market.discount, market.correlation
@@ -122,7 +129,11 @@ def to_control_model(market, control_resolution):
     """Discretize (pi, c) and build the reduced factor-level ControlModel.
 
     An absent ``L1`` or ``L2`` is inferred from the assumption screen's
-    sampled quotients; ``L2`` only from a factor drift that contracts.
+    quotients; ``L2`` only from a factor drift that contracts.  The screen
+    samples them, except for a market given as numbers
+    (``MarketModel.all_numbers``): its reduced coefficients do not depend on
+    y, so every quotient is exactly 0 and only their finiteness is checked,
+    for every control at ``y = 0``.
     """
     n_pi, n_c = control_resolution
     if n_pi < 2 or n_c < 2:
@@ -139,11 +150,19 @@ def to_control_model(market, control_resolution):
                             controls=controls, lip_L1=L1, lip_L2=L2)
 
     box = [(-5.0, 5.0)]
+
+    def screen(model):
+        """The screen's ratios: with unit constants, the quotients."""
+        if not market.all_numbers:
+            return check_assumption1(model, box, samples=128, seed=0).ratios
+        control_tables(model, np.zeros((1, 1)))  # raises where non-finite
+        # the one-sided drift ratio reads 2 - 0/L2 for a contraction
+        return {"terminal_reward": 0.0, "running_reward": 0.0,
+                "discount_rate": 0.0, "drift": 0.0 if model.lip_L2 > 0 else 2.0}
+
     L1, L2 = market.lip_L1, market.lip_L2
     if L1 is None or L2 is None:
-        # under unit constants the screen's ratios are the sampled quotients
-        q = check_assumption1(reduced(1.0, 1.0), box, samples=128,
-                              seed=0).ratios
+        q = screen(reduced(1.0, 1.0))
         if L1 is None:
             L1 = 1.5 * max(1.0, q["terminal_reward"], q["running_reward"],
                            q["discount_rate"])
@@ -155,11 +174,11 @@ def to_control_model(market, control_resolution):
                     f"{q['drift']:.3g} >= 0); give L2")
             L2 = min(q["drift"], -1e-6)
     cm = reduced(L1, L2)
-    screen = check_assumption1(cm, box, samples=128, seed=0)
-    if not screen.passed:
+    worst = max(screen(cm).values())
+    if not worst <= 1.0 + RATIO_TOL:
         warnings.warn(
             "market coefficients violate the claimed Lipschitz/contraction "
-            f"constants (worst ratio {screen.worst_ratio:.3g})",
+            f"constants (worst ratio {worst:.3g})",
             stacklevel=2,
         )
     return cm
@@ -354,7 +373,7 @@ def reduced_model_descriptor(market, control_resolution):
     Only constant-coefficient markets can be emitted in closed descriptor
     form; state-dependent coefficients would need tabulation.
     """
-    if not market.is_constant or callable(market.factor_drift):
+    if not market.all_numbers:
         raise ParameterError(
             "descriptor export supports constant-coefficient markets only"
         )

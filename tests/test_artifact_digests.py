@@ -44,6 +44,8 @@ CALLS = {
     "check": ["check", "--model", MODEL, "--seed", 1],
     "check-market": ["check", "--market", "{factor_market}", "--samples", 64,
                      "--seed", 7],
+    # a market given as numbers: the command's own screen still samples
+    "check-merton": ["check", "--market", MARKET, "--seed", 11],
     "solve-market": ["solve", "--market", MARKET, "--grid-min", -1,
                      "--grid-max", 1, "--nodes", 21, "--horizon", 0.05,
                      "--steps", 20, "--slice-stride", 10, "--seed", 2],
@@ -83,6 +85,10 @@ PINNED = {  # (exit code, {artifact: sha256})
     "check-market": (0, {
         "assumption_report.json":
             "4cd75d597baa1662d35debc02200f6edf82fc1205f63714daf056483caca2fa8",
+    }),
+    "check-merton": (0, {
+        "assumption_report.json":
+            "717bfac8ee5ab540dcaef9f01c766c9057f7cd0d33efbff80b6958744dc5a766",
     }),
     "solve-market": (0, {
         "policy.csv":

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from scipy import optimize
 
 import hjbkit as hk
-from hjbkit.errors import ParameterError
+from hjbkit.errors import CoefficientError, ParameterError
 from hjbkit.finance import _reduced_coefficients
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
@@ -150,6 +152,57 @@ class TestReduction:
                 for m in (const, call))
         for field in ("states", "log_discount", "reward_integral", "deltas"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    @pytest.mark.parametrize("L1, L2", [(0.01, 0.01), (0.01, -0.5),
+                                        (None, 0.01), (None, -0.5),
+                                        (0.01, None)])
+    def test_numbers_take_the_sampled_screens_outcome(self, L1, L2):
+        # the callable twin is screened by sampling, the constant one exactly:
+        # the same constants, warning and error come out of both
+        outcomes = []
+        for market in self._constant_and_callable_markets():
+            market = dataclasses.replace(market, lip_L1=L1, lip_L2=L2)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    cm = hk.to_control_model(market, (21, 21))
+                    outcome = (cm.lip_L1, cm.lip_L2)
+                except ParameterError as exc:
+                    outcome = str(exc)
+            outcomes.append((outcome, [str(w.message) for w in caught]))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][1] != []) == (L2 is not None and L2 < 0)
+        assert isinstance(outcomes[0][0], str) == (L2 is None)
+
+    def test_only_markets_given_as_numbers_skip_the_sampled_screen(
+            self, monkeypatch):
+        calls = []
+        screen = hk.finance.check_assumption1
+        monkeypatch.setattr(hk.finance, "check_assumption1",
+                            lambda *a, **k: calls.append(1) or screen(*a, **k))
+        const, call = self._constant_and_callable_markets()
+        descriptor = hk.load_market(dict(
+            json.loads(pathlib.Path(DATA, "merton_market.json").read_text()),
+            short_rate={"kind": "constant", "value": 0.02}))
+        for market, sampled in ((const, False), (call, True),
+                                (descriptor, True)):
+            calls.clear()
+            hk.to_control_model(market, (3, 3))
+            assert bool(calls) == sampled
+            assert market.all_numbers != sampled
+
+    def test_numbers_are_checked_finite_for_every_control(self):
+        # sigma^2 = inf, and inf * 0 = nan in the reduced discount rate
+        m = hk.MarketModel(
+            short_rate=0.02, excess_drift=0.04, volatility=1e200,
+            correlation=0.5, risk_aversion=0.5, discount=0.1,
+            position_cap=2.0, consumption_cap=1.0, factor_drift=0.0,
+            lip_L1=0.01, lip_L2=0.01)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(CoefficientError, match=re.escape(
+                    "'discount_rate' is non-finite at y=[0.0], "
+                    "delta=[-2.0, 0.0]")):
+                hk.to_control_model(m, (3, 3))
 
     def test_screen_warns_on_understated_constants(self):
         m = hk.MarketModel(
