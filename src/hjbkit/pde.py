@@ -27,6 +27,9 @@ shape but hold the tables node-major (Fortran order), so the scan over
 axis 0 reads each node's controls from contiguous memory: at 441
 controls and 41 nodes one scan takes 57-83 µs, against 158-270 µs on
 C-ordered tables (timeit, interleaved in one process, 2-core host).
+A solve tabulates its grid controls once: its residual audit reads the
+interior nodes of the tables the scan holds, and only an override's
+controls are tabulated again, at the final centred gradient.
 The step must satisfy ``dt * (1/dy^2 + max|i|/dy + max h+) <= 1`` with
 the maxima taken over grid x the controls applied (the grid list, or
 each step's override controls); this is enforced, not assumed.
@@ -346,12 +349,13 @@ def _scanner(model, grid, override, admissible):
 def _march(model, grid, u, dt, span, override):
     """Explicit Euler steps from ``u``, for as long as the caller draws them.
 
-    Yields ``(u, rhs, policy, next u, cfl)`` per step: the right-hand side
-    and the policy at ``u``, the update ``u + dt·rhs`` with the
-    extrapolation rows imposed, and the CFL ratio so far, the largest over
-    the tables of the controls actually applied.  Raises ``StabilityError``
-    where those controls need a smaller step (``span`` sizes the step count
-    it suggests) and ``DivergenceError`` on a non-finite update.
+    Yields ``(u, rhs, policy, next u, cfl, tables)`` per step: the
+    right-hand side and the policy at ``u``, the update ``u + dt·rhs`` with
+    the extrapolation rows imposed, the CFL ratio so far, the largest over
+    the tables of the controls actually applied, and those tables.  Raises
+    ``StabilityError`` where those controls need a smaller step (``span``
+    sizes the step count it suggests) and ``DivergenceError`` on a
+    non-finite update.
     """
     dy = grid.spacing
     cfl = 0.0
@@ -367,7 +371,7 @@ def _march(model, grid, u, dt, span, override):
 
     rhs_at = _scanner(model, grid, override, checked)
     for n in itertools.count():
-        rhs, pol, _, _ = rhs_at(u)
+        rhs, pol, _, tables = rhs_at(u)
         nxt = u + dt * rhs
         if grid.boundary == "linear_extrapolation":
             nxt[0] = 2.0 * nxt[1] - nxt[2]
@@ -377,18 +381,22 @@ def _march(model, grid, u, dt, span, override):
             raise DivergenceError(
                 f"non-finite update at node {bad} (y={grid.ys[bad]:g}), step {n}"
             )
-        yield u, rhs, pol, nxt, cfl
+        yield u, rhs, pol, nxt, cfl, tables
         u = nxt
 
 
-def _report(model, grid, u, override, t0, kind, dt, stop, **fields):
+def _report(model, grid, u, override, tables, t0, kind, dt, stop, **fields):
     """The ``SolveReport`` of a solve that ends at ``u``.
 
     The scheme lists ``kind``, the time step ``dt`` (None: no time step),
     the grid, the stop rule ``stop`` and whether an override chose the
-    controls; ``u`` passes the residual audit.
+    controls; ``u`` passes the residual audit.  ``tables`` are the
+    ``_tabulate`` tables the solve's scan last used: with grid controls the
+    audit reads their interior nodes instead of tabulating the controls a
+    second time; an override's controls are tabulated at ``u``'s gradient.
     """
-    res = residual(model, ValueField(grid, u, 0.0), override)
+    interior = None if override else [t[:, 1:-1] for t in tables]
+    res = _residual(model, grid, u, override, interior)
     scheme = {"kind": kind, "dt": dt, "dy": grid.spacing,
               "boundary": grid.boundary, **stop, "override": override is not None}
     if dt is None:
@@ -408,19 +416,20 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     """
     if not slice_stride >= 1:
         raise ParameterError("slice_stride must be >= 1")
-    ys, dt = grid.ys, time.dt
+    dt = time.dt
     t0 = _time.perf_counter()
     if terminal_values is not None:
         u = np.array(terminal_values, float)
-        if u.shape != ys.shape:
+        if u.shape != (grid.nodes,):
             raise ParameterError("terminal_values must match the grid")
     else:
-        u = model.eval_checked("terminal_reward", ys[:, None]).astype(float)
+        u = model.eval_checked("terminal_reward",
+                               grid.ys[:, None]).astype(float)
 
     layers, stamps, policies = [], [], []
     # one right-hand side per step plus one at t = 0: a retained layer's
     # policy and, at the end, the final time derivative
-    for n, (u, rhs, pol, _, cfl) in enumerate(
+    for n, (u, rhs, pol, _, cfl, tables) in enumerate(
             _march(model, grid, u, dt, time.horizon, control_override)):
         if n % slice_stride == 0 or n == time.steps:
             layers.append(u)
@@ -432,8 +441,8 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     order = np.argsort(stamps)
     vf = ValueField(grid, np.array(layers)[order], np.array(stamps)[order])
     pf = PolicyField(grid, np.array(policies)[order], np.array(stamps)[order])
-    return vf, pf, _report(model, grid, u, control_override, t0, _FINITE_KIND,
-                           dt, {}, cfl_ratio=float(cfl),
+    return vf, pf, _report(model, grid, u, control_override, tables, t0,
+                           _FINITE_KIND, dt, {}, cfl_ratio=float(cfl),
                            dvdt_norm=float(np.max(np.abs(rhs[1:-1]))),
                            steps=time.steps)
 
@@ -453,7 +462,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
             raise ParameterError(f"{name} must be positive and finite")
     t0 = _time.perf_counter()
     steps = int(np.ceil(t_max / dt))
-    for s, (_, rhs, pol, v, cfl) in enumerate(
+    for s, (_, rhs, pol, v, cfl, tables) in enumerate(
             _march(model, grid, np.zeros(grid.nodes), dt, t_max,
                    control_override), 1):
         if np.abs(v).max() > _OVERFLOW_GUARD:
@@ -468,7 +477,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     t_final = s * dt
     top = float(model.eval_checked("discount_rate", grid.ys[:, None], pol).max())
     return (ValueField(grid, v, t_final), PolicyField(grid, pol, t_final),
-            _report(model, grid, v, control_override, t0,
+            _report(model, grid, v, control_override, tables, t0,
                     "infinite_horizon_long_time", dt,
                     {"tol_dt": tol_dt, "t_max": t_max}, cfl_ratio=float(cfl),
                     dvdt_norm=dvdt, steps=s, converged=dvdt < tol_dt,
@@ -540,6 +549,8 @@ def solve_stationary(model, grid, tol, control_override=None):
     solves.  ``error_bound`` is ``dvdt_norm / min(-h)`` under the final
     policy, and the field is stamped with a horizon past which the
     discounted tail ``max|f| e^{-min(-h) t} / min(-h)`` is below ``tol``.
+    ``residual_norm`` is audited on the grid tables the scan holds, so no
+    second copy of them is built.
 
     Raises ``PolicyIterationError`` when the method does not apply, with
     ``h >= 0`` at some node of the grid controls or of an override iterate,
@@ -585,31 +596,44 @@ def solve_stationary(model, grid, tol, control_override=None):
             "from: the edge rows admit another one")
 
     _, _, h, f = (t[idx, nodes] for t in tables)
-    del rhs_at, tables  # release the grid tables: residual builds its own
     rate = -float(h.max())
     horizon = np.log(max(float(np.abs(f).max()) / (rate * tol), np.e)) / rate
     return (ValueField(grid, u, horizon), PolicyField(grid, pol, horizon),
-            _report(model, grid, u, control_override, t0,
+            _report(model, grid, u, control_override, tables, t0,
                     "stationary_policy_iteration", None, {"tol": tol},
                     cfl_ratio=0.0, dvdt_norm=dvdt, steps=it,
                     error_bound=dvdt / rate))
 
 
 def residual(model, fld, control_override=None):
-    """Interior residual of the stationary equation on a single-layer field."""
+    """Interior residual of the stationary equation on a single-layer field.
+
+    The controls are tabulated on the interior nodes: the model's list, or
+    the override's at the centred gradient.  A solve's own audit
+    (``_report``) shares the evaluation but reads its scan's grid tables.
+    """
     if model.dim != 1:
         raise ParameterError("residual supports dim=1 only")
     if len(fld.values) != 1:
         raise ParameterError("field must be stationary (single layer)")
-    ys = fld.grid.ys[1:-1]
-    dy = fld.grid.spacing
-    u = fld.values[0]
+    return _residual(model, fld.grid, fld.values[0], control_override)
+
+
+def _residual(model, grid, u, override, tables=None):
+    """``residual`` of ``u``, on ``tables`` of the interior nodes if given.
+
+    Coefficient rows are independent and ``maximize`` gives the same bits
+    for any layout, so the interior slices of a solve's ``_tabulate``
+    tables give the bits of a tabulation on the interior nodes.
+    """
+    ys, dy, uin = grid.ys[1:-1], grid.spacing, u[1:-1]
     d2 = _second_difference(u, dy, "one_sided")[1:-1]
     grad = _centered_gradient(u, dy)[1:-1]
-    uin = u[1:-1]
-    controls = None if control_override is None else \
-        [np.asarray(control_override(ys, uin, grad), float)]
-    i, _, h, f = _tabulate(model, ys, controls)
+    if tables is None:
+        controls = None if override is None else \
+            [np.asarray(override(ys, uin, grad), float)]
+        tables = _tabulate(model, ys, controls)
+    i, _, h, f = tables
     H, _ = maximize(i * grad, h, f, uin)
     return 0.5 * d2 + H
 

@@ -145,6 +145,28 @@ class TestSolve:
                    "--tol-dt", 1e-4, "--t-max", 200)
         assert code == 0
 
+    @pytest.mark.parametrize("flags, tabulations", [
+        # grid controls: the scan's tables serve the residual audit too
+        (["--model", MODEL, "--nodes", 21, "--steps", 20], 1),
+        (["--model", MODEL, "--infinite", "--nodes", 21], 1),
+        # an override: one per right-hand side (41 here), and the audit's
+        # at the final centred gradient
+        (["--market", MARKET, "--closed-form", "--nodes", 11, "--steps", 40,
+          "--grid-min", -1, "--grid-max", 1], 42),
+    ])
+    def test_controls_tabulated_once_per_solve(self, tmp_path, monkeypatch,
+                                               flags, tabulations):
+        calls = []
+        tabulate = pde._tabulate
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return tabulate(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "_tabulate", spy)
+        assert run("solve", *flags, "--out", tmp_path) == 0
+        assert len(calls) == tabulations
+
 
 class TestVerify:
     @pytest.fixture
@@ -434,6 +456,20 @@ class TestErrorHandling:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not any((tmp_path / "o").glob("*.json"))
 
+    @pytest.mark.parametrize("model, out", [
+        (None, "o"), (MODEL, "file"), (MODEL, "file/sub"),
+    ], ids=["model_is_a_directory", "out_is_a_file", "out_under_a_file"])
+    def test_path_of_the_wrong_kind_is_usage_error(self, tmp_path, capsys,
+                                                   model, out):
+        (tmp_path / "file").write_text("kept\n")
+        assert run("solve", "--model", model or tmp_path, "--out",
+                   tmp_path / out, "--nodes", 11, "--steps", 10) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"'{tmp_path / out if model else tmp_path}'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
@@ -475,16 +511,16 @@ DEFAULTS_ONLY = {name: ["--out", "o"] + (["--market", "k.json"]
                  for name in EVERY_OPTION}
 
 
-def _help(parser, command, capsys):
+def _help(parser, argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args([command, "--help"])
+        parser.parse_args(argv)
     assert exc.value.code == 0
     return capsys.readouterr().out
 
 
 class TestParser:
-    """``main`` builds only the invoked subcommand's arguments; the result
-    must be the parser that builds them all."""
+    """``main`` builds one parser, the invoked subcommand's alone; it must
+    parse the rest of the line as the full tree parses the whole of it."""
 
     @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
     def test_one_subcommand_parser_equals_the_full_one(self, command, capsys):
@@ -492,10 +528,10 @@ class TestParser:
         defaults = [command] + DEFAULTS_ONLY[command]
         full = build_parser()
         for argv in (every, defaults):
-            assert (build_parser(command).parse_args(argv)
+            assert (build_parser(command).parse_args(argv[1:])
                     == full.parse_args(argv))
-        assert _help(build_parser(command), command, capsys) == _help(
-            full, command, capsys)
+        assert _help(build_parser(command), ["--help"], capsys) == _help(
+            full, [command, "--help"], capsys)
         # the first argv sets every option the subcommand has
         given, default = (vars(full.parse_args(argv))
                           for argv in (every, defaults))
@@ -530,6 +566,27 @@ class TestParser:
         # --model belongs to every other subcommand
         assert not {"--model", "--samples", "--steps", "--field",
                     "--radius"} & set(added)
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (["merton", "--market", MARKET, "--skip-solve"], 1),
+        (["check", "--model", MODEL, "--samples", "8"], 1),
+        (["--help"], 6),  # the top level and its five subcommands
+    ])
+    def test_one_parser_per_call(self, tmp_path, monkeypatch, argv, parsers):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        try:
+            code = run(*argv, "--out", tmp_path)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        assert code == 0
+        assert len(built) == parsers, built
 
 
 @pytest.mark.parametrize("argv, listed", [
@@ -808,7 +865,8 @@ class TestOptions:
         with pytest.raises(SystemExit) as exc:
             run(command, "--model", MODEL, "--out", tmp_path, option)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert (f"hjbkit {command}: error: unrecognized arguments: {option}"
+                in capsys.readouterr().err)
 
     def test_check_box_from_grid_options(self, tmp_path):
         doc = {k: v for k, v in json.loads(open(MODEL).read()).items()

@@ -580,6 +580,18 @@ class TestResidual:
         assert np.max(np.abs(res)) <= 10 * 1e-6
         assert rep.residual_norm == pytest.approx(np.max(np.abs(res)))
 
+    def test_report_audit_equals_the_public_residual(self, merton_market):
+        # a solve audits on its scan's tables, sliced to the interior nodes;
+        # ``residual`` tabulates the interior nodes: the same bits
+        m441, ou = hk.to_control_model(merton_market, (21, 21)), ou_model()
+        g = hk.Grid1D(-1.0, 1.0, 41)
+        for m, (vf, _, rep) in [
+                (m441, hk.solve_stationary(m441, g, 1e-6)),
+                (m441, hk.solve_infinite_horizon(m441, g, 2e-3, 1e-5, 5.0)),
+                (ou, hk.solve_stationary(ou, hk.Grid1D(-3, 3, 61), 1e-8))]:
+            res = hk.residual(m, vf)
+            assert rep.residual_norm == float(np.max(np.abs(res)))
+
     def test_rejects_multi_layer_fields(self):
         m = constant_model()
         g = hk.Grid1D(-1, 1, 21)
