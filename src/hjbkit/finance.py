@@ -133,7 +133,7 @@ def to_control_model(market, control_resolution):
     samples them, except for a market given as numbers
     (``MarketModel.all_numbers``): its reduced coefficients do not depend on
     y, so every quotient is exactly 0 and only their finiteness is checked,
-    for every control at ``y = 0``.
+    once, for every control at ``y = 0``.
     """
     n_pi, n_c = control_resolution
     if n_pi < 2 or n_c < 2:
@@ -155,14 +155,17 @@ def to_control_model(market, control_resolution):
         """The screen's ratios: with unit constants, the quotients."""
         if not market.all_numbers:
             return check_assumption1(model, box, samples=128, seed=0).ratios
-        control_tables(model, np.zeros((1, 1)))  # raises where non-finite
         # the one-sided drift ratio reads 2 - 0/L2 for a contraction
         return {"terminal_reward": 0.0, "running_reward": 0.0,
                 "discount_rate": 0.0, "drift": 0.0 if model.lip_L2 > 0 else 2.0}
 
     L1, L2 = market.lip_L1, market.lip_L2
-    if L1 is None or L2 is None:
-        q = screen(reduced(1.0, 1.0))
+    infer = L1 is None or L2 is None
+    cm = reduced(1.0, 1.0) if infer else reduced(L1, L2)
+    if market.all_numbers:  # once: L1 and L2 do not enter the coefficients
+        control_tables(cm, np.zeros((1, 1)))  # raises where non-finite
+    if infer:
+        q = screen(cm)
         if L1 is None:
             L1 = 1.5 * max(1.0, q["terminal_reward"], q["running_reward"],
                            q["discount_rate"])
@@ -173,7 +176,7 @@ def to_control_model(market, control_resolution):
                     f"no contraction on the screen box {box[0]} (drift quotient "
                     f"{q['drift']:.3g} >= 0); give L2")
             L2 = min(q["drift"], -1e-6)
-    cm = reduced(L1, L2)
+        cm = reduced(L1, L2)
     worst = max(screen(cm).values())
     if not worst <= 1.0 + RATIO_TOL:
         warnings.warn(

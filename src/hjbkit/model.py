@@ -316,8 +316,9 @@ class KappaTable(Report):
 
     def to_csv(self, path, header_lines=()):
         write_csv(path, header_lines, ["t", "kappa", "p", "policy_id"],
-                  zip(self.t.tolist(), self.kappa.tolist(),
-                      self.p_terminal.tolist(), self.policy_ids.tolist()))
+                  map("{!r},{!r},{!r},{!r}\n".format, self.t.tolist(),
+                      self.kappa.tolist(), self.p_terminal.tolist(),
+                      self.policy_ids.tolist()))
 
 
 def _ball_mesh(dim, n, points, seed):
@@ -350,8 +351,8 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc):
     extrapolation.  Raises ``PathExclusionError`` past the 0.1% exclusion
     budget of any (policy, start) pair, like every Monte Carlo estimate.
     """
-    if not horizon > 0:
-        raise ParameterError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ParameterError("horizon must be positive and finite")
     if not policy_family:
         raise ParameterError("policy family must be nonempty")
     if radius_n < 0:

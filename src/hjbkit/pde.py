@@ -35,9 +35,11 @@ the maxima taken over grid x the controls applied (the grid list, or
 each step's override controls); this is enforced, not assumed.
 
 A field's ``to_csv`` writes one ``y,t,<columns>`` row per node and stamp,
-stamps ascending and nodes ascending within each stamp.  Its ``read_csv``
-parses the file with ``reports.read_csv`` (``np.loadtxt``), reads it back
-bit for bit and rejects any other file, rows in another order included.
+stamps ascending and nodes ascending within each stamp, as the text
+``_csv_rows`` renders one layer at a time.  Its ``read_csv`` takes a path
+or an open text file, parses it with ``reports.read_csv``
+(``np.loadtxt``), reads it back bit for bit and rejects any other file,
+rows in another order included.
 Reading a 41-node, 32,001-layer value and policy pair (57 MB and 37 MB)
 peaks at 89 MB RSS in 2.4 s on a 2-core host; under tracemalloc a read
 peaks at 1.4x the rows' float bytes.
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import (DivergenceError, ParameterError, PolicyIterationError,
                      StabilityError)
 from .hamiltonian import control_tables, maximize
-from .reports import Report, read_csv, write_csv
+from .reports import Report, _path, read_csv, write_csv
 
 __all__ = [
     "Grid1D",
@@ -128,25 +130,30 @@ def _control_names(k):
 
 
 def _csv_rows(grid, stamps, table):
-    """``y, t, <columns>`` rows of a ``(layers, nodes, columns)`` table,
-    made one layer at a time."""
-    ys = grid.ys.tolist()
+    """The ``y,t,<columns>`` rows of a ``(layers, nodes, columns)`` table as
+    ``write_csv`` text, one layer at a time, every cell its number's
+    ``repr``.  The ``y`` cells are rendered once per field and each stamp
+    once per layer: joined by the stamp, ``parts`` is the layer's format,
+    whose ``%r`` fields take the layer's cells in one ``%``."""
+    cells = ",%r" * table.shape[-1] + "\n"
+    ys = [f"{y!r}," for y in grid.ys.tolist()]
+    parts = [ys[0], *(cells + y for y in ys[1:]), cells]
     for t, layer in zip(stamps.tolist(), table):
-        for y, row in zip(ys, layer.tolist()):
-            yield [y, t, *row]
+        yield repr(t).join(parts) % tuple(layer.ravel().tolist())
 
 
-def _read_layers(path, names):
-    """Grid, stamps and ``(layers, nodes, k)`` table of a field's CSV rows.
+def _read_layers(source, names):
+    """Grid, stamps and ``(layers, nodes, k)`` table of a field's CSV rows,
+    read from a path or an open text file (``reports.read_csv``).
 
     The header is ``y,t`` and ``names(k)``, ``k >= 1``.  The rows are in the
     one layout ``to_csv`` writes: stamps ascending, and at each stamp the
     same 3 or more evenly spaced nodes (to 1e-9 spacings), ascending.
     """
     def malformed(why):
-        return ParameterError(f"malformed solve CSV {path}: {why}")
+        return ParameterError(f"malformed solve CSV {_path(source)}: {why}")
 
-    columns, rows = read_csv(path)
+    columns, rows = read_csv(source)
     expected = ["y", "t"] + names(max(len(columns) - 2, 1))
     if columns != expected:
         raise malformed(f"header {','.join(columns)}, not {','.join(expected)}")
@@ -196,9 +203,10 @@ class ValueField:
                   _csv_rows(self.grid, self.time_stamps, self.values[..., None]))
 
     @classmethod
-    def read_csv(cls, path):
-        """The field ``to_csv`` wrote to ``path``, header ``y,t,u``."""
-        grid, stamps, table = _read_layers(path, lambda k: ["u"])
+    def read_csv(cls, source):
+        """The field ``to_csv`` wrote, header ``y,t,u``: ``source`` is the
+        file's path or the file open as text."""
+        grid, stamps, table = _read_layers(source, lambda k: ["u"])
         return cls(grid, table[..., 0], stamps)
 
 
@@ -244,9 +252,10 @@ class PolicyField:
                   _csv_rows(self.grid, self.time_stamps, self.controls))
 
     @classmethod
-    def read_csv(cls, path):
-        """The field ``to_csv`` wrote to ``path``, header ``y,t,delta_star_0…``."""
-        grid, stamps, table = _read_layers(path, _control_names)
+    def read_csv(cls, source):
+        """The field ``to_csv`` wrote, header ``y,t,delta_star_0…``:
+        ``source`` is the file's path or the file open as text."""
+        grid, stamps, table = _read_layers(source, _control_names)
         return cls(grid, table, stamps)
 
 
@@ -329,17 +338,17 @@ def _scanner(model, grid, override, admissible):
     """
     if model.dim != 1:
         raise ParameterError("grid solver supports dim=1 only")
-    dy = grid.spacing
+    dy, ys = grid.spacing, grid.ys  # the nodes, made once per solve
     if override is None:
-        tables = admissible(_tabulate(model, grid.ys))
+        tables = admissible(_tabulate(model, ys))
 
     def rhs_at(u):
         if override is None:
             H, idx = _upwind_max(u, dy, *tables)
             pol, used = model.controls[idx], tables
         else:
-            pol = np.asarray(override(grid.ys, u, _centered_gradient(u, dy)), float)
-            used = admissible(_tabulate(model, grid.ys, pol[None]))
+            pol = np.asarray(override(ys, u, _centered_gradient(u, dy)), float)
+            used = admissible(_tabulate(model, ys, pol[None]))
             H, idx = _upwind_max(u, dy, *used)
         return 0.5 * _second_difference(u, dy, grid.boundary) + H, pol, idx, used
 

@@ -3,6 +3,7 @@ and the one writer and reader of CSV text, ``write_csv`` and ``read_csv``
 (``np.loadtxt`` parses the cells).
 A field kept out of them (a wall-clock time) is named in the class's ``_omit``."""
 
+import contextlib
 import warnings
 from dataclasses import fields
 
@@ -35,25 +36,35 @@ class Report:
         return out
 
 
-def write_csv(path, comments, columns, rows):
-    """``# comment`` lines, the header and rows of Python numbers, each
-    written as its ``repr``, which ``float`` reads back bit for bit."""
+def write_csv(path, comments, columns, lines):
+    """``# comment`` lines, the header and ``lines``, the rows as text: each
+    item one or more whole ``\n``-ended rows.  A cell holds its number's
+    ``repr``, which ``float`` reads back bit for bit, and the writer renders
+    it: a field's rows come one layer at a time (``pde._csv_rows``), so no
+    whole table is held as text."""
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
-def read_csv(path):
-    """The header and ``(rows, columns)`` float array of a ``write_csv`` file.
+def _path(source):
+    """The path a CSV source names: itself, or an open file's ``name``."""
+    return getattr(source, "name", source) if hasattr(source, "read") else source
+
+
+def read_csv(source):
+    """The header and ``(rows, columns)`` float array of a ``write_csv`` file:
+    ``source`` is its path or the file open as text.
 
     The header is the first line that is neither blank nor ``#``.  The rest
     goes to ``np.loadtxt``, which skips empty lines, drops text after a
     ``#`` and, being correctly rounded, reads every ``repr`` back bit for
     bit.  No header, a row of another length or a cell that is not a number
-    raises ``ParameterError`` naming ``path``; no rows give a ``(0, columns)``
-    array."""
-    with open(path) as fh, warnings.catch_warnings():
+    raises ``ParameterError`` naming the path (an open file's ``name``); no
+    rows give a ``(0, columns)`` array."""
+    with (contextlib.nullcontext(source) if hasattr(source, "read")
+          else open(source)) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             header = next(ln for ln in map(str.strip, fh) if ln and ln[0] != "#")
@@ -61,4 +72,4 @@ def read_csv(path):
             return header.split(","), rows.reshape(len(rows), header.count(",") + 1)
         except (StopIteration, ValueError) as err:
             why = str(err) or "no header line"
-            raise ParameterError(f"malformed CSV {path}: {why}") from None
+            raise ParameterError(f"malformed CSV {_path(source)}: {why}") from None

@@ -68,11 +68,10 @@ _CHUNK = 128          # steps of increments drawn at a time
 _RECORD_BYTES = 1 << 25   # records plus one sample row per moment-check group
 _EXCLUSION_BUDGET = 1e-3
 # a stream's start, key swapped in per path, held as Python ints and lists:
-# the state setter reads those about 3x as fast as the getter's uint64 arrays
-_STREAM_START = {k: v.tolist() if isinstance(v, np.ndarray) else v
-                 for k, v in np.random.Philox(key=[0, 0]).state.items()}
-_STREAM_START["state"] = {k: v.tolist()
-                          for k, v in _STREAM_START["state"].items()}
+# the state setter reads those about 3x as fast as the getter's uint64 arrays.
+# Built on the first draw: importing numpy.random takes 12-17 ms, and a solve
+# never draws
+_STREAM_START = {}
 _POOL = {}   # "gens": one list of path generators, lent to one block at a time
 
 
@@ -86,8 +85,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise ParameterError("paths must be >= 1")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:  # one word of the Philox key
+            raise ParameterError("seed must be >= 0 and < 2**64")
         if not self.dt > 0:
             raise ParameterError("dt must be positive")
         if self.antithetic and self.paths % 2:
@@ -127,6 +126,8 @@ class EstimatorResult(Report):
 
 
 def _steps_for(T, dt):
+    if not np.isfinite(T):
+        raise ParameterError(f"horizon must be finite, not {T!r}")
     steps = max(1, int(round(T / dt)))
     return steps, T / steps
 
@@ -137,14 +138,21 @@ def _path_draws(mc, ids, gens):
     Streams are keyed by ``(seed, path)``, an antithetic pair sharing one.
     ``gens`` is the block's generator list: its first generators are
     re-keyed to the start of the paths' streams (about 0.5-1 us each), and
-    the list grows by a new generator (15-20 us) for each path it lacks.
+    the list grows by a new generator (15-20 us) for each path it lacks,
+    its key a ``uint64`` array: numpy reads a key list holding a seed of
+    2**63 or more through float64, which rounds it.
     """
     keys = [[mc.seed, i // 2 if mc.antithetic else i] for i in ids]
+    if not _STREAM_START:  # filled by one merge: no thread sees a part
+        start = np.random.Philox(key=[0, 0]).state
+        start["state"] = {k: v.tolist() for k, v in start["state"].items()}
+        _STREAM_START.update({k: v.tolist() if isinstance(v, np.ndarray)
+                              else v for k, v in start.items()})
     start = dict(_STREAM_START, state=dict(_STREAM_START["state"]))
     for gen, key in zip(gens, keys):
         start["state"]["key"] = key
         gen.bit_generator.state = start
-    gens += [np.random.Generator(np.random.Philox(key=key))
+    gens += [np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
              for key in keys[len(gens):]]
     return [gen.standard_normal for gen in gens[:len(keys)]]
 

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from hjbkit import model, pde, simulate
-from hjbkit.cli import build_parser, main
+from hjbkit.cli import _fill, build_parser, main
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 MODEL = DATA + "/ou_model.json"
@@ -456,6 +457,31 @@ class TestErrorHandling:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not any((tmp_path / "o").glob("*.json"))
 
+    @pytest.mark.parametrize("command, extra", [
+        ("verify", ("--bounds", "{bounds}", "--paths", 10)),
+        ("kappa", ("--paths", 10, "--horizon", 0.5, "--radius", 0)),
+    ])
+    def test_seed_past_the_philox_key_is_usage_error(self, tmp_path, capsys,
+                                                     command, extra):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"kind": "drift_discount", "alpha": 1.0,
+                                      "beta": 0.0, "P": 1.0, "Q": 0.0}))
+        extra = [str(bounds) if a == "{bounds}" else a for a in extra]
+        assert run(command, "--model", MODEL, "--out", tmp_path / "o",
+                   "--seed", 2 ** 70, *extra) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: ParameterError('seed must be >= 0 and < 2**64')")
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_infinite_kappa_horizon_is_usage_error(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("kappa", "--model", MODEL, "--out", tmp_path,
+                       "--horizon", "inf", "--paths", 10) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: ParameterError('horizon must be positive and finite')")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("model, out", [
         (None, "o"), (MODEL, "file"), (MODEL, "file/sub"),
     ], ids=["model_is_a_directory", "out_is_a_file", "out_under_a_file"])
@@ -588,6 +614,39 @@ class TestParser:
         assert code == 0
         assert len(built) == parsers, built
 
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_text_equals_a_plain_argparse_parser(self, command, capsys):
+        # the metavar checks share one formatter; the text must not
+        def plain():
+            return _fill(argparse.ArgumentParser(prog=f"hjbkit {command}"),
+                         command)
+
+        assert _help(build_parser(command), ["--help"], capsys) == _help(
+            plain(), ["--help"], capsys)
+        errors = []
+        for parser in (build_parser(command), plain()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["--seed", "x", "--out"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"usage: hjbkit {command} [-h]")
+
+    @pytest.mark.parametrize("command, formatters", [
+        ("solve", 1), ("verify", 1), (None, 6)])
+    def test_one_formatter_per_parser(self, monkeypatch, command, formatters):
+        built = []
+        init = argparse.HelpFormatter.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.HelpFormatter, "__init__", spy)
+        build_parser(command)
+        # the full tree also formats the subcommand list's usage once
+        assert len(built) == formatters + (command is None), built
+
 
 @pytest.mark.parametrize("argv, listed", [
     (["--help"], "{check,solve,verify,merton,kappa}"),
@@ -602,6 +661,25 @@ def test_module_entry_point(argv, listed):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert listed in proc.stdout
+
+
+def test_grid_commands_do_not_import_numpy_random(tmp_path):
+    # numpy.random takes 12-17 ms to import; only a Monte Carlo draw needs it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from hjbkit.cli import main\n"
+        f"assert main(['solve', '--model', {MODEL!r}, '--out', "
+        f"{str(tmp_path / 's')!r}, '--nodes', '11', '--steps', '10']) == 0\n"
+        f"assert main(['merton', '--market', {MARKET!r}, '--out', "
+        f"{str(tmp_path / 'm')!r}, '--nodes', '21']) == 0\n"
+        "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestReproducibility:
@@ -631,6 +709,51 @@ class TestReproducibility:
         doc["L1"] = doc["L1"] + 1.0  # same path, edited content
         model.write_text(json.dumps(doc))
         assert digest("c") != first
+
+    def test_each_input_file_is_opened_once(self, tmp_path, monkeypatch):
+        assert run("solve", "--model", MODEL, "--out", tmp_path / "s",
+                   "--nodes", 11, "--steps", 10) == 0
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"kind": "drift_discount", "alpha": 1.0,
+                                      "beta": 0.0, "P": 1.0, "Q": 0.0}))
+        inputs = [MODEL, str(tmp_path / "s" / "value.csv"),
+                  str(tmp_path / "s" / "policy.csv"), str(bounds)]
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        # 10 paths may fail the check (exit 1), after every input is read
+        assert run("verify", "--model", inputs[0], "--field", inputs[1],
+                   "--policy", inputs[2], "--bounds", inputs[3],
+                   "--out", tmp_path / "v", "--paths", 10) in (0, 1)
+        assert (tmp_path / "v" / "verify_report.json").exists()
+        assert [opened.count(path) for path in inputs] == [1, 1, 1, 1]
+
+    def test_digest_covers_the_bytes_the_loader_parsed(self, tmp_path,
+                                                       monkeypatch):
+        # the model file changes between the digest and the load: the run
+        # must still solve the model its digest covers
+        src = tmp_path / "model.json"
+        src.write_bytes(pathlib.Path(MODEL).read_bytes())
+        argv = ("solve", "--model", src, "--nodes", 11, "--steps", 10)
+        assert run(*argv, "--out", tmp_path / "a") == 0
+        other = json.loads(src.read_text())
+        other["terminal_reward"] = {"kind": "constant", "value": 2.0}
+        load = model.load_model
+
+        def edited_on_the_way(source):
+            src.write_text(json.dumps(other))
+            return load(source)
+
+        monkeypatch.setattr(model, "load_model", edited_on_the_way)
+        assert run(*argv, "--out", tmp_path / "b") == 0
+        for name in ("value.csv", "policy.csv", "solve_report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
 
     def test_kappa_reruns_byte_identical(self, tmp_path):
         args = ("kappa", "--model", MODEL, "--radius", 1, "--horizon", 2,

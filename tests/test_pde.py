@@ -715,6 +715,41 @@ class TestFields:
         assert back.controls.tobytes() == pf.controls.tobytes()
         assert np.array_equal(back.time_stamps, pf.time_stamps)
 
+    def test_csv_bytes_equal_a_per_cell_repr_reference(self, tmp_path):
+        # the y cells and stamps are rendered once and reused; every row
+        # must still read as if each cell were written by its own repr
+        g = hk.Grid1D(-1, 1, 7)
+        stamps = [0.0, 0.25, 0.25, 1.0 / 3.0]
+        controls = np.random.default_rng(2).standard_normal((4, g.nodes, 2))
+        controls[0, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+        controls[2, 3] = -0.0, 5e-324
+        fields = {"value.csv": pde.ValueField(g, controls[..., 1], stamps),
+                  "policy.csv": pde.PolicyField(g, controls, stamps)}
+        for name, fld in fields.items():
+            fld.to_csv(tmp_path / name, ["config_digest=ab", "seed=3"])
+            table = controls[..., 1:] if name == "value.csv" else controls
+            rows = [[y, t, *row] for t, layer in zip(stamps, table.tolist())
+                    for y, row in zip(g.ys.tolist(), layer)]
+            columns = "y,t,u" if name == "value.csv" else \
+                "y,t,delta_star_0,delta_star_1"
+            expected = "# config_digest=ab\n# seed=3\n" + columns + "\n" + \
+                "".join(",".join(map(repr, row)) + "\n" for row in rows)
+            assert (tmp_path / name).read_bytes() == expected.encode()
+        cells = (tmp_path / "policy.csv").read_text().replace("\n", ",")
+        assert cells.split(",").count("-0.0") == 3
+
+    def test_read_from_an_open_file_names_its_path(self, tmp_path):
+        g = hk.Grid1D(-1, 1, 5)
+        vf = pde.ValueField(g, np.arange(10.0).reshape(2, 5), [0.0, 1.0])
+        vf.to_csv(tmp_path / "value.csv")
+        with open(tmp_path / "value.csv") as fh:
+            back = pde.ValueField.read_csv(fh)
+        assert np.array_equal(back.values, vf.values)
+        with open(tmp_path / "value.csv") as fh, \
+                pytest.raises(ParameterError, match="header") as exc:
+            pde.PolicyField.read_csv(fh)
+        assert str(tmp_path / "value.csv") in str(exc.value)
+
     def test_read_memory_is_a_small_multiple_of_the_rows(self, tmp_path):
         g = hk.Grid1D(-3, 3, 41)
         layers = 4000

@@ -240,6 +240,15 @@ class TestGeneratorPool:
         _pooled_call(seed=9, paths=20)  # leaves 20 generators mid-stream
         _assert_same(_pooled_call(antithetic=antithetic), cold)
 
+    @pytest.mark.parametrize("seed", [2 ** 63 + 1, 2 ** 64 - 1])
+    def test_warm_pool_past_the_float64_integers(self, monkeypatch,
+                                                 antithetic, seed):
+        # a new generator must not read the seed through float64, which
+        # rounds it and so draws a stream no re-keyed generator draws
+        cold = _cold_call(monkeypatch, seed=seed, antithetic=antithetic)
+        _pooled_call(seed=9, paths=20)
+        _assert_same(_pooled_call(seed=seed, antithetic=antithetic), cold)
+
     def test_after_a_policy_raised_mid_march(self, monkeypatch, antithetic):
         cold = _cold_call(monkeypatch, antithetic=antithetic)
 
@@ -454,6 +463,11 @@ class TestAntithetic:
         # Philox keys are unsigned: -1 would wrap to a different stream
         with pytest.raises(ParameterError, match="seed"):
             hk.MonteCarloConfig(paths=10, dt=1e-2, seed=-1)
+
+    def test_seed_past_one_key_word_rejected(self):
+        hk.MonteCarloConfig(paths=10, dt=1e-2, seed=2 ** 64 - 1)
+        with pytest.raises(ParameterError, match="seed"):
+            hk.MonteCarloConfig(paths=10, dt=1e-2, seed=2 ** 64)
 
     def test_variance_reduction_on_smooth_payoff(self):
         m = ou_model()
