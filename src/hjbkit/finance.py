@@ -26,7 +26,7 @@ from . import coefficients
 from .coefficients import _each_row
 from .errors import ParameterError
 from .hamiltonian import control_tables
-from .model import RATIO_TOL, ControlModel, check_assumption1
+from .model import RATIO_TOL, ControlModel, _drift_ratio, check_assumption1
 from .reports import Report
 
 __all__ = [
@@ -128,12 +128,14 @@ def _reduced_coefficients(market):
 def to_control_model(market, control_resolution):
     """Discretize (pi, c) and build the reduced factor-level ControlModel.
 
-    An absent ``L1`` or ``L2`` is inferred from the assumption screen's
-    quotients; ``L2`` only from a factor drift that contracts.  The screen
-    samples them, except for a market given as numbers
-    (``MarketModel.all_numbers``): its reduced coefficients do not depend on
-    y, so every quotient is exactly 0 and only their finiteness is checked,
-    once, for every control at ``y = 0``.
+    One screen of the reduced model with unit constants gives the
+    quotients: an absent ``L1`` or ``L2`` is inferred from them (``L2``
+    only from a factor drift that contracts), and the claimed or inferred
+    constants are checked against them, the drift by ``model``'s one-sided
+    normalization.  The screen samples, except for a market given as
+    numbers (``MarketModel.all_numbers``): its reduced coefficients do not
+    depend on y, so every quotient is exactly 0 and only their finiteness
+    is checked, once, for every control at ``y = 0``.
     """
     n_pi, n_c = control_resolution
     if n_pi < 2 or n_c < 2:
@@ -150,34 +152,26 @@ def to_control_model(market, control_resolution):
                             controls=controls, lip_L1=L1, lip_L2=L2)
 
     box = [(-5.0, 5.0)]
-
-    def screen(model):
-        """The screen's ratios: with unit constants, the quotients."""
-        if not market.all_numbers:
-            return check_assumption1(model, box, samples=128, seed=0).ratios
-        # the one-sided drift ratio reads 2 - 0/L2 for a contraction
-        return {"terminal_reward": 0.0, "running_reward": 0.0,
-                "discount_rate": 0.0, "drift": 0.0 if model.lip_L2 > 0 else 2.0}
-
+    unit = reduced(1.0, 1.0)
+    if market.all_numbers:
+        control_tables(unit, np.zeros((1, 1)))  # raises where non-finite
+        q = dict.fromkeys(("terminal_reward", "running_reward",
+                           "discount_rate", "drift"), 0.0)
+    else:
+        q = check_assumption1(unit, box, samples=128, seed=0).ratios
+    lipschitz = max(q["terminal_reward"], q["running_reward"], q["discount_rate"])
     L1, L2 = market.lip_L1, market.lip_L2
-    infer = L1 is None or L2 is None
-    cm = reduced(1.0, 1.0) if infer else reduced(L1, L2)
-    if market.all_numbers:  # once: L1 and L2 do not enter the coefficients
-        control_tables(cm, np.zeros((1, 1)))  # raises where non-finite
-    if infer:
-        q = screen(cm)
-        if L1 is None:
-            L1 = 1.5 * max(1.0, q["terminal_reward"], q["running_reward"],
-                           q["discount_rate"])
-        if L2 is None:
-            if q["drift"] >= 0:
-                raise ParameterError(
-                    "market: L2 cannot be inferred, as the factor drift shows "
-                    f"no contraction on the screen box {box[0]} (drift quotient "
-                    f"{q['drift']:.3g} >= 0); give L2")
-            L2 = min(q["drift"], -1e-6)
-        cm = reduced(L1, L2)
-    worst = max(screen(cm).values())
+    if L1 is None:
+        L1 = 1.5 * max(1.0, lipschitz)
+    if L2 is None:
+        if q["drift"] >= 0:
+            raise ParameterError(
+                "market: L2 cannot be inferred, as the factor drift shows "
+                f"no contraction on the screen box {box[0]} (drift quotient "
+                f"{q['drift']:.3g} >= 0); give L2")
+        L2 = min(q["drift"], -1e-6)
+    cm = reduced(L1, L2)  # rejects L1 <= 0 and L2 = 0 before they divide
+    worst = max(lipschitz / L1, _drift_ratio(q["drift"], L2))
     if not worst <= 1.0 + RATIO_TOL:
         warnings.warn(
             "market coefficients violate the claimed Lipschitz/contraction "

@@ -133,6 +133,12 @@ def _corner_pairs(box):
     return corners[ii], corners[jj]
 
 
+def _drift_ratio(s, L2):
+    """The one-sided bound ``s <= L2`` normalized so that equality reads 1;
+    increasing in ``s`` on either sign of ``L2``."""
+    return s / L2 if L2 > 0 else 2.0 - s / L2
+
+
 def check_assumption1(model, box, samples, seed):
     """Screen the Lipschitz bounds of f, g, h and the one-sided drift bound.
 
@@ -185,8 +191,7 @@ def check_assumption1(model, box, samples, seed):
         record("running_reward", np.abs(f[:, 0] - f[:, 1]) / scale, first)
         record("discount_rate", np.abs(h[:, 0] - h[:, 1]) / scale, first)
         s = np.sum(diff * (i[:, 0] - i[:, 1]), axis=-1) / dist2
-        # normalize the one-sided bound s <= L2 so that equality reads 1
-        record("drift", s / L2 if L2 > 0 else 2.0 - s / L2, first)
+        record("drift", _drift_ratio(s, L2), first)
 
     ratios = {name: w["ratio"] for name, w in witnesses.items()}
     worst_name = max(ratios, key=ratios.get)

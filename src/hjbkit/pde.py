@@ -447,9 +447,9 @@ def solve_finite_horizon(model, grid, time, control_override=None,
         if n == time.steps:
             break
 
-    order = np.argsort(stamps)
-    vf = ValueField(grid, np.array(layers)[order], np.array(stamps)[order])
-    pf = PolicyField(grid, np.array(policies)[order], np.array(stamps)[order])
+    # the stamps descend: reversed, the fields run forward in time
+    vf = ValueField(grid, np.array(layers[::-1]), np.array(stamps[::-1]))
+    pf = PolicyField(grid, np.array(policies[::-1]), np.array(stamps[::-1]))
     return vf, pf, _report(model, grid, u, control_override, tables, t0,
                            _FINITE_KIND, dt, {}, cfl_ratio=float(cfl),
                            dvdt_norm=float(np.max(np.abs(rhs[1:-1]))),

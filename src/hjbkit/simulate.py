@@ -126,6 +126,8 @@ class EstimatorResult(Report):
 
 
 def _steps_for(T, dt):
+    if not T > 0:
+        raise ParameterError("T must be positive")
     if not np.isfinite(T):
         raise ParameterError(f"horizon must be finite, not {T!r}")
     steps = max(1, int(round(T / dt)))
@@ -256,8 +258,6 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0,
     with ``reward=False``, which skips the running reward and its integral
     (``reward_integral`` is then None).
     """
-    if not T > 0:
-        raise ParameterError("T must be positive")
     steps, dt = _steps_for(T, mc.dt)
     starts = np.asarray(starts, float)
     if starts.ndim != 2 or starts.shape[1] != model.dim:
@@ -631,6 +631,7 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     over all rows decides ``met``.
     """
     y0 = np.atleast_1d(np.asarray(y0, float))
+    _steps_for(T, mc.dt)  # rejects T before the default times divide it
     times = np.asarray(np.linspace(T / 4, T, 4) if times is None else times, float)
     est = discounted_estimates(model, constant_policies(model), [y0], T, mc,
                                times, bound_spec.statistic)

@@ -473,6 +473,19 @@ class TestErrorHandling:
             "error: ParameterError('seed must be >= 0 and < 2**64')")
         assert not any((tmp_path / "o").iterdir())
 
+    @pytest.mark.parametrize("key, message", [
+        ("L1", "lip_L1 must be positive"), ("L2", "lip_L2 must be nonzero"),
+    ])
+    def test_zero_market_constant_is_usage_error(self, tmp_path, capsys, key,
+                                                 message):
+        market = tmp_path / "market.json"
+        market.write_text(json.dumps(dict(
+            json.loads(pathlib.Path(MARKET).read_text()), **{key: 0.0})))
+        assert run("solve", "--market", market, "--out", tmp_path / "o",
+                   "--nodes", 11, "--steps", 10, "--npi", 3, "--nc", 3) == 2
+        assert capsys.readouterr().err == f"error: ParameterError({message!r})\n"
+        assert not any((tmp_path / "o").iterdir())
+
     def test_infinite_kappa_horizon_is_usage_error(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -864,6 +877,22 @@ class TestBoundsFile:
                             f"--horizon={horizon}") == 2
         assert "--horizon" in capsys.readouterr().err
         assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_infinite_horizon_flag_prints_the_error_alone(self, tmp_path):
+        # T is checked before the default check times are built from it
+        scenario = tmp_path / "bounds.json"
+        scenario.write_text(json.dumps(self.SCENARIO))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hjbkit", "verify", "--model", MODEL,
+             "--bounds", str(scenario), "--horizon", "inf",
+             "--out", str(tmp_path / "v")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: ParameterError('horizon must be "
+                               "finite, not inf')\n")
 
     def test_non_positive_horizon_in_file(self, tmp_path, capsys):
         assert self._verify(tmp_path, dict(self.SCENARIO, T=-5.0)) == 2

@@ -191,6 +191,55 @@ class TestReduction:
             assert bool(calls) == sampled
             assert market.all_numbers != sampled
 
+    @pytest.mark.parametrize("L1, L2", [(1.0, -0.5), (None, -0.5),
+                                        (1.0, None), (None, None)])
+    def test_one_screen_per_reduction(self, monkeypatch, L1, L2):
+        # one set of quotients both infers the absent constants and checks
+        # them: one sampled screen, or none for a market given as numbers
+        calls = []
+        screen = hk.finance.check_assumption1
+        monkeypatch.setattr(hk.finance, "check_assumption1",
+                            lambda *a, **k: calls.append(1) or screen(*a, **k))
+        const, call = self._constant_and_callable_markets()
+        descriptor = hk.load_market(dict(
+            json.loads(pathlib.Path(DATA, "merton_market.json").read_text()),
+            factor_drift={"kind": "affine", "y_coeff": [-1.0]}, L1=L1, L2=L2))
+        contracting = dataclasses.replace(
+            call, factor_drift=lambda y: -y[..., 0], lip_L1=L1, lip_L2=L2)
+        # a factor drift given as a number does not contract: L2 stays given
+        numbers = dataclasses.replace(const, lip_L1=L1)
+        for market, screens in ((descriptor, 1), (contracting, 1),
+                                (numbers, 0)):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                hk.to_control_model(market, (3, 3))
+            assert len(calls) == screens
+
+    @pytest.mark.parametrize("numbers", [True, False], ids=["numbers", "callable"])
+    @pytest.mark.parametrize("constant, message", [
+        ("lip_L1", "lip_L1 must be positive"),
+        ("lip_L2", "lip_L2 must be nonzero"),
+    ])
+    def test_zero_constants_rejected(self, numbers, constant, message):
+        market = self._constant_and_callable_markets()[0 if numbers else 1]
+        market = dataclasses.replace(market, **{constant: 0.0})
+        with pytest.raises(ParameterError, match=message):
+            hk.to_control_model(market, (3, 3))
+
+    def test_weak_contraction_infers_the_floor_and_warns(self):
+        # the drift quotient -5e-7 lies above the -1e-6 floor on L2, so the
+        # inferred L2 is the floor and the drift ratio 2 - 0.5 flags it
+        m = hk.MarketModel(
+            short_rate=0.02, excess_drift=0.04, volatility=0.2,
+            correlation=0.5, risk_aversion=0.5, discount=0.1,
+            position_cap=2.0, consumption_cap=1.0,
+            factor_drift=lambda y: -5e-7 * y[..., 0])
+        with pytest.warns(UserWarning, match=r"worst ratio 1\.5\b"):
+            cm = hk.to_control_model(m, (3, 3))
+        assert cm.lip_L2 == -1e-6
+        assert cm.lip_L1 == 1.5
+
     def test_numbers_are_checked_finite_for_every_control(self):
         # sigma^2 = inf, and inf * 0 = nan in the reduced discount rate
         m = hk.MarketModel(

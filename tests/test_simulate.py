@@ -637,6 +637,15 @@ class TestCoupling:
         with pytest.raises(ParameterError):
             hk.coupled_contraction(m, zero_policy(), [1.0], [1.0], 1.0, mc)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan")])
+    def test_non_positive_horizon_rejected(self, T):
+        # T = 0 read a vacuous worst ratio 1 off one zero-length step, and
+        # T = -1 a NaN after a sqrt warning
+        mc = hk.MonteCarloConfig(paths=10, dt=1e-2, seed=0)
+        with pytest.raises(ParameterError, match="T must be positive"):
+            hk.coupled_contraction(ou_model(), zero_policy(), [1.0], [0.25],
+                                   T, mc)
+
     def test_memory_flat_in_horizon(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=500, dt=1e-2, seed=0)
