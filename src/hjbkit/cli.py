@@ -11,16 +11,16 @@ and read by ``reports`` and ``pde``: this module parses no CSV itself.
 
 ``main`` does its fixed work once per call and keeps nothing between
 calls.  It builds its parser on every call, and for a named subcommand only
-that one: a ``_Parser`` named ``hjbkit <command>`` with that subcommand's
-arguments, which reads the rest of the line into the namespace the full
-tree gives.  ``argparse`` checks each argument's metavar with a new help
-formatter, and each formatter reads the terminal size; a ``_Parser`` checks
-them all with one formatter of its own.  Help, usage and error text still
-get a fresh formatter and read as a plain ``ArgumentParser``'s.  Building
-the ``solve`` parser takes 0.22 ms, against 0.32 ms with a formatter per
-argument (timeit, 2-core host).  The tree, every subcommand filled, is
-built only when the first argument names no subcommand, so the top-level
-help and the "invalid choice" message list all five.
+that one: an ``ArgumentParser`` named ``hjbkit <command>`` with that
+subcommand's arguments, which reads the rest of the line into the namespace
+the full tree gives.  The arguments go through the parser's options group,
+which builds no help formatter per argument as ``ArgumentParser`` does to
+check its metavar; ``tests/test_cli.py`` runs that check on every
+subcommand.  An argument that starts ``-<digit>`` or ``-.`` is a value,
+never an option, so ``--probes -1,0,1`` and ``--grid-min -1e-3`` need no
+``=``.  The tree, every subcommand filled, is built only when the first
+argument names no subcommand, so the top-level help and the "invalid
+choice" message list all five.
 
 Each input file is read once: the config digest hashes its bytes, and the
 subcommand loads the same bytes, handed to it as an open text file in
@@ -35,7 +35,6 @@ is a directory, an ``--out`` that is or lies under a file) exits 2 with an
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import coefficients, finance, model as model_mod, pde, simulate
 from .errors import (HjbkitError, ParameterError, PolicyIterationError,
-                     RecordTimeError, StabilityError)
+                     RecordTimeError)
 
 __all__ = ["main"]
 
@@ -137,17 +136,13 @@ def cmd_solve(args, digest):
         raise ParameterError("--closed-form needs --market")
     override = finance.control_override(market) if args.closed_form else None
     grid = _grid(args)
-    try:
-        if args.infinite:
-            vf, pf, report = _solve_stationary(mdl, grid, args, override)
-        else:
-            tg = pde.TimeGrid(args.horizon, args.steps)
-            vf, pf, report = pde.solve_finite_horizon(
-                mdl, grid, tg, control_override=override,
-                slice_stride=args.slice_stride)
-    except StabilityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    if args.infinite:
+        vf, pf, report = _solve_stationary(mdl, grid, args, override)
+    else:
+        tg = pde.TimeGrid(args.horizon, args.steps)
+        vf, pf, report = pde.solve_finite_horizon(
+            mdl, grid, tg, control_override=override,
+            slice_stride=args.slice_stride)
     header = _provenance(args, digest)
     vf.to_csv(os.path.join(args.out, "value.csv"), header)
     pf.to_csv(os.path.join(args.out, "policy.csv"), header)
@@ -356,37 +351,18 @@ _COMMANDS = {
 }
 
 
+# "-1,0,1" and "-1e-3" are values: no option starts "-<digit>" or "-."
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
 def _fill(parser, command):
-    """``parser`` with the arguments and defaults of ``command``."""
+    """``parser`` with the arguments and defaults of ``command``, added
+    through its options group, where argparse files every option anyway."""
     _, add_arguments, func = _COMMANDS[command]
-    add_arguments(parser)
+    parser._negative_number_matcher = _NEGATIVE_VALUE
+    add_arguments(parser._optionals)
     parser.set_defaults(func=func, command=command)
     return parser
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` whose ``add_argument`` checks every metavar with
-    one formatter of its own, where argparse builds one per argument, each
-    reading the terminal size.  Help, usage and error text, which a
-    formatter accumulates, still get a fresh one."""
-
-    _adding = False
-
-    def add_argument(self, *args, **kwargs):
-        self._adding = True
-        try:
-            return super().add_argument(*args, **kwargs)
-        finally:
-            self._adding = False
-
-    def _get_formatter(self):
-        if self._adding:
-            return self._metavar_formatter
-        return super()._get_formatter()
-
-    @functools.cached_property
-    def _metavar_formatter(self):
-        return super()._get_formatter()
 
 
 def build_parser(command=None):
@@ -395,8 +371,8 @@ def build_parser(command=None):
     parser, every subcommand a filled subparser, that reads the whole line.
     Both give the same namespace for the same command line."""
     if command is not None:
-        return _fill(_Parser(prog=f"hjbkit {command}"), command)
-    parser = _Parser(
+        return _fill(argparse.ArgumentParser(prog=f"hjbkit {command}"), command)
+    parser = argparse.ArgumentParser(
         prog="hjbkit",
         description="discounted stochastic control: solve, simulate, verify")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -405,19 +381,8 @@ def build_parser(command=None):
     return parser
 
 
-def _join_probes(argv):
-    """``--probes -1,0`` as ``--probes=-1,0``: the list is not an option."""
-    out = []
-    for arg in argv:
-        if out and out[-1] == "--probes" and re.match(r"-[\d.]", arg):
-            out[-1] = f"--probes={arg}"
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None):
-    argv = _join_probes(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:

@@ -358,13 +358,13 @@ def _scanner(model, grid, override, admissible):
 def _march(model, grid, u, dt, span, override):
     """Explicit Euler steps from ``u``, for as long as the caller draws them.
 
-    Yields ``(u, rhs, policy, next u, cfl, tables)`` per step: the
-    right-hand side and the policy at ``u``, the update ``u + dt·rhs`` with
-    the extrapolation rows imposed, the CFL ratio so far, the largest over
-    the tables of the controls actually applied, and those tables.  Raises
-    ``StabilityError`` where those controls need a smaller step (``span``
-    sizes the step count it suggests) and ``DivergenceError`` on a
-    non-finite update.
+    Yields ``(u, rhs, policy, argmax, next u, cfl, tables)`` per step: the
+    right-hand side, the policy and the scan's argmax at ``u``, the update
+    ``u + dt·rhs`` with the extrapolation rows imposed, the CFL ratio so
+    far, the largest over the tables of the controls actually applied, and
+    those tables.  Raises ``StabilityError`` where those controls need a
+    smaller step (``span`` sizes the step count it suggests) and
+    ``DivergenceError`` on a non-finite update.
     """
     dy = grid.spacing
     cfl = 0.0
@@ -380,7 +380,7 @@ def _march(model, grid, u, dt, span, override):
 
     rhs_at = _scanner(model, grid, override, checked)
     for n in itertools.count():
-        rhs, pol, _, tables = rhs_at(u)
+        rhs, pol, idx, tables = rhs_at(u)
         nxt = u + dt * rhs
         if grid.boundary == "linear_extrapolation":
             nxt[0] = 2.0 * nxt[1] - nxt[2]
@@ -390,7 +390,7 @@ def _march(model, grid, u, dt, span, override):
             raise DivergenceError(
                 f"non-finite update at node {bad} (y={grid.ys[bad]:g}), step {n}"
             )
-        yield u, rhs, pol, nxt, cfl, tables
+        yield u, rhs, pol, idx, nxt, cfl, tables
         u = nxt
 
 
@@ -438,7 +438,7 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     layers, stamps, policies = [], [], []
     # one right-hand side per step plus one at t = 0: a retained layer's
     # policy and, at the end, the final time derivative
-    for n, (u, rhs, pol, _, cfl, tables) in enumerate(
+    for n, (u, rhs, pol, _, _, cfl, tables) in enumerate(
             _march(model, grid, u, dt, time.horizon, control_override)):
         if n % slice_stride == 0 or n == time.steps:
             layers.append(u)
@@ -471,7 +471,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
             raise ParameterError(f"{name} must be positive and finite")
     t0 = _time.perf_counter()
     steps = int(np.ceil(t_max / dt))
-    for s, (_, rhs, pol, v, cfl, tables) in enumerate(
+    for s, (_, rhs, pol, idx, v, cfl, tables) in enumerate(
             _march(model, grid, np.zeros(grid.nodes), dt, t_max,
                    control_override), 1):
         if np.abs(v).max() > _OVERFLOW_GUARD:
@@ -484,7 +484,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
             break
 
     t_final = s * dt
-    top = float(model.eval_checked("discount_rate", grid.ys[:, None], pol).max())
+    top = float(tables[2][idx, np.arange(grid.nodes)].max())
     return (ValueField(grid, v, t_final), PolicyField(grid, pol, t_final),
             _report(model, grid, v, control_override, tables, t0,
                     "infinite_horizon_long_time", dt,
@@ -570,8 +570,8 @@ def solve_stationary(model, grid, tol, control_override=None):
     cycle there, and the edge equation can have a second solution.
     ``solve_infinite_horizon`` is then the solver to use.
     """
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ParameterError("tol must be positive and finite")
     rows = slice(None) if grid.boundary == "one_sided" else slice(1, -1)
     nodes = np.arange(grid.nodes)
 

@@ -502,11 +502,15 @@ def horizon_convergence(model, policy, y0, horizons, mc, kappa_table=None):
     integral's limits, at the Euler step that simulates it
     (``simulate_paths``).  Two horizons simulated at one Euler step raise
     ``ParameterError``: their difference would read 0 by construction.
-    Flags non-convergence when the successive differences fail to shrink;
-    when a kappa table is given, the final difference is compared to the
+    Needs at least two horizons.  Flags non-convergence when the successive
+    differences fail to shrink; with two horizons there is one difference
+    and nothing for it to shrink against, so ``converging`` is None.  When
+    a kappa table is given, the final difference is compared to the
     envelope tail integral.
     """
     horizons = np.asarray(horizons, float)
+    if len(horizons) < 2:
+        raise ParameterError("horizon_convergence needs at least two horizons")
     if np.any(np.diff(horizons) <= 0):
         raise ParameterError("horizons must be strictly increasing")
     dt = _steps_for(float(horizons[-1]), mc.dt)[1]
@@ -523,9 +527,9 @@ def horizon_convergence(model, policy, y0, horizons, mc, kappa_table=None):
     res = _reduce(payoff, batch.excluded[0, 0] | ~np.isfinite(payoff), mc, horizons)
     results = _split(res)
     diffs = np.abs(np.diff(res.mean))
-    converging = bool(np.all(np.diff(diffs) < 0)) if len(diffs) > 1 else True
+    converging = bool(np.all(np.diff(diffs) < 0)) if len(diffs) > 1 else None
     tail_bound = within = None
-    if kappa_table is not None and len(horizons) >= 2:
+    if kappa_table is not None:
         tail_bound = kappa_table.integral(horizons[-2], horizons[-1])
         within = bool(diffs[-1] <= tail_bound + 3 * results[-1].std_error)
     return HorizonConvergence(horizons=horizons, results=results,
@@ -659,8 +663,10 @@ def verify_field(model, field, policy_field, mc, tol, probes=None,
     Probes (every quarter of the grid by default) start at their nearest
     nodes, up to ``horizon`` (the last stamp by default); a one-stamp
     (stationary) field drops the terminal reward.  A row is met when
-    ``gap <= 3·std_error + tol``.
+    ``gap <= 3·std_error + tol``; ``tol`` must be finite and ``>= 0``.
     """
+    if not 0 <= tol < np.inf:
+        raise ParameterError(f"tol must be >= 0 and finite, not {tol!r}")
     grid, stamps = field.grid, field.time_stamps
     if grid != policy_field.grid or not np.array_equal(
             stamps, policy_field.time_stamps):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hjbkit import model, pde, simulate
-from hjbkit.cli import _fill, build_parser, main
+from hjbkit.cli import _COMMANDS, _fill, build_parser, main
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 MODEL = DATA + "/ou_model.json"
@@ -115,6 +115,15 @@ class TestSolve:
                    "--horizon", 1.0, "--steps", 2)
         assert code == 1
         assert "stability limit" in capsys.readouterr().err
+
+    def test_cfl_violation_is_one_error_line(self, tmp_path, capsys):
+        code = run("solve", "--model", MODEL, "--out", tmp_path,
+                   "--nodes", 101, "--steps", 5)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: ") and "stability limit" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stride", [0, -3])
     def test_slice_stride_validated(self, tmp_path, capsys, stride):
@@ -272,6 +281,16 @@ class TestVerify:
                    "--paths", 200, "--dt-sim", 1e-2)
         assert code == 2
         assert str(solved / "policy.csv") in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_infinite_tol_is_usage_error(self, tmp_path, capsys, solved):
+        # an infinite allowance met every probe whatever its gap
+        code = run("verify", "--model", MODEL, "--out", tmp_path / "v",
+                   "--field", solved / "value.csv",
+                   "--policy", solved / "policy.csv", "--tol", "inf",
+                   "--paths", 200, "--dt-sim", 1e-2)
+        assert code == 2
+        assert "tol must be" in capsys.readouterr().err
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
     @pytest.mark.parametrize("probe", ["a,b", "99", "nan"])
@@ -592,13 +611,13 @@ class TestParser:
     def test_main_adds_no_argument_of_another_subcommand(self, tmp_path,
                                                          monkeypatch):
         added = []
-        add_argument = argparse.ArgumentParser.add_argument
+        add_argument = argparse._ActionsContainer.add_argument
 
         def spy(self, *flags, **kwargs):
             added.extend(flags)
             return add_argument(self, *flags, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
         assert run("merton", "--market", MARKET, "--out", tmp_path,
                    "--skip-solve") == 0
         assert "--skip-solve" in added
@@ -644,6 +663,25 @@ class TestParser:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"usage: hjbkit {command} [-h]")
+
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_argument_specs_pass_the_metavar_check(self, command):
+        # build_parser adds through the options group, which skips
+        # argparse's metavar/nargs check; a plain parser runs it per argument
+        parser = argparse.ArgumentParser()
+        _COMMANDS[command][1](parser)
+        argv = EVERY_OPTION[command]
+        filled = vars(build_parser(command).parse_args(argv))
+        del filled["command"], filled["func"]
+        assert vars(parser.parse_args(argv)) == filled
+
+    @pytest.mark.parametrize("argv", [["--grid-min", "-1e-3"],
+                                      ["--grid-min", "-.001"],
+                                      ["--grid-min=-1e-3"]])
+    def test_negative_value_needs_no_equals_sign(self, argv):
+        argv = ["--out", "o", *argv]
+        assert build_parser("solve").parse_args(argv).grid_min == -0.001
+        assert build_parser().parse_args(["solve", *argv]).grid_min == -0.001
 
     @pytest.mark.parametrize("command, formatters", [
         ("solve", 1), ("verify", 1), (None, 6)])
@@ -1060,6 +1098,18 @@ class TestOptions:
         lines = (tmp_path / "kappa.csv").read_text().splitlines()
         assert lines[:3] == [f"# config_digest={digest}", "# seed=3",
                              "t,kappa,p,policy_id"]
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--model", MODEL, "--infinite", "--nodes", 41,
+         "--grid-min", -3, "--grid-max", 3),
+        ("merton", "--market", MARKET, "--nodes", 21),
+    ], ids=["solve", "merton"])
+    def test_infinite_tolerance_is_usage_error(self, tmp_path, capsys, argv):
+        # an infinite tolerance stopped policy iteration after one linear
+        # solve, reported converged, and wrote "tol": Infinity
+        assert run(*argv, "--tol-dt", "inf", "--out", tmp_path) == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_closed_form_needs_market(self, tmp_path, capsys):
         assert run("solve", "--model", MODEL, "--out", tmp_path,

@@ -538,6 +538,12 @@ class TestStationary:
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # an infinite tol stopped after one linear solve, "converged"
+        with pytest.raises(ParameterError, match="tol must be positive"):
+            hk.solve_stationary(ou_model(), hk.Grid1D(-3, 3, 21), tol)
+
 
 class TestNodeMajorTables:
     """The march scans node-major tables; ``control_tables`` stays C-ordered."""

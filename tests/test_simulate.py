@@ -687,6 +687,21 @@ class TestHorizonConvergence:
         assert rep.tail_bound is not None
         assert rep.within_tail
 
+    @pytest.mark.parametrize("horizons", [[], [1.0]])
+    def test_fewer_than_two_horizons_rejected(self, horizons):
+        mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=0)
+        with pytest.raises(ParameterError, match="at least two horizons"):
+            hk.horizon_convergence(ou_model(), zero_policy(), [0.5],
+                                   horizons, mc)
+
+    def test_two_horizons_do_not_claim_convergence(self):
+        # one difference has nothing to shrink against
+        mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=0)
+        rep = hk.horizon_convergence(ou_model(), zero_policy(), [0.5],
+                                     [1.0, 2.0], mc)
+        assert len(rep.differences) == 1
+        assert rep.converging is None
+
 
 class TestBoundVerification:
     def test_drift_discount_bound_met(self):
@@ -1150,3 +1165,12 @@ class TestVerifyField:
         _, pf, _ = hk.solve_stationary(m, self.GRID, 1e-8)
         with pytest.raises(ParameterError, match="grid or stamps"):
             hk.verify_field(m, vf, pf, self.MC, 5e-3)
+
+    @pytest.mark.parametrize("tol", [-1e-3, np.nan, np.inf])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # an infinite tol met every probe whatever its gap
+        m = ou_model()
+        vf, pf, _ = hk.solve_finite_horizon(m, self.GRID, hk.TimeGrid(0.5, 100),
+                                            slice_stride=25)
+        with pytest.raises(ParameterError, match="tol"):
+            hk.verify_field(m, vf, pf, self.MC, tol)
