@@ -30,7 +30,7 @@ def main():
     model = build_model()
     mc = hk.MonteCarloConfig(paths=2000, dt=1e-2, seed=0)
 
-    table = hk.estimate_kappa(model, 2, 8.0, hk.constant_policies(model), mc)
+    table = hk.estimate_kappa(model, 2, 8.0, mc)
     print(f"kappa envelope: decay rate {table.decay_rate:.3f}, "
           f"integral {table.integral_kappa:.4f}, "
           f"K e^(M|y|) fit K={table.envelope_K:.3f} M={table.envelope_M:.3f}")

@@ -61,6 +61,7 @@ from .simulate import (
     coupled_contraction,
     estimate_value,
     horizon_convergence,
+    load_bounds,
     simulate_paths,
     verify_bounds,
     verify_field,

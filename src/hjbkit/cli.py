@@ -6,8 +6,10 @@ Subcommands: ``check`` (assumption screens), ``solve`` (grid solvers),
 
 Exit codes: 0 success, 1 verification/convergence failure, 2 usage or
 parse error.  Every artifact, JSON or CSV, embeds the config digest and the
-seed; with a fixed seed reruns are byte-identical.  The CSV text is written
-and read by ``reports`` and ``pde``: this module parses no CSV itself.
+seed; with a fixed seed reruns are byte-identical.  The loaders of
+``model``, ``finance``, ``pde`` and ``simulate`` read the input files, and
+``reports`` and ``pde`` write the CSV text: this module parses no input
+file itself.
 
 ``main`` does its fixed work once per call and keeps nothing between
 calls.  It builds its parser on every call, and for a named subcommand only
@@ -34,7 +36,6 @@ is a directory, an ``--out`` that is or lies under a file) exits 2 with an
 """
 
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -44,7 +45,7 @@ import sys
 
 import numpy as np
 
-from . import coefficients, finance, model as model_mod, pde, simulate
+from . import finance, model as model_mod, pde, simulate
 from .errors import (HjbkitError, ParameterError, PolicyIterationError,
                      RecordTimeError)
 
@@ -121,7 +122,9 @@ def cmd_check(args, digest):
 
 
 def _solve_stationary(mdl, grid, args, override):
-    """Policy iteration, or the long-time march where it does not apply."""
+    """Policy iteration, or the long-time march where it does not apply; the
+    march's step and time cap are checked first, whichever of them runs."""
+    pde._positive_finite(dt=args.dt, t_max=args.t_max)
     try:
         return pde.solve_stationary(mdl, grid, args.tol_dt,
                                     control_override=override)
@@ -154,23 +157,6 @@ def cmd_solve(args, digest):
     return 0
 
 
-_BOUNDS = {
-    "drift_discount": simulate.DriftDiscountBound,
-    "uniform_discount": simulate.UniformDiscountBound,
-    "diffusion_discount": simulate.DiffusionDiscountBound,
-    "envelope": simulate.ExponentialEnvelopeBound,
-}
-
-
-def _bound_spec(doc):
-    kind = doc["kind"]
-    cls = _BOUNDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ParameterError(f"unknown bound kind {kind!r}")
-    return cls(**{f.name: coefficients._numbers(doc, f.name, where="bounds file")
-                  for f in dataclasses.fields(cls)})
-
-
 def _probes(text, grid):
     """The ``--probes`` states: finite numbers in ``[y_min, y_max]``."""
     probes = []
@@ -195,17 +181,12 @@ def cmd_verify(args, digest):
     results = {}
 
     if args.bounds:
-        doc = coefficients._read_json(args.bounds)
-        if "T" in doc and args.horizon is not None:
+        bound, y0, T, times = simulate.load_bounds(args.bounds)
+        if T is not None and args.horizon is not None:
             raise ParameterError("pass one of bounds-file T / --horizon, not both")
-
-        def number(key, shape=(), default=None):
-            return coefficients._numbers(doc, key, shape, default, "bounds file")
-
-        report = simulate.verify_bounds(
-            mdl, _bound_spec(doc), number("y0", (-1,), 0.0),
-            number("T", default=1.0 if args.horizon is None else args.horizon),
-            mc, None if doc.get("times") is None else number("times", (-1,)))
+        if T is None:
+            T = 1.0 if args.horizon is None else args.horizon
+        report = simulate.verify_bounds(mdl, bound, y0, T, mc, times)
         results["bounds"] = report.as_dict()
         if not report.met:
             status = 1
@@ -255,8 +236,7 @@ def cmd_kappa(args, digest):
     mdl, _ = _load_model(args)
     mc = simulate.MonteCarloConfig(paths=args.paths, dt=args.dt_sim,
                                    seed=args.seed)
-    table = model_mod.estimate_kappa(
-        mdl, args.radius, args.horizon, simulate.constant_policies(mdl), mc)
+    table = model_mod.estimate_kappa(mdl, args.radius, args.horizon, mc)
     table.to_csv(os.path.join(args.out, "kappa.csv"), _provenance(args, digest))
     _write_json(args, "kappa.json", table.as_dict(), digest)
     return 0 if not table.non_integrable else 1

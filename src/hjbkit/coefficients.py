@@ -42,9 +42,10 @@ __all__ = ["build_scalar", "build_terminal", "build_drift"]
 
 
 def _read_json(source):
-    """The document of a model or market file, for ``load_model`` and
-    ``load_market``: ``source`` is a path (``str``, ``bytes`` or
-    ``os.PathLike``), an open text file, or the parsed mapping itself."""
+    """The document of a model, market or bounds file, for ``load_model``,
+    ``load_market`` and ``load_bounds``: ``source`` is a path (``str``,
+    ``bytes`` or ``os.PathLike``), an open text file, or the parsed mapping
+    itself."""
     if hasattr(source, "read"):
         return json.load(source)
     if isinstance(source, (str, bytes, os.PathLike)):

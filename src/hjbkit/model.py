@@ -7,7 +7,8 @@ the two Lipschitz constants the estimates rely on.  All coefficient maps
 must be numpy-vectorized over a leading batch axis (see ``coefficients``).
 
 ``estimate_kappa`` builds its envelopes on ``simulate.discounted_estimates``:
-every Monte Carlo reduction of simulated paths lives in ``simulate``.
+every Monte Carlo reduction of simulated paths lives in ``simulate``, and
+so does the control family it probes, the model's constant policies.
 """
 
 from dataclasses import dataclass, field
@@ -119,8 +120,11 @@ def _as_box(box, dim):
     box = np.asarray(box, float)
     if box.ndim == 1:
         box = box[None, :]
-    if box.shape != (dim, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise ParameterError("box must give (lo, hi) with lo < hi per dimension")
+    with np.errstate(over="ignore"):  # the screen divides by squared distances
+        if box.shape != (dim, 2) or not (np.all(box[:, 0] < box[:, 1]) and
+                                         0 < np.sum(np.diff(box) ** 2) < np.inf):
+            raise ParameterError("box must give (lo, hi) with lo < hi per dimension "
+                                 "and a squared diagonal in (0, inf)")
     return box
 
 
@@ -145,7 +149,8 @@ def check_assumption1(model, box, samples, seed):
     Random pairs drawn uniformly in ``box`` (plus all pairs of box corners)
     are checked against ``lip_L1`` and ``lip_L2``.  Ratios are normalized so
     that 1 means the claimed constant is attained exactly and values above
-    ``1 + tolerance`` mean a violation.  Deterministic for a fixed seed.
+    ``1 + tolerance`` mean a violation; a quotient that overflows to NaN
+    reads inf.  Deterministic for a fixed seed.
     """
     if samples < 2:
         raise ParameterError("samples must be >= 2")
@@ -156,8 +161,7 @@ def check_assumption1(model, box, samples, seed):
     ya = rng.uniform(box[:, 0], box[:, 1], size=(samples, model.dim))
     yb = rng.uniform(box[:, 0], box[:, 1], size=(samples, model.dim))
     ca, cb = _corner_pairs(box)
-    ya = np.vstack([ya, ca])
-    yb = np.vstack([yb, cb])
+    ya, yb = np.vstack([ya, ca]), np.vstack([yb, cb])
     diff = ya - yb
     dist = np.linalg.norm(diff, axis=-1)
     keep = dist > 0
@@ -165,11 +169,13 @@ def check_assumption1(model, box, samples, seed):
 
     witnesses = {}
     L1, L2 = model.lip_L1, model.lip_L2
-    pairs, scale, dist2 = np.stack([ya, yb]), L1 * dist, dist ** 2
+    pairs, dist2 = np.stack([ya, yb]), dist ** 2
 
     def record(name, ratio, first=None):
         # ratios (pairs,) or (controls from ``first``, pairs): the first
-        # control, then the first pair, that reaches the maximum is the witness
+        # control, then the first pair, that reaches the maximum is the
+        # witness; a NaN quotient (an overflow) meets no bound: it ranks as inf
+        ratio = np.where(np.isnan(ratio), np.inf, ratio)
         at = int(np.argmax(ratio))
         c, j = divmod(at, len(dist))
         r = float(ratio.flat[at])
@@ -183,25 +189,22 @@ def check_assumption1(model, box, samples, seed):
             }
 
     ga, gb = (model.eval_checked("terminal_reward", y) for y in (ya, yb))
-    record("terminal_reward", np.abs(ga - gb) / scale)
-
     step = max(1, _SCREEN_ROWS // (2 * len(dist)))
-    for first in range(0, model.n_controls, step):
-        i, h, f = control_tables(model, pairs, model.controls[first:first + step])
-        record("running_reward", np.abs(f[:, 0] - f[:, 1]) / scale, first)
-        record("discount_rate", np.abs(h[:, 0] - h[:, 1]) / scale, first)
-        s = np.sum(diff * (i[:, 0] - i[:, 1]), axis=-1) / dist2
-        record("drift", _drift_ratio(s, L2), first)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails
+        scale = L1 * dist
+        record("terminal_reward", np.abs(ga - gb) / scale)
+        for first in range(0, model.n_controls, step):
+            i, h, f = control_tables(model, pairs, model.controls[first:first + step])
+            record("running_reward", np.abs(f[:, 0] - f[:, 1]) / scale, first)
+            record("discount_rate", np.abs(h[:, 0] - h[:, 1]) / scale, first)
+            s = np.sum(diff * (i[:, 0] - i[:, 1]), axis=-1) / dist2
+            record("drift", _drift_ratio(s, L2), first)
 
     ratios = {name: w["ratio"] for name, w in witnesses.items()}
-    worst_name = max(ratios, key=ratios.get)
-    worst = ratios[worst_name]
-    return AssumptionReport(
-        passed=bool(worst <= 1.0 + RATIO_TOL),
-        worst_ratio=float(worst),
-        witness=witnesses[worst_name],
-        ratios=ratios,
-    )
+    worst = max(ratios, key=ratios.get)
+    return AssumptionReport(passed=bool(ratios[worst] <= 1.0 + RATIO_TOL),
+                            worst_ratio=float(ratios[worst]),
+                            witness=witnesses[worst], ratios=ratios)
 
 
 def truncate(model, k):
@@ -248,12 +251,13 @@ def truncate(model, k):
 class KappaTable(Report):
     """Empirical envelopes of the discounted reward / terminal moments.
 
-    ``kappa[j]`` bounds (over the probed policy family and start points in
-    the ball of radius ``radius_n``) the mean of ``exp(int h) * max(|f|, 1)``
-    at time ``t[j]``; ``p_terminal`` is the analogue with the terminal
-    reward.  Because only a finite policy family is probed, the table is a
-    lower envelope of the analytically required supremum over all admissible
-    controls.
+    ``kappa[j]`` bounds (over the constant policies, one per control, and
+    start points in the ball of radius ``radius_n``) the mean of
+    ``exp(int h) * max(|f|, 1)`` at time ``t[j]``; ``p_terminal`` is the
+    analogue with the terminal reward, and ``policy_ids`` holds the control
+    index that attains each ``kappa[j]``.  Because only the constant
+    policies are probed, the table is a lower envelope of the analytically
+    required supremum over all admissible controls.
     """
 
     t: np.ndarray
@@ -343,29 +347,28 @@ def _ball_mesh(dim, n, points, seed):
     return np.array(mesh[:points])
 
 
-def estimate_kappa(model, radius_n, horizon, policy_family, mc):
+def estimate_kappa(model, radius_n, horizon, mc):
     """Estimate the time-decay envelopes of the discounted moments.
 
     For every time on an internal grid, at the Euler step that simulates
     it, and every start point on a mesh of the ball of radius ``radius_n``,
-    the discounted running / terminal moments are estimated under each
-    policy in ``policy_family``; the table holds the pointwise maxima at
-    the simulated times.  An exponential envelope ``K * exp(M |y|)`` is
-    fitted over the start points and the two tail integrals (plain and
-    ``exp(L2 t)``-weighted) are reported with exponential tail
-    extrapolation.  Raises ``PathExclusionError`` past the 0.1% exclusion
-    budget of any (policy, start) pair, like every Monte Carlo estimate.
+    the discounted running / terminal moments are estimated under the
+    constant policy at each control point (``discounted_estimates``); the
+    table holds the pointwise maxima at the simulated times.  An exponential
+    envelope ``K * exp(M |y|)`` is fitted over the start points and the two
+    tail integrals (plain and ``exp(L2 t)``-weighted) are reported with
+    exponential tail extrapolation.  Raises ``PathExclusionError`` past the
+    0.1% exclusion budget of any (policy, start) pair, like every Monte
+    Carlo estimate.
     """
     if not 0 < horizon < np.inf:
         raise ParameterError("horizon must be positive and finite")
-    if not policy_family:
-        raise ParameterError("policy family must be nonempty")
     if radius_n < 0:
         raise ParameterError("radius must be >= 0")
     t_grid = np.linspace(horizon / _KAPPA_TIMES, horizon, _KAPPA_TIMES)
     mesh = _ball_mesh(model.dim, radius_n, _KAPPA_STARTS, mc.seed)
 
-    est = discounted_estimates(model, policy_family, mesh, horizon, mc, t_grid,
+    est = discounted_estimates(model, mesh, horizon, mc, t_grid,
                                "discounted_moments")
     rows = np.append(np.diff(est["f"].horizon) > 0, True)  # one per step
     t_grid = est["f"].horizon[rows]
@@ -415,7 +418,7 @@ def estimate_kappa(model, radius_n, horizon, policy_family, mc):
         policy_ids=policy_ids,
         radius_n=int(radius_n),
         policies_probed=(
-            f"lower envelope of the true supremum: {len(policy_family)} "
+            f"lower envelope of the true supremum: {model.n_controls} "
             "feedback policies probed"
         ),
         integral_kappa=float(integral_kappa),

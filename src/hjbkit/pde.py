@@ -89,14 +89,13 @@ class Grid1D:
             raise ParameterError("need y_min < y_max")
         if self.nodes < 3:
             raise ParameterError("need at least 3 nodes")
-        if not np.isfinite(self.spacing):
-            raise ParameterError("the spacing (y_max - y_min) / (nodes - 1) "
-                                 "must be finite")
         # the schemes divide by spacing ** 2, which underflows or overflows
+        # (as does the spacing, where y_max - y_min overflows)
         with np.errstate(divide="ignore", over="ignore"):
-            if not np.isfinite(1.0 / np.float64(self.spacing) ** 2):
-                raise ParameterError(f"the spacing {self.spacing!r} is too "
-                                     "small: 1 / spacing ** 2 is not finite")
+            square = np.float64(self.spacing) ** 2
+            if not (np.isfinite(square) and np.isfinite(1.0 / square)):
+                raise ParameterError(f"the spacing {self.spacing!r} is out of "
+                                     "range: spacing ** 2 or its inverse is inf")
         if self.boundary not in ("one_sided", "linear_extrapolation"):
             raise ParameterError(f"unknown boundary scheme {self.boundary!r}")
 
@@ -279,15 +278,14 @@ class SolveReport(Report):
         return out
 
 
-def _second_difference(u, dy, boundary):
+def _second_difference(u, dy):
+    """``D²u``, one-sided at the edges.  Under ``linear_extrapolation`` no
+    caller reads the edge rows: the march overwrites both edge nodes, and
+    every stop rule and the audit read the interior rows alone."""
     d2 = np.empty_like(u)
     d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy ** 2
-    if boundary == "one_sided":
-        d2[0] = (u[0] - 2.0 * u[1] + u[2]) / dy ** 2
-        d2[-1] = (u[-1] - 2.0 * u[-2] + u[-3]) / dy ** 2
-    else:  # linear_extrapolation: impose zero curvature at the edge
-        d2[0] = 0.0
-        d2[-1] = 0.0
+    d2[0] = (u[0] - 2.0 * u[1] + u[2]) / dy ** 2
+    d2[-1] = (u[-1] - 2.0 * u[-2] + u[-3]) / dy ** 2
     return d2
 
 
@@ -350,7 +348,7 @@ def _scanner(model, grid, override, admissible):
             pol = np.asarray(override(ys, u, _centered_gradient(u, dy)), float)
             used = admissible(_tabulate(model, ys, pol[None]))
             H, idx = _upwind_max(u, dy, *used)
-        return 0.5 * _second_difference(u, dy, grid.boundary) + H, pol, idx, used
+        return 0.5 * _second_difference(u, dy) + H, pol, idx, used
 
     return rhs_at
 
@@ -456,6 +454,14 @@ def solve_finite_horizon(model, grid, time, control_override=None,
                            steps=time.steps)
 
 
+def _positive_finite(**values):
+    """``ParameterError`` naming the first of ``values`` not in ``(0, inf)``:
+    the long-time march's rule for its step, tolerance and time cap."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ParameterError(f"{name} must be positive and finite")
+
+
 def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
                            control_override=None):
     """March the forward problem from zero until the field is stationary.
@@ -466,9 +472,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     guard raises: the discounted reward appears non-integrable over an
     infinite horizon for this model.
     """
-    for name, value in (("dt", dt), ("tol_dt", tol_dt), ("t_max", t_max)):
-        if not 0 < value < np.inf:
-            raise ParameterError(f"{name} must be positive and finite")
+    _positive_finite(dt=dt, tol_dt=tol_dt, t_max=t_max)
     t0 = _time.perf_counter()
     steps = int(np.ceil(t_max / dt))
     for s, (_, rhs, pol, idx, v, cfl, tables) in enumerate(
@@ -636,7 +640,7 @@ def _residual(model, grid, u, override, tables=None):
     tables give the bits of a tabulation on the interior nodes.
     """
     ys, dy, uin = grid.ys[1:-1], grid.spacing, u[1:-1]
-    d2 = _second_difference(u, dy, "one_sided")[1:-1]
+    d2 = _second_difference(u, dy)[1:-1]
     grad = _centered_gradient(u, dy)[1:-1]
     if tables is None:
         controls = None if override is None else \

@@ -19,7 +19,10 @@ Every Monte Carlo estimate takes its records from ``simulate_paths`` and
 reduces them here, in ``_reduce``: value estimates (``verify_field`` checks
 a solved field by them), horizon studies, and ``discounted_estimates`` for
 the bound checks and ``model.estimate_kappa``, which evaluates its rewards
-on the records and so simulates without the reward integral.
+on the records and so simulates without the reward integral.  The moment
+checks' inputs are ruled here too: ``discounted_estimates`` simulates the
+model's ``constant_policies``, the one control family of the bound checks
+and of ``estimate_kappa``, and ``load_bounds`` reads a bounds file.
 It applies the 0.1% exclusion budget per (policy, start), pairs antithetic
 paths, and averages only along a C-contiguous last path axis, where an
 axis mean equals each row's 1-D mean bit for bit.
@@ -32,16 +35,16 @@ per path from ``_POOL`` (at most ``_BLOCK``, about 10 MB), re-keys it to the
 start of its stream and draws ``_CHUNK`` steps at a time, so the loop's
 memory does not grow with the horizon; the records take one value per
 policy, start, path and record time.  ``discounted_estimates`` simulates
-its policies, such as the ``constant_policies`` family, in groups whose
-records and one sample row fit in ``_RECORD_BYTES``, and builds the
-samples in place over the records.
+its policies in groups whose records and one sample row fit in
+``_RECORD_BYTES``, and builds the samples in place over the records.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
-from .coefficients import _each_row
+from .coefficients import _each_row, _numbers, _read_json
 from .errors import ParameterError, PathExclusionError, RecordTimeError
 from .reports import Report
 
@@ -61,6 +64,7 @@ __all__ = [
     "UniformDiscountBound",
     "DiffusionDiscountBound",
     "ExponentialEnvelopeBound",
+    "load_bounds",
 ]
 
 _BLOCK = 1 << 14      # paths per block
@@ -130,7 +134,10 @@ def _steps_for(T, dt):
         raise ParameterError("T must be positive")
     if not np.isfinite(T):
         raise ParameterError(f"horizon must be finite, not {T!r}")
-    steps = max(1, int(round(T / dt)))
+    n = float(T) / float(dt)  # overflows to inf without a numpy warning
+    if not n < 2 ** 63:  # the step marks are int64
+        raise ParameterError(f"horizon {T!r} over dt {dt!r} overflows int64")
+    steps = max(1, int(round(n)))
     return steps, T / steps
 
 
@@ -379,8 +386,9 @@ def constant_policies(model):
     return [lambda y, t, _d=np.array(d, float): _d for d in model.controls]
 
 
-def discounted_estimates(model, policies, starts, T, mc, times, statistic):
-    """``{factor: EstimatorResult}`` of ``(P, S, records)`` arrays.
+def discounted_estimates(model, starts, T, mc, times, statistic):
+    """``{factor: EstimatorResult}`` of ``(P, S, records)`` arrays, one row
+    per control of ``model`` under its ``constant_policies``.
 
     Records are at ``times`` and ``T``, and ``horizon`` holds their
     simulated times (``simulate_paths``).  The factors are ``e^{int h}``
@@ -408,6 +416,7 @@ def discounted_estimates(model, policies, starts, T, mc, times, statistic):
     per_policy = 8 * floats * len(starts) * mc.paths * (len(times) + 1)
     size = max(1, _RECORD_BYTES // per_policy)
     moments, groups = statistic == "discounted_moments", []
+    policies = constant_policies(model)
     for first in range(0, len(policies), size):
         batch = simulate_paths(model, policies[first:first + size], starts,
                                T, mc, times, reward=False)
@@ -609,6 +618,29 @@ class ExponentialEnvelopeBound:
     statistic = "discounted_moments"
 
 
+_BOUNDS = {
+    "drift_discount": DriftDiscountBound,
+    "uniform_discount": UniformDiscountBound,
+    "diffusion_discount": DiffusionDiscountBound,
+    "envelope": ExponentialEnvelopeBound,
+}
+
+
+def load_bounds(source):
+    """``(bound, y0, T, times)`` of a bounds file: a path, an open text file
+    or the parsed mapping.  ``kind`` names the bound class and the file gives
+    each of its fields; ``y0`` defaults to 0, and an absent ``T``, or an
+    absent or null ``times``, is None.  Every number is finite."""
+    doc = _read_json(source)
+    cls = _BOUNDS.get(doc["kind"]) if isinstance(doc["kind"], str) else None
+    if cls is None:
+        raise ParameterError(f"unknown bound kind {doc['kind']!r}")
+    number = partial(_numbers, doc, where="bounds file")
+    return (cls(**{f.name: number(f.name) for f in fields(cls)}),
+            number("y0", (-1,), 0.0), number("T") if "T" in doc else None,
+            None if doc.get("times") is None else number("times", (-1,)))
+
+
 @dataclass(frozen=True)
 class BoundVerification(Report):
     met: bool
@@ -637,8 +669,7 @@ def verify_bounds(model, bound_spec, y0, T, mc, times=None):
     y0 = np.atleast_1d(np.asarray(y0, float))
     _steps_for(T, mc.dt)  # rejects T before the default times divide it
     times = np.asarray(np.linspace(T / 4, T, 4) if times is None else times, float)
-    est = discounted_estimates(model, constant_policies(model), [y0], T, mc,
-                               times, bound_spec.statistic)
+    est = discounted_estimates(model, [y0], T, mc, times, bound_spec.statistic)
     simulated = next(iter(est.values())).horizon[:len(times)].tolist()
     rows = [_bound_row(t, p, factor, float(e.mean[p, 0, r]),
                        float(e.std_error[p, 0, r]), bound_spec.value(t, y0))

@@ -179,7 +179,7 @@ def test_criterion_11_diffusion_discount_bound():
 def test_criterion_7_horizon_convergence():
     m = ou_model(controls=[[0.0]], reward="bounded")
     mc = hk.MonteCarloConfig(paths=20000, dt=5e-3, seed=7)
-    tab = hk.estimate_kappa(m, 1, 16.0, hk.constant_policies(m),
+    tab = hk.estimate_kappa(m, 1, 16.0,
                             hk.MonteCarloConfig(paths=2000, dt=1e-2, seed=8))
     rep = hk.horizon_convergence(m, zero_policy(), [0.5],
                                  [2.0, 4.0, 8.0, 16.0], mc, kappa_table=tab)

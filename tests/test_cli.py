@@ -400,13 +400,17 @@ class TestStationarySelection:
         assert code == 1
         assert "long-time march diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h", [0.5, None], ids=["march", "unedited"])
     @pytest.mark.parametrize("dt, t_max", [(0, 1000), (5e-3, 0),
                                            (np.inf, 1000), (5e-3, np.inf)])
     def test_march_step_and_horizon_validated(self, tmp_path, capsys, dt,
-                                              t_max):
-        # h = 0.5: policy iteration does not apply, the march gets the flags
+                                              t_max, h):
+        # h = 0.5: policy iteration does not apply, the march gets the flags;
+        # the unedited h = -1: policy iteration runs, the flags are checked
+        # all the same, so a command line's validity does not hang on the model
         doc = json.loads(open(MODEL).read())
-        doc["discount_rate"] = {"kind": "constant", "value": 0.5}
+        if h is not None:
+            doc["discount_rate"] = {"kind": "constant", "value": h}
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         code = run("solve", "--model", model, "--out", tmp_path / "o",
@@ -416,6 +420,93 @@ class TestStationarySelection:
         assert code == 2
         assert "must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o" / "solve_report.json").exists()
+
+
+    @pytest.mark.parametrize("flag", ["--dt", "--t-max"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_merton_march_flags_validated(self, tmp_path, capsys, flag,
+                                          value):
+        # policy iteration solves the market: the march's flags were unread
+        argv = list(self.MERTON)
+        argv[argv.index(flag) + 1] = value
+        assert run(*argv, "--out", tmp_path) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRangeEnds:
+    """Numbers near the end of the float range exit 2 with an ``error:``
+    line, before any artifact is written: no traceback, no warning, no
+    vacuous pass."""
+
+    def _model(self, tmp_path, **change):
+        doc = dict(json.loads(pathlib.Path(MODEL).read_text()), **change)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items()
+                                    if v is not None}))
+        return path
+
+    def _run(self, capsys, out, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv, "--out", out)
+        err = capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+        return code, err
+
+    @pytest.mark.parametrize("box", [[[-1e160, 1e160]], [[-1e200, 1e200]]])
+    def test_domain_box_with_an_infinite_squared_diagonal(self, tmp_path,
+                                                          capsys, box):
+        steep = {"kind": "affine", "y_coeff": [5.0]}
+        ok = self._model(tmp_path, running_reward=steep, domain_box=[[-3, 3]])
+        assert run("check", "--model", ok, "--out", tmp_path / "ok") == 1
+        model = self._model(tmp_path, running_reward=steep, domain_box=box)
+        code, err = self._run(capsys, tmp_path / "o", "check", "--model", model)
+        assert code == 2 and "squared diagonal in (0, inf)" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid-max=inf"], ["--grid-min=-inf"], ["--grid-max=nan"],
+        ["--grid-min=-1e308", "--grid-max", "1e308"]])
+    def test_check_box_from_grid_flags(self, tmp_path, capsys, flags):
+        model = self._model(tmp_path, domain_box=None)
+        code, err = self._run(capsys, tmp_path / "o", "check", "--model",
+                              model, *flags)
+        assert code == 2 and err.startswith("error: ") and "box" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--model", MODEL], ["solve", "--model", MODEL, "--infinite"],
+        ["merton", "--market", MARKET, "--npi", 3, "--nc", 3]])
+    def test_grid_spacing_whose_square_overflows(self, tmp_path, capsys, argv):
+        code, err = self._run(capsys, tmp_path / "o", *argv, "--nodes", 11,
+                              "--grid-min=-1e300", "--grid-max", 1e300)
+        assert code == 2 and "spacing" in err
+
+    def test_kappa_step_count_past_int64(self, tmp_path, capsys):
+        code, err = self._run(capsys, tmp_path / "o", "kappa", "--model",
+                              MODEL, "--paths", 20, "--dt-sim=1e-300")
+        assert code == 2
+        assert err == ("error: ParameterError('horizon 4.0 over dt 1e-300 "
+                       "overflows int64')\n")
+
+    def test_verify_bounds_step_count_past_int64(self, tmp_path, capsys):
+        scenario = tmp_path / "bounds.json"
+        scenario.write_text(json.dumps({"kind": "envelope", "K": 3.0,
+                                        "M": 1.0, "y0": 0.5}))
+        code, err = self._run(capsys, tmp_path / "o", "verify", "--model",
+                              MODEL, "--bounds", scenario, "--paths", 10,
+                              "--horizon=1e300")
+        assert code == 2 and "overflows int64" in err
+
+    def test_verify_field_step_count_past_int64(self, tmp_path, capsys):
+        assert run("solve", "--model", MODEL, "--out", tmp_path / "s",
+                   "--nodes", 11, "--grid-min", -3, "--grid-max", 3,
+                   "--steps", 100) == 0
+        code, err = self._run(capsys, tmp_path / "o", "verify", "--model",
+                              MODEL, "--field", tmp_path / "s" / "value.csv",
+                              "--policy", tmp_path / "s" / "policy.csv",
+                              "--paths", 10, "--horizon=1e300")
+        assert code == 2 and "overflows int64" in err
 
 
 class TestKappa:

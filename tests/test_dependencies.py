@@ -35,3 +35,12 @@ def test_project_depends_only_on_numpy():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9._-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_numpy_floor_has_trapezoid():
+    # np.trapezoid, which model and pde call, first shipped in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)*", deps[0])
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0), deps[0]

@@ -126,6 +126,34 @@ class TestAssumptionScreen:
         d = rep.as_dict()
         assert set(d) >= {"passed", "worst_ratio", "witness", "ratios"}
 
+    @pytest.mark.parametrize("box", [
+        [[-np.inf, 1.0]], [[0.0, np.inf]], [[np.nan, 1.0]],
+        # the pair distances, or their squares, overflow
+        [[-1e308, 1e308]], [[-1e160, 1e160]], [[-1e200, 1e200]]])
+    def test_box_must_be_finite_with_a_finite_squared_diagonal(self, box):
+        # a 5y reward against L1 = 1 fails on [-3, 3]: an overflowed box
+        # read every quotient as 0 and passed
+        steep = dataclasses.replace(
+            ou_model(), running_reward=lambda y, d: 5.0 * np.sum(y, axis=-1))
+        with pytest.raises(ParameterError, match="box"):
+            hk.check_assumption1(steep, box, samples=16, seed=0)
+
+    def test_nan_quotient_fails_and_is_the_witness(self):
+        # i = (c y1, -c y2): in the drift's inner product with the pair
+        # difference the two terms overflow to +inf and -inf, a NaN quotient
+        c = 1e157
+        m = hk.ControlModel(
+            dim=2, drift=lambda y, d: np.asarray(y, float) * [c, -c],
+            discount_rate=lambda y, d: np.full(np.shape(y)[:-1], -1.0),
+            running_reward=lambda y, d: np.zeros(np.shape(y)[:-1]),
+            terminal_reward=lambda y: np.zeros(np.shape(y)[:-1]),
+            controls=[[0.0]], lip_L1=1.0, lip_L2=1.0)
+        rep = hk.check_assumption1(m, [[-1e150, 1e150]] * 2, samples=16,
+                                   seed=0)
+        assert not rep.passed
+        assert rep.witness["coefficient"] == "drift"
+        assert rep.worst_ratio == np.inf == rep.witness["ratio"]
+
 
 class TestTruncation:
     def test_radius_validated(self):
@@ -235,7 +263,7 @@ class TestEstimateKappa:
     def test_ou_envelope_decays(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=400, dt=2e-2, seed=11)
-        tab = hk.estimate_kappa(m, 2, 3.0, hk.constant_policies(m), mc)
+        tab = hk.estimate_kappa(m, 2, 3.0, mc)
         assert not tab.non_integrable
         assert tab.decay_rate < 0
         # the envelope at the horizon end is well below its early values
@@ -247,14 +275,14 @@ class TestEstimateKappa:
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=1)
         with pytest.raises(ParameterError, match="radius"):
-            hk.estimate_kappa(m, -1, 0.5, hk.constant_policies(m), mc)
+            hk.estimate_kappa(m, -1, 0.5, mc)
 
     def test_rows_labelled_at_the_simulated_step(self):
         # grid 0.125, 0.25, ... on steps of 0.1: 0.125 is simulated at 0.1,
         # 0.375 at 0.4; under h = -1 and |f| <= 1 the envelope is e^{-t}
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
-        tab = hk.estimate_kappa(m, 0, 2.0, hk.constant_policies(m), mc)
+        tab = hk.estimate_kappa(m, 0, 2.0, mc)
         assert tab.t[:3].tolist() == [0.1, 0.2, 0.4]
         assert tab.t[-1] == 2.0
         assert np.allclose(tab.kappa, np.exp(-tab.t), rtol=1e-12, atol=0)
@@ -264,7 +292,7 @@ class TestEstimateKappa:
         # simulated at step 1, 0.9375 and 1.0 at step 10
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
-        tab = hk.estimate_kappa(m, 0, 1.0, hk.constant_policies(m), mc)
+        tab = hk.estimate_kappa(m, 0, 1.0, mc)
         assert np.allclose(tab.t, 0.1 * np.arange(1, 11), rtol=1e-12)
         assert tab.t[-1] == 1.0
         assert np.allclose(tab.kappa, np.exp(-tab.t), rtol=1e-12, atol=0)
@@ -272,8 +300,8 @@ class TestEstimateKappa:
     def test_deterministic(self):
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=200, dt=2e-2, seed=3)
-        a = hk.estimate_kappa(m, 1, 2.0, hk.constant_policies(m), mc)
-        b = hk.estimate_kappa(m, 1, 2.0, hk.constant_policies(m), mc)
+        a = hk.estimate_kappa(m, 1, 2.0, mc)
+        b = hk.estimate_kappa(m, 1, 2.0, mc)
         assert np.array_equal(a.kappa, b.kappa)
         assert a.integral_kappa == b.integral_kappa
 
@@ -286,11 +314,11 @@ class TestEstimateKappa:
             terminal_reward=base.terminal_reward, controls=base.controls,
             lip_L1=2.0, lip_L2=-1.0)
         mc = hk.MonteCarloConfig(paths=200, dt=2e-2, seed=3)
-        whole = hk.estimate_kappa(m, 1, 2.0, hk.constant_policies(m), mc)
+        whole = hk.estimate_kappa(m, 1, 2.0, mc)
         assert np.all(whole.policy_ids == 2)
         # a budget below one policy's records: one policy per group
         monkeypatch.setattr(sim, "_RECORD_BYTES", 1)
-        grouped = hk.estimate_kappa(m, 1, 2.0, hk.constant_policies(m), mc)
+        grouped = hk.estimate_kappa(m, 1, 2.0, mc)
         for name, value in vars(whole).items():
             assert np.array_equal(getattr(grouped, name), value), name
 
@@ -303,10 +331,9 @@ class TestEstimateKappa:
 
         def peak(resolution):
             m = finance.to_control_model(merton_market, resolution)
-            policies = hk.constant_policies(m)
             tracemalloc.start()
             try:
-                hk.estimate_kappa(m, 2, 1.0, policies, mc)
+                hk.estimate_kappa(m, 2, 1.0, mc)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -324,7 +351,7 @@ class TestEstimateKappa:
             controls=np.array([[0.0]]), lip_L1=1.0, lip_L2=1.0)
         mc = hk.MonteCarloConfig(paths=400, dt=0.05, seed=0)
         with pytest.raises(PathExclusionError) as exc:
-            hk.estimate_kappa(m, 0, 2.0, hk.constant_policies(m), mc)
+            hk.estimate_kappa(m, 0, 2.0, mc)
         assert (exc.value.excluded, exc.value.total) == (226, 400)
 
 

@@ -35,6 +35,15 @@ class TestGrids:
             with pytest.raises(ParameterError, match=name):
                 hk.Grid1D(y_min, y_max, 11)
 
+    @pytest.mark.parametrize("y_min, y_max", [(-1e300, 1e300), (0.0, 1e160)])
+    def test_spacing_square_must_be_finite(self, y_min, y_max):
+        # spacing 2e299 or 1.6e159: 1 / spacing ** 2 is 0, but the square
+        # itself overflows, as a Python float raising OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="spacing"):
+                hk.Grid1D(y_min, y_max, 11)
+
     def test_time_grid_horizon_must_be_finite(self):
         with pytest.raises(ParameterError, match="horizon"):
             hk.TimeGrid(np.inf, 10)
@@ -803,7 +812,7 @@ class TestGradientBound:
         g = hk.Grid1D(-3, 3, 61)
         vf, _, _ = hk.solve_infinite_horizon(m, g, 2.5e-3, 1e-5, 100.0)
         mc = hk.MonteCarloConfig(paths=300, dt=2e-2, seed=1)
-        tab = hk.estimate_kappa(m, 3, 3.0, hk.constant_policies(m), mc)
+        tab = hk.estimate_kappa(m, 3, 3.0, mc)
         rep = hk.gradient_bound_check(vf, tab, m.lip_L1, m.lip_L2)
         assert rep.status in ("met", "inconclusive")
         assert np.isfinite(rep.value_bound)
@@ -816,6 +825,6 @@ class TestGradientBound:
         vf = hk.ValueField(g, 1e-3 * np.ones((1, 61)), [0.0])
         m = ou_model()
         mc = hk.MonteCarloConfig(paths=300, dt=2e-2, seed=1)
-        tab = hk.estimate_kappa(m, 3, 3.0, hk.constant_policies(m), mc)
+        tab = hk.estimate_kappa(m, 3, 3.0, mc)
         rep = hk.gradient_bound_check(vf, tab, m.lip_L1, m.lip_L2)
         assert rep.status == "met"

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import sys
 import threading
 import tracemalloc
@@ -667,6 +668,27 @@ class TestCoupling:
         assert long <= short + 8 * 8 * extra_steps + 16 * 1024
 
 
+class TestStepCount:
+    @pytest.mark.parametrize("T, dt", [(1.0, 1e-300), (1e300, 1e-2),
+                                       (2.0 ** 64, 1.0)])
+    def test_step_count_past_int64_rejected(self, T, dt):
+        # the step marks are int64: past it they warned in the cast and
+        # named a record time, or looped on an object array
+        mc = hk.MonteCarloConfig(paths=4, dt=dt, seed=0)
+        with pytest.raises(ParameterError, match="overflows int64") as exc:
+            simulate_paths(ou_model(), [zero_policy()], [[0.0]], T, mc, [T / 2])
+        assert repr(T) in str(exc.value) and repr(dt) in str(exc.value)
+
+    def test_numpy_horizon_past_int64_rejected_without_a_warning(self):
+        mc = hk.MonteCarloConfig(paths=4, dt=np.float64(1e-300), seed=0)
+        with pytest.raises(ParameterError, match="overflows int64"):
+            hk.estimate_value(ou_model(), zero_policy(), [[0.0]], 0.0,
+                              np.float64(1e300), mc)
+
+    def test_largest_count_below_int64_accepted(self):
+        assert sim._steps_for(2.0 ** 63 - 1024, 1.0)[0] == 2 ** 63 - 1024
+
+
 class TestHorizonConvergence:
     def test_differences_shrink(self):
         m = ou_model(reward="bounded")
@@ -679,9 +701,8 @@ class TestHorizonConvergence:
     def test_tail_bound_with_table(self):
         m = ou_model(reward="bounded")
         mc = hk.MonteCarloConfig(paths=2000, dt=1e-2, seed=0)
-        tab = hk.estimate_kappa(m, 1, 4.0, hk.constant_policies(m),
-                                hk.MonteCarloConfig(paths=400, dt=2e-2,
-                                                    seed=1))
+        tab = hk.estimate_kappa(m, 1, 4.0, hk.MonteCarloConfig(
+            paths=400, dt=2e-2, seed=1))
         rep = hk.horizon_convergence(m, zero_policy(), [0.5],
                                      [1.0, 2.0, 4.0], mc, kappa_table=tab)
         assert rep.tail_bound is not None
@@ -773,9 +794,8 @@ class TestBoundVerification:
                                  antithetic=antithetic)
 
         def estimates():
-            return sim.discounted_estimates(
-                m, hk.constant_policies(m), [[0.5], [-1.5]], 1.0, mc,
-                [0.25, 0.5], statistic)
+            return sim.discounted_estimates(m, [[0.5], [-1.5]], 1.0, mc,
+                                            [0.25, 0.5], statistic)
 
         whole = estimates()
         monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one control per group
@@ -794,15 +814,15 @@ class TestBoundVerification:
         policies = hk.constant_policies(m)
         starts = np.linspace(-2.0, 2.0, 7)[:, None]
         mc = hk.MonteCarloConfig(paths=300, dt=1e-2, seed=0)
-        args = (m, policies, starts, 4.0, mc, np.linspace(0.25, 4.0, 16))
-        batch = simulate_paths(*args, reward=False)
+        args = (starts, 4.0, mc, np.linspace(0.25, 4.0, 16))
+        batch = simulate_paths(m, policies, *args, reward=False)
         records = sum(getattr(batch, name).nbytes for name in
                       ("states", "deltas", "log_discount", "excluded"))
         del batch
-        sim.discounted_estimates(*args, "discounted_moments")  # warm caches
+        sim.discounted_estimates(m, *args, "discounted_moments")  # warm caches
         tracemalloc.start()
         try:
-            sim.discounted_estimates(*args, "discounted_moments")
+            sim.discounted_estimates(m, *args, "discounted_moments")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -814,12 +834,11 @@ class TestBoundVerification:
     def test_control_groups_build_each_stream_once(self, monkeypatch,
                                                    antithetic):
         m = ou_model(controls=((0.0,), (1.0,)), reward="bounded")
-        policies = hk.constant_policies(m)
         mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=4,
                                  antithetic=antithetic)
 
         def estimates():
-            return sim.discounted_estimates(m, policies, [[0.5]], 1.0, mc,
+            return sim.discounted_estimates(m, [[0.5]], 1.0, mc,
                                             [0.5], "discounted_reward")["f"]
 
         whole = estimates()
@@ -933,6 +952,50 @@ class TestBoundVerification:
         assert rep.met
 
 
+class TestLoadBounds:
+    DOC = {"kind": "diffusion_discount", "w": 1, "L2": -1.0, "y0": [1.0],
+           "T": 2, "times": [0.5, 1, 2.0]}
+
+    def test_path_open_file_and_mapping(self, tmp_path):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(self.DOC))
+        with open(path) as fh:
+            loaded = [hk.load_bounds(path), hk.load_bounds(str(path)),
+                      hk.load_bounds(fh), hk.load_bounds(self.DOC)]
+        for bound, y0, T, times in loaded:
+            assert bound == hk.DiffusionDiscountBound(w=1.0, L2=-1.0)
+            assert y0.tolist() == [1.0] and T == 2.0
+            assert times.tolist() == [0.5, 1.0, 2.0]
+
+    def test_defaults(self):
+        bound, y0, T, times = hk.load_bounds({"kind": "envelope", "K": 3,
+                                              "M": 1, "times": None})
+        assert bound == hk.ExponentialEnvelopeBound(K=3.0, M=1.0)
+        assert (y0, T, times) == (0.0, None, None)
+
+    @pytest.mark.parametrize("kind, cls", [
+        ("drift_discount", hk.DriftDiscountBound),
+        ("uniform_discount", hk.UniformDiscountBound),
+        ("diffusion_discount", hk.DiffusionDiscountBound),
+        ("envelope", hk.ExponentialEnvelopeBound)])
+    def test_every_kind_reads_its_fields(self, kind, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        values = [i + 0.5 for i in range(len(names))]
+        doc = dict(zip(names, values), kind=kind)
+        assert hk.load_bounds(doc)[0] == cls(*values)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"kind": "wrong"}, "unknown bound kind 'wrong'"),
+        ({"kind": ["envelope"]}, "unknown bound kind ['envelope']"),
+        ({"T": None}, "bounds file: T must be a number"),
+        ({"w": float("inf")}, "bounds file: w must be a number"),
+        ({"y0": [[1.0]]}, "bounds file: y0 must be a number")])
+    def test_rejected(self, change, message):
+        with pytest.raises(ParameterError) as exc:
+            hk.load_bounds(dict(self.DOC, **change))
+        assert message in str(exc.value)
+
+
 class TestRewardFreeEstimates:
     """``discounted_estimates`` simulates without the reward integral."""
 
@@ -960,8 +1023,7 @@ class TestRewardFreeEstimates:
         monkeypatch.setattr(sim, "_BLOCK", 16)  # four blocks of paths
         monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one policy per group
         monkeypatch.setattr(sim, "simulate_paths", recorded)
-        est = sim.discounted_estimates(m, policies, starts, T, mc, times,
-                                       statistic)
+        est = sim.discounted_estimates(m, starts, T, mc, times, statistic)
         assert calls == [(1, False)] * len(policies)
 
         batch = simulate(m, policies, starts, T, mc, times)
@@ -1013,8 +1075,7 @@ class TestRewardFreeEstimates:
         m = dataclasses.replace(base, drift=drift)
         mc = hk.MonteCarloConfig(paths=10, dt=0.1, seed=0)
         with pytest.raises(ParameterError, match="unknown statistic"):
-            sim.discounted_estimates(m, hk.constant_policies(m), [[0.0]], 1.0,
-                                     mc, [0.5], "moments")
+            sim.discounted_estimates(m, [[0.0]], 1.0, mc, [0.5], "moments")
         assert calls == []
 
 
