@@ -123,8 +123,9 @@ def cmd_check(args, digest):
 
 def _solve_stationary(mdl, grid, args, override):
     """Policy iteration, or the long-time march where it does not apply; the
-    march's step and time cap are checked first, whichever of them runs."""
-    pde._positive_finite(dt=args.dt, t_max=args.t_max)
+    march's step, time cap and step count are checked first, whichever of
+    them runs."""
+    pde._march_steps(args.dt, args.t_max)
     try:
         return pde.solve_stationary(mdl, grid, args.tol_dt,
                                     control_override=override)

@@ -462,6 +462,16 @@ def _positive_finite(**values):
             raise ParameterError(f"{name} must be positive and finite")
 
 
+def _march_steps(dt, t_max):
+    """The long-time march's step cap, ``ceil(t_max / dt)``: ``dt`` and
+    ``t_max`` must be positive and finite and their quotient below 2**63."""
+    _positive_finite(dt=dt, t_max=t_max)
+    n = float(t_max) / float(dt)  # overflows to inf without a numpy warning
+    if not n < 2 ** 63:
+        raise ParameterError(f"t_max {t_max!r} over dt {dt!r} overflows int64")
+    return int(np.ceil(n))
+
+
 def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
                            control_override=None):
     """March the forward problem from zero until the field is stationary.
@@ -472,9 +482,9 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     guard raises: the discounted reward appears non-integrable over an
     infinite horizon for this model.
     """
-    _positive_finite(dt=dt, tol_dt=tol_dt, t_max=t_max)
+    steps = _march_steps(dt, t_max)
+    _positive_finite(tol_dt=tol_dt)
     t0 = _time.perf_counter()
-    steps = int(np.ceil(t_max / dt))
     for s, (_, rhs, pol, idx, v, cfl, tables) in enumerate(
             _march(model, grid, np.zeros(grid.nodes), dt, t_max,
                    control_override), 1):

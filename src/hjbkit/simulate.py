@@ -5,11 +5,14 @@ start) pair of a call on the same Gaussian increments.  A step calls each
 policy once on its own ``(S·m, N)`` rows (``S`` starts, ``m`` paths of a
 block), then the drift, the discount rate and, if the caller needs the
 reward integral, the running reward once each on all ``P·S·m`` rows of
-states and controls, and adds the block's increments to every pair's rows
-by broadcasting.  The step updates its buffers in place and allocates
-nothing of its own.  ``simulate_paths`` records states, controls, discount
-integral and, optionally, the discounted reward integral at requested
-times in a ``PathBatch``, in the order the loop writes them;
+states and controls, and adds the step's increments, one contiguous row of
+a time-major chunk, to every pair's rows by broadcasting.  The step
+updates its buffers in place and allocates nothing of its own; the steps
+between two records run under one ``np.errstate`` that ignores overflow,
+invalid and divide, left before each record is handed out.
+``simulate_paths`` records states, controls, discount integral and,
+optionally, the discounted reward integral at requested times in a
+``PathBatch``, in the order the loop writes them;
 ``coupled_contraction`` reduces its distances step by step as the loop
 runs.  The state uses unit diffusion per coordinate, so the Euler step is
 exact in the noise term.  Both integrals are accumulated by left-endpoint
@@ -32,9 +35,10 @@ Randomness comes from counter-based Philox streams keyed by
 how paths are blocked, how the increments are chunked in time and how many
 (policy, start) pairs share them.  A block of paths borrows one generator
 per path from ``_POOL`` (at most ``_BLOCK``, about 10 MB), re-keys it to the
-start of its stream and draws ``_CHUNK`` steps at a time, so the loop's
-memory does not grow with the horizon; the records take one value per
-policy, start, path and record time.  ``discounted_estimates`` simulates
+start of its stream and draws ``_CHUNK`` steps at a time, ``_SUB`` paths
+at a time, into a time-major chunk, so the loop's memory does not grow
+with the horizon; the records take one value per policy, start, path and
+record time.  ``discounted_estimates`` simulates
 its policies in groups whose records and one sample row fit in
 ``_RECORD_BYTES``, and builds the samples in place over the records.
 """
@@ -69,6 +73,7 @@ __all__ = [
 
 _BLOCK = 1 << 14      # paths per block
 _CHUNK = 128          # steps of increments drawn at a time
+_SUB = 64             # paths drawn and transposed into the chunk at a time
 _RECORD_BYTES = 1 << 25   # records plus one sample row per moment-check group
 _EXCLUSION_BUDGET = 1e-3
 # a stream's start, key swapped in per path, held as Python ints and lists:
@@ -180,11 +185,20 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
 
     A step allocates nothing of its own: it updates the integrals and then
     the states in place through two scratch buffers, ``rw + (e^{ld}·f)·dt``,
-    ``ld + h·dt`` and ``(y + drift·dt) + √dt·z``, the block's ``(m, N)``
-    increments copied out of the chunk once and broadcast over a ``(P·S,
-    m, N)`` view, so the noise is never copied per pair.  The increments
-    are scaled by ``√dt`` once per chunk, after the antithetic negation.
-    ``y`` is written last, as a callable's output may be a view of it.
+    ``ld + h·dt`` and ``(y + drift·dt) + √dt·z``, the step's ``(m, N)``
+    increments being one contiguous row of the time-major chunk ``zt``
+    ``(chunk, m, N)``, broadcast over a ``(P·S, m, N)`` view, so the noise
+    is copied neither per step nor per pair.  ``y`` is written last, as a
+    callable's output may be a view of it.  At each chunk boundary the
+    block's paths draw in sub-batches of at most ``_SUB``: each path fills
+    its row of a small path-major scratch from its own stream, the odd
+    paths of an antithetic run (by global index) are negated, and one
+    transposing multiply by ``√dt`` writes the sub-batch into ``zt``.
+
+    The steps up to each yield run as one run under ``np.errstate(over,
+    invalid, divide="ignore")``, entered at the run's first step and left
+    before the yield, at the block's end and when a step raises, so the
+    consumer's code never runs under the kernel's error state.
 
     The states are row-major, ``(P·S·m, N)``; the controls are held
     control-major, ``(k, P, S·m)``, so each control column ``delta[..., j]``
@@ -196,8 +210,9 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     for lo in range(0, mc.paths, _BLOCK):
         ids = range(lo, min(lo + _BLOCK, mc.paths))
         m = len(ids)
-        z = np.empty((m, min(_CHUNK, steps), N))
-        rows = list(z)
+        zt = np.empty((min(_CHUNK, steps), m, N))  # time-major: a step's row
+        zp = np.empty((min(_SUB, m), len(zt), N))  # one sub-batch, path-major
+        rows = list(zp)
         # row (p, s, path) of the P*S*m rows that every coefficient call takes
         y = np.empty((P * S * m, N))
         y.reshape(P, S, m, N)[:] = starts[:, None]
@@ -208,43 +223,49 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
         by_policy, controls = y.reshape(P, S * m, N), d.reshape(k, -1).T
         policy_controls = d.transpose(1, 2, 0)  # (P, S·m, k)
         pairs = y.reshape(P * S, m, N)
-        noise = step[:m]  # the step's increments, contiguous: read per pair
         live = (y.reshape(P, S, m, N), d.reshape(k, P, S, m).transpose(1, 2, 3, 0),
                 ld.reshape(P, S, m), None if rw is None else rw.reshape(P, S, m))
         gens = _POOL.pop("gens", [])  # one atomic call: never lent twice
         try:
             draws = _path_draws(mc, ids, gens)
-            for s in range(steps):
-                if s % _CHUNK == 0:
-                    if steps - s < len(rows[0]):
-                        rows = [row[:steps - s] for row in rows]
-                    for draw, row in zip(draws, rows):
-                        draw(out=row)
-                    drawn = z[:, :len(rows[0])]
-                    if mc.antithetic:
-                        odd = drawn[(lo + 1) % 2::2]
-                        np.negative(odd, out=odd)
-                    np.multiply(drawn, sqdt, out=drawn)
-                t = t0 + s * dt
+            done = 0  # steps taken
+            while done < steps:  # one run of steps up to each yield
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for p, policy in enumerate(policies):
-                        policy_controls[p] = policy(by_policy[p], t)
-                    drift = np.asarray(model.drift(y, controls), float)
-                    hv = np.asarray(model.discount_rate(y, controls), float)
-                    if reward:
-                        fv = np.asarray(model.running_reward(y, controls), float)
-                        np.exp(ld, out=scratch)
-                        np.multiply(scratch, fv, out=scratch)
-                        np.multiply(scratch, dt, out=scratch)
-                        np.add(rw, scratch, out=rw)
-                    np.multiply(hv, dt, out=scratch)
-                    np.add(ld, scratch, out=ld)
-                    np.multiply(drift, dt, out=step)
-                    np.add(y, step, out=y)
-                    np.copyto(noise, z[:, s % _CHUNK])
-                    np.add(pairs, noise, out=pairs)
-                if s + 1 in marks:
-                    yield (lo, s + 1) + live
+                    for s in range(done, steps):
+                        if s % _CHUNK == 0:
+                            if steps - s < len(rows[0]):
+                                rows = [row[:steps - s] for row in rows]
+                            n = len(rows[0])
+                            for a in range(0, m, len(rows)):
+                                sub = zp[:min(len(rows), m - a), :n]
+                                for draw, row in zip(draws[a:a + len(sub)], rows):
+                                    draw(out=row)
+                                if mc.antithetic:
+                                    odd = sub[(lo + a + 1) % 2::2]
+                                    np.negative(odd, out=odd)
+                                np.multiply(sub.transpose(1, 0, 2), sqdt,
+                                            out=zt[:n, a:a + len(sub)])
+                        t = t0 + s * dt
+                        for p, policy in enumerate(policies):
+                            policy_controls[p] = policy(by_policy[p], t)
+                        drift = np.asarray(model.drift(y, controls), float)
+                        hv = np.asarray(model.discount_rate(y, controls), float)
+                        if reward:
+                            fv = np.asarray(model.running_reward(y, controls), float)
+                            np.exp(ld, out=scratch)
+                            np.multiply(scratch, fv, out=scratch)
+                            np.multiply(scratch, dt, out=scratch)
+                            np.add(rw, scratch, out=rw)
+                        np.multiply(hv, dt, out=scratch)
+                        np.add(ld, scratch, out=ld)
+                        np.multiply(drift, dt, out=step)
+                        np.add(y, step, out=y)
+                        np.add(pairs, zt[s % _CHUNK], out=pairs)
+                        if s + 1 in marks:
+                            break
+                done = s + 1
+                if done in marks:
+                    yield (lo, done) + live
         finally:
             _POOL["gens"] = gens
 

@@ -421,6 +421,25 @@ class TestStationarySelection:
         assert "must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o" / "solve_report.json").exists()
 
+    @pytest.mark.parametrize("h", [0.5, None], ids=["march", "unedited"])
+    @pytest.mark.parametrize("t_max", [1e300, 1])
+    def test_march_step_count_must_fit_int64(self, tmp_path, capsys, t_max,
+                                             h):
+        # t_max / dt of 1e600 ended in an OverflowError traceback, and 1e300
+        # marched without end, where policy iteration does not apply
+        doc = json.loads(open(MODEL).read())
+        if h is not None:
+            doc["discount_rate"] = {"kind": "constant", "value": h}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = run("solve", "--model", model, "--out", tmp_path / "o",
+                   "--infinite", "--nodes", 5, "--grid-min", -1,
+                   "--grid-max", 1, "--dt", 1e-300, "--t-max", t_max)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t_max" in err and "over dt" in err and "overflows" in err
+        assert not (tmp_path / "o" / "solve_report.json").exists()
 
     @pytest.mark.parametrize("flag", ["--dt", "--t-max"])
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])

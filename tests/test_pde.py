@@ -269,6 +269,18 @@ class TestInfiniteHorizon:
             hk.solve_infinite_horizon(constant_model(), hk.Grid1D(-1, 1, 21),
                                       **args)
 
+    @pytest.mark.parametrize("t_max", [1e300, 1.0])
+    def test_step_count_must_fit_int64(self, t_max):
+        # 1e600 steps ended in an OverflowError, 1e300 marched without end
+        with pytest.raises(ParameterError, match="t_max .* over dt 1e-300"):
+            hk.solve_infinite_horizon(constant_model(), hk.Grid1D(-1, 1, 21),
+                                      1e-300, 1e-5, t_max)
+
+    def test_largest_step_count_below_int64_accepted(self):
+        assert pde._march_steps(1.0, 2.0 ** 63 - 1024) == 2 ** 63 - 1024
+        with pytest.raises(ParameterError, match="overflows int64"):
+            pde._march_steps(1.0, 2.0 ** 63)
+
     @pytest.mark.parametrize("boundary", ["one_sided", "linear_extrapolation"])
     @pytest.mark.parametrize("override", [False, True])
     def test_long_time_march_is_the_sweep_from_zero(self, boundary, override,

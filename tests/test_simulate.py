@@ -107,9 +107,10 @@ class TestKernel:
            steps=st.integers(1, 12), pairs=st.integers(1, 5),
            antithetic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
            starts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
-           data=st.data())
+           sub=st.integers(1, 8), data=st.data())
     def test_batched_slices_equal_single_runs(self, block, chunk, steps, pairs,
-                                              antithetic, seed, starts, data):
+                                              antithetic, seed, starts, sub,
+                                              data):
         m = ou_model(reward="bounded")
         policies = [lambda y, t: np.array([0.5]), _clipped_policy,
                     zero_policy()]
@@ -121,7 +122,11 @@ class TestKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_BLOCK", block)
             mp.setattr(sim, "_CHUNK", chunk)
+            # the batch draws its increments in sub-batches of `sub` paths,
+            # the single runs in one sub-batch per block
+            mp.setattr(sim, "_SUB", sub)
             batch = simulate_paths(m, policies, starts, T, mc, times)
+            mp.setattr(sim, "_SUB", block)
             for p, policy in enumerate(policies):
                 for s, y0 in enumerate(starts):
                     one = simulate_paths(m, [policy], [y0], T, mc, times)
@@ -130,11 +135,15 @@ class TestKernel:
                         assert np.array_equal(getattr(one, name)[0, 0],
                                               getattr(batch, name)[p, s])
 
+    # sub-batches of one path, of two (not a divisor of the block of 3) and
+    # of the whole block
+    @pytest.mark.parametrize("sub", [1, 2, 64])
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_chunked_increments_equal_bulk_draws(self, monkeypatch,
-                                                 antithetic):
+                                                 antithetic, sub):
         monkeypatch.setattr(sim, "_BLOCK", 3)
         monkeypatch.setattr(sim, "_CHUNK", 4)
+        monkeypatch.setattr(sim, "_SUB", sub)
         steps, dim, seed = 10, 2, 7
         mc = hk.MonteCarloConfig(paths=8, dt=0.1, seed=seed,
                                  antithetic=antithetic)
@@ -152,6 +161,37 @@ class TestKernel:
                 y = y + np.sqrt(1.0 / steps) * z[s]
                 expected.append(y)
             assert np.array_equal(batch.states[0, 0, :, p], expected)
+
+    def test_policy_error_leaves_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK", 3)
+
+        def failing(y, t):
+            if t > 0.2:
+                raise RuntimeError("policy failed")
+            return _clipped_policy(y, t)
+
+        mc = hk.MonteCarloConfig(paths=8, dt=0.05, seed=0)
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            with pytest.raises(RuntimeError, match="policy failed"):
+                simulate_paths(ou_model(), [failing], [[0.5]], 1.0, mc, [0.1])
+            assert np.geterr() == caller
+
+    def test_consumer_runs_in_the_callers_error_state(self, monkeypatch):
+        # the kernel ignores over, invalid and divide for its own steps
+        # only: every yield hands back the caller's error state
+        monkeypatch.setattr(sim, "_BLOCK", 3)
+        monkeypatch.setattr(sim, "_CHUNK", 4)
+        mc = hk.MonteCarloConfig(paths=8, dt=0.05, seed=0)
+        seen = []
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            for lo, s, *_ in sim._march(ou_model(), [zero_policy()],
+                                        np.array([[0.5]]), 10, 0.05, mc,
+                                        {1, 2, 5, 10}, 0.0):
+                seen.append((lo, s, np.geterr()))
+        assert seen == [(lo, s, caller) for lo in (0, 3, 6)
+                        for s in (1, 2, 5, 10)]
 
     def test_memory_flat_in_horizon(self):
         m = ou_model()
