@@ -1,12 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks every module
+shares: a positive, finite number and a step count that fits int64."""
 
 
 class HjbkitError(Exception):
-    pass
+    """Base of every error hjbkit raises on purpose."""
 
 
 class ParameterError(HjbkitError, ValueError):
     """Invalid parameter value."""
+
+
+def _positive_finite(**values):
+    """``ParameterError`` naming the first of ``values`` not in ``(0, inf)``."""
+    for name, value in values.items():
+        if not 0 < value < float("inf"):
+            raise ParameterError(f"{name} must be positive and finite")
+
+
+def _step_count(name, span, dt):
+    """``span / dt`` as a Python float, below 2**63 (steps are counted in
+    int64), or a ``ParameterError`` naming both; a ``dt`` of 0 counts as an
+    infinite quotient."""
+    span, dt = float(span), float(dt)
+    n = span / dt if dt else float("inf")  # overflows to inf without a warning
+    if not n < 2 ** 63:
+        raise ParameterError(f"{name} {span!r} over dt {dt!r} overflows int64")
+    return n
 
 
 class CoefficientError(HjbkitError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coefficients
-from .errors import CoefficientError, ParameterError
+from .errors import CoefficientError, ParameterError, _positive_finite
 from .hamiltonian import control_tables
 from .reports import Report, write_csv
 from .simulate import discounted_estimates
@@ -361,8 +361,7 @@ def estimate_kappa(model, radius_n, horizon, mc):
     0.1% exclusion budget of any (policy, start) pair, like every Monte
     Carlo estimate.
     """
-    if not 0 < horizon < np.inf:
-        raise ParameterError("horizon must be positive and finite")
+    _positive_finite(horizon=horizon)
     if radius_n < 0:
         raise ParameterError("radius must be >= 0")
     t_grid = np.linspace(horizon / _KAPPA_TIMES, horizon, _KAPPA_TIMES)

@@ -32,7 +32,12 @@ interior nodes of the tables the scan holds, and only an override's
 controls are tabulated again, at the final centred gradient.
 The step must satisfy ``dt * (1/dy^2 + max|i|/dy + max h+) <= 1`` with
 the maxima taken over grid x the controls applied (the grid list, or
-each step's override controls); this is enforced, not assumed.
+each step's override controls); this is enforced, not assumed.  A step
+over the limit raises ``StabilityError`` with the step count the span
+needs, ``ceil(span / dt_max)``; a span that needs 2**63 or more steps is a
+``ParameterError``, as is every step count of that size:
+``errors._step_count`` takes every such quotient, here and in
+``simulate``.
 
 A field's ``to_csv`` writes one ``y,t,<columns>`` row per node and stamp,
 stamps ascending and nodes ascending within each stamp, as the text
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DivergenceError, ParameterError, PolicyIterationError,
-                     StabilityError)
+                     StabilityError, _positive_finite, _step_count)
 from .hamiltonian import control_tables, maximize
 from .reports import Report, _path, read_csv, write_csv
 
@@ -114,8 +119,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not 0 < self.horizon < np.inf:
-            raise ParameterError("horizon must be positive and finite")
+        _positive_finite(horizon=self.horizon)
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
 
@@ -361,8 +365,10 @@ def _march(model, grid, u, dt, span, override):
     ``u + dt·rhs`` with the extrapolation rows imposed, the CFL ratio so
     far, the largest over the tables of the controls actually applied, and
     those tables.  Raises ``StabilityError`` where those controls need a
-    smaller step (``span`` sizes the step count it suggests) and
-    ``DivergenceError`` on a non-finite update.
+    smaller step (``span``, a ``(name, length)`` pair, sizes the step
+    count it suggests; where that count is 2**63 or more, no march can
+    take it, and the error is a ``ParameterError`` naming the span and the
+    stable step) and ``DivergenceError`` on a non-finite update.
     """
     dy = grid.spacing
     cfl = 0.0
@@ -372,7 +378,8 @@ def _march(model, grid, u, dt, span, override):
         i, _, h, _ = tables
         dt_max = 1.0 / (1.0 / dy ** 2 + np.abs(i).max() / dy + max(h.max(), 0.0))
         if dt > dt_max * (1.0 + 1e-12):
-            raise StabilityError(dt, dt_max, int(np.ceil(span / dt_max)))
+            raise StabilityError(dt, dt_max,
+                                 int(np.ceil(_step_count(*span, dt_max))))
         cfl = max(cfl, dt / dt_max)
         return tables
 
@@ -437,7 +444,8 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     # one right-hand side per step plus one at t = 0: a retained layer's
     # policy and, at the end, the final time derivative
     for n, (u, rhs, pol, _, _, cfl, tables) in enumerate(
-            _march(model, grid, u, dt, time.horizon, control_override)):
+            _march(model, grid, u, dt, ("horizon", time.horizon),
+                   control_override)):
         if n % slice_stride == 0 or n == time.steps:
             layers.append(u)
             stamps.append(time.horizon - n * dt)
@@ -454,22 +462,12 @@ def solve_finite_horizon(model, grid, time, control_override=None,
                            steps=time.steps)
 
 
-def _positive_finite(**values):
-    """``ParameterError`` naming the first of ``values`` not in ``(0, inf)``:
-    the long-time march's rule for its step, tolerance and time cap."""
-    for name, value in values.items():
-        if not 0 < value < np.inf:
-            raise ParameterError(f"{name} must be positive and finite")
-
-
 def _march_steps(dt, t_max):
     """The long-time march's step cap, ``ceil(t_max / dt)``: ``dt`` and
-    ``t_max`` must be positive and finite and their quotient below 2**63."""
+    ``t_max`` must be positive and finite and their quotient below 2**63
+    (``errors._step_count``)."""
     _positive_finite(dt=dt, t_max=t_max)
-    n = float(t_max) / float(dt)  # overflows to inf without a numpy warning
-    if not n < 2 ** 63:
-        raise ParameterError(f"t_max {t_max!r} over dt {dt!r} overflows int64")
-    return int(np.ceil(n))
+    return int(np.ceil(_step_count("t_max", t_max, dt)))
 
 
 def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
@@ -486,7 +484,7 @@ def solve_infinite_horizon(model, grid, dt, tol_dt, t_max,
     _positive_finite(tol_dt=tol_dt)
     t0 = _time.perf_counter()
     for s, (_, rhs, pol, idx, v, cfl, tables) in enumerate(
-            _march(model, grid, np.zeros(grid.nodes), dt, t_max,
+            _march(model, grid, np.zeros(grid.nodes), dt, ("t_max", t_max),
                    control_override), 1):
         if np.abs(v).max() > _OVERFLOW_GUARD:
             raise DivergenceError(
@@ -584,8 +582,7 @@ def solve_stationary(model, grid, tol, control_override=None):
     cycle there, and the edge equation can have a second solution.
     ``solve_infinite_horizon`` is then the solver to use.
     """
-    if not 0 < tol < np.inf:
-        raise ParameterError("tol must be positive and finite")
+    _positive_finite(tol=tol)
     rows = slice(None) if grid.boundary == "one_sided" else slice(1, -1)
     nodes = np.arange(grid.nodes)
 

@@ -16,7 +16,11 @@ optionally, the discounted reward integral at requested times in a
 ``coupled_contraction`` reduces its distances step by step as the loop
 runs.  The state uses unit diffusion per coordinate, so the Euler step is
 exact in the noise term.  Both integrals are accumulated by left-endpoint
-quadrature, keeping the discount multiplicative per step.
+quadrature, keeping the discount multiplicative per step.  A horizon
+``T`` is run in ``max(1, round(T / dt))`` steps of ``T / steps``, the
+count checked below 2**63 by ``errors._step_count``, the rule of every
+step count in hjbkit; ``MonteCarloConfig`` takes only a positive, finite
+``dt``.
 
 Every Monte Carlo estimate takes its records from ``simulate_paths`` and
 reduces them here, in ``_reduce``: value estimates (``verify_field`` checks
@@ -49,7 +53,8 @@ from functools import partial
 import numpy as np
 
 from .coefficients import _each_row, _numbers, _read_json
-from .errors import ParameterError, PathExclusionError, RecordTimeError
+from .errors import (ParameterError, PathExclusionError, RecordTimeError,
+                     _positive_finite, _step_count)
 from .reports import Report
 
 __all__ = [
@@ -96,8 +101,7 @@ class MonteCarloConfig:
             raise ParameterError("paths must be >= 1")
         if not 0 <= self.seed < 2 ** 64:  # one word of the Philox key
             raise ParameterError("seed must be >= 0 and < 2**64")
-        if not self.dt > 0:
-            raise ParameterError("dt must be positive")
+        _positive_finite(dt=self.dt)
         if self.antithetic and self.paths % 2:
             raise ParameterError("antithetic sampling needs an even path count")
 
@@ -135,14 +139,15 @@ class EstimatorResult(Report):
 
 
 def _steps_for(T, dt):
+    """The Euler grid of a horizon: ``max(1, round(T / dt))`` steps and
+    their length.  ``T`` must be positive and finite (``dt`` is, by
+    ``MonteCarloConfig``) and ``T / dt`` below 2**63
+    (``errors._step_count``)."""
     if not T > 0:
         raise ParameterError("T must be positive")
     if not np.isfinite(T):
         raise ParameterError(f"horizon must be finite, not {T!r}")
-    n = float(T) / float(dt)  # overflows to inf without a numpy warning
-    if not n < 2 ** 63:  # the step marks are int64
-        raise ParameterError(f"horizon {T!r} over dt {dt!r} overflows int64")
-    steps = max(1, int(round(n)))
+    steps = max(1, round(_step_count("horizon", T, dt)))
     return steps, T / steps
 
 

@@ -527,6 +527,39 @@ class TestRangeEnds:
                               "--paths", 10, "--horizon=1e300")
         assert code == 2 and "overflows int64" in err
 
+    def test_verify_field_infinite_euler_step(self, tmp_path, capsys):
+        # an infinite --dt-sim took the whole horizon in one Euler step: a
+        # report with std_error 0.0 and exit 1
+        assert run("solve", "--model", MODEL, "--out", tmp_path / "s",
+                   "--nodes", 11, "--grid-min", -3, "--grid-max", 3,
+                   "--steps", 100) == 0
+        code, err = self._run(capsys, tmp_path / "o", "verify", "--model",
+                              MODEL, "--field", tmp_path / "s" / "value.csv",
+                              "--policy", tmp_path / "s" / "policy.csv",
+                              "--paths", 10, "--dt-sim=inf")
+        assert code == 2
+        assert err == ("error: ParameterError('dt must be positive and "
+                       "finite')\n")
+        assert not (tmp_path / "o" / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("rate, argv, span", [
+        (-1.0, ["--horizon", 1e300, "--steps", 1], "horizon 1e+300"),
+        (0.5, ["--infinite", "--dt", 1, "--t-max", 1e18], "t_max 1e+18")],
+        ids=["finite", "march"])
+    def test_stable_step_count_past_int64(self, tmp_path, capsys, rate, argv,
+                                          span):
+        # the step count a StabilityError would suggest, span / dt_max, was
+        # 1e318: an OverflowError traceback where any count of 2**63 or more
+        # is a ParameterError (rate 0.5: the march runs, not policy iteration)
+        model = self._model(tmp_path, discount_rate={"kind": "constant",
+                                                     "value": rate})
+        code, err = self._run(capsys, tmp_path / "o", "solve", "--model",
+                              model, "--nodes", 3, "--grid-min=-1e-150",
+                              "--grid-max", 1e-150, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{span} over dt 1e-300 overflows int64" in err
+
 
 class TestKappa:
     def test_artifacts(self, tmp_path):

@@ -5,7 +5,9 @@ them, from a small set of edge values: zero, one and minus one, numbers
 whose squares or quotients overflow or underflow, infinities, NaN and
 integers past int64.  ``main`` must return 0, 1 or 2 without raising (a
 numpy warning is an error under the pytest ``filterwarnings``), and every
-exit 2 must print an ``error:`` line.  The size options (``--nodes``,
+exit 2 must print an ``error:`` line.  A ``--dt-sim`` that is not positive
+and finite must exit 2: an infinite Euler step took the whole horizon in
+one step and reported a standard error of 0.  The size options (``--nodes``,
 ``--steps``, ``--paths``, ``--samples``, ``--npi``, ``--nc``) stay fixed
 and tiny.  The draws are derandomized, so a run checks the same command
 lines every time.
@@ -73,6 +75,11 @@ def run(argv, opts):
     return code
 
 
+def dt_sim_checked(code, opts):
+    """A ``--dt-sim`` outside ``(0, inf)`` is an exit 2, whatever else."""
+    assert code == 2 or 0 < opts["dt_sim"] < math.inf, (opts, code)
+
+
 def short_march(opts):
     """Excludes the draws whose long-time march is legitimately long.
 
@@ -117,17 +124,20 @@ def test_solve(inputs, opts, infinite, boundary):
 @given(opts=options(seed=SEED, horizon=FLOAT, dt_sim=FLOAT, tol=FLOAT,
                     probes=FLOAT))
 @example(opts=dict(seed=0, horizon=1e300, dt_sim=0.01, tol=1.0, probes=0.0))
+@example(opts=dict(seed=0, horizon=1.0, dt_sim=math.inf, tol=1.0, probes=0.0))
 def test_verify_field(inputs, opts):
-    run(["verify", "--model", MODEL, "--field", inputs / "value.csv",
-         "--policy", inputs / "policy.csv", "--paths", 4], opts)
+    dt_sim_checked(run(["verify", "--model", MODEL, "--field",
+                        inputs / "value.csv", "--policy", inputs / "policy.csv",
+                        "--paths", 4], opts), opts)
 
 
 @FUZZ
 @given(opts=options(seed=SEED, horizon=FLOAT, dt_sim=FLOAT, tol=FLOAT))
 @example(opts=dict(seed=0, horizon=1e300, dt_sim=0.01, tol=1.0))
+@example(opts=dict(seed=0, horizon=1.0, dt_sim=math.inf, tol=1.0))
 def test_verify_bounds(inputs, opts):
-    run(["verify", "--model", MODEL, "--bounds", inputs / "bounds.json",
-         "--paths", 4], opts)
+    dt_sim_checked(run(["verify", "--model", MODEL, "--bounds",
+                        inputs / "bounds.json", "--paths", 4], opts), opts)
 
 
 @FUZZ
@@ -142,5 +152,7 @@ def test_merton(opts):
 @FUZZ
 @given(opts=options(seed=SEED, horizon=FLOAT, dt_sim=FLOAT))
 @example(opts=dict(seed=0, horizon=4.0, dt_sim=1e-300))
+@example(opts=dict(seed=0, horizon=1.0, dt_sim=math.inf))
 def test_kappa(opts):
-    run(["kappa", "--model", MODEL, "--radius", 1, "--paths", 4], opts)
+    dt_sim_checked(run(["kappa", "--model", MODEL, "--radius", 1,
+                        "--paths", 4], opts), opts)

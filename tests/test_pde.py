@@ -106,6 +106,16 @@ class TestStability:
         _, _, rep = hk.solve_finite_horizon(m, g, hk.TimeGrid(1.0, 2000))
         assert 0 < rep.cfl_ratio <= 1.0
 
+    def test_suggested_step_count_past_int64(self):
+        # dt_max is 1e-300 here: no grid of 1e300 / dt_max steps can run,
+        # so the suggestion is a ParameterError, not an OverflowError
+        g = hk.Grid1D(-1e-150, 1e-150, 3)
+        with pytest.raises(ParameterError,
+                           match=r"^horizon 1e\+300 over dt 1e-300 overflows"):
+            hk.solve_finite_horizon(ou_model(), g, hk.TimeGrid(1e300, 1))
+        with pytest.raises(ParameterError, match=r"^t_max 1e\+18 over dt"):
+            hk.solve_infinite_horizon(constant_model(), g, 1.0, 1e-6, 1e18)
+
 
 class TestFiniteHorizon:
     def test_constant_coefficients_closed_form(self):
