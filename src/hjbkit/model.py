@@ -75,6 +75,9 @@ class ControlModel:
             raise ParameterError("lip_L1 must be positive")
         if self.lip_L2 == 0:
             raise ParameterError("lip_L2 must be nonzero")
+        for name in ("lip_L1", "lip_L2"):  # an infinite one passes every screen
+            if not abs(getattr(self, name)) < np.inf:
+                raise ParameterError(f"{name} must be finite")
 
     @property
     def n_controls(self):

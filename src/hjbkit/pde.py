@@ -32,10 +32,12 @@ interior nodes of the tables the scan holds, and only an override's
 controls are tabulated again, at the final centred gradient.
 The step must satisfy ``dt * (1/dy^2 + max|i|/dy + max h+) <= 1`` with
 the maxima taken over grid x the controls applied (the grid list, or
-each step's override controls); this is enforced, not assumed.  A step
+each step's override controls); this is enforced, not assumed, in Python
+floats, so a limit past the float range is 0 without a warning.  A step
 over the limit raises ``StabilityError`` with the step count the span
 needs, ``ceil(span / dt_max)``; a span that needs 2**63 or more steps is a
-``ParameterError``, as is every step count of that size:
+``ParameterError``, as is every step count of that size (and a
+``TimeGrid`` whose ``steps`` is not an integer):
 ``errors._step_count`` takes every such quotient, here and in
 ``simulate``.
 
@@ -120,6 +122,9 @@ class TimeGrid:
 
     def __post_init__(self):
         _positive_finite(horizon=self.horizon)
+        if not isinstance(self.steps, (int, np.integer)) or self.steps >= 2 ** 63:
+            raise ParameterError(f"steps must be an integer below 2**63, "
+                                 f"not {self.steps!r}")
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
 
@@ -370,13 +375,15 @@ def _march(model, grid, u, dt, span, override):
     take it, and the error is a ``ParameterError`` naming the span and the
     stable step) and ``DivergenceError`` on a non-finite update.
     """
-    dy = grid.spacing
+    dy = float(grid.spacing)
     cfl = 0.0
 
     def checked(tables):
         nonlocal cfl
         i, _, h, _ = tables
-        dt_max = 1.0 / (1.0 / dy ** 2 + np.abs(i).max() / dy + max(h.max(), 0.0))
+        # Python floats: a quotient past the float range is inf, not a warning
+        dt_max = 1.0 / (1.0 / dy ** 2 + float(np.abs(i).max()) / dy
+                        + max(float(h.max()), 0.0))
         if dt > dt_max * (1.0 + 1e-12):
             raise StabilityError(dt, dt_max,
                                  int(np.ceil(_step_count(*span, dt_max))))

@@ -7,9 +7,10 @@ block), then the drift, the discount rate and, if the caller needs the
 reward integral, the running reward once each on all ``P·S·m`` rows of
 states and controls, and adds the step's increments, one contiguous row of
 a time-major chunk, to every pair's rows by broadcasting.  The step
-updates its buffers in place and allocates nothing of its own; the steps
-between two records run under one ``np.errstate`` that ignores overflow,
-invalid and divide, left before each record is handed out.
+updates its buffers in place and allocates nothing of its own.  The loop
+runs from record to record: the steps up to each record run under one
+``np.errstate`` that ignores overflow, invalid and divide, left before the
+record is handed out.
 ``simulate_paths`` records states, controls, discount integral and,
 optionally, the discounted reward integral at requested times in a
 ``PathBatch``, in the order the loop writes them;
@@ -36,15 +37,17 @@ axis mean equals each row's 1-D mean bit for bit.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index)``: results are bit-reproducible and independent of
-how paths are blocked, how the increments are chunked in time and how many
-(policy, start) pairs share them.  A block of paths borrows one generator
-per path from ``_POOL`` (at most ``_BLOCK``, about 10 MB), re-keys it to the
-start of its stream and draws ``_CHUNK`` steps at a time, ``_SUB`` paths
-at a time, into a time-major chunk, so the loop's memory does not grow
-with the horizon; the records take one value per policy, start, path and
-record time.  ``discounted_estimates`` simulates
-its policies in groups whose records and one sample row fit in
-``_RECORD_BYTES``, and builds the samples in place over the records.
+how paths are blocked and sub-batched, how the increments are chunked in
+time and how many (policy, start) pairs share them.  A block of paths
+borrows one generator per path from ``_POOL`` (at most ``_BLOCK``, about
+10 MB), re-keys it to the start of its stream and draws ``_CHUNK`` steps at
+a time, ``_SUB`` paths at a time, into a time-major chunk, multiplying by
+``√dt`` (by ``−√dt`` on the odd paths of an antithetic run) as it
+transposes, so the loop's memory does not grow with the horizon; the
+records take one value per policy, start, path and record time.
+``discounted_estimates`` simulates its policies in groups whose records
+and one sample row fit in ``_RECORD_BYTES``, and builds the samples in
+place over the records.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -179,9 +182,10 @@ def _path_draws(mc, ids, gens):
 def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     """The Euler loop over blocks of paths, for every (policy, start) pair.
 
-    Yields ``(lo, step, y, d, ld, rw)`` after every step in ``marks``: the
-    block's first path and ``(P, S, m, ...)`` views of the states,
-    controls, log-discounts and reward integrals.  The views are the live
+    ``marks`` are the record steps in ascending order, ``steps`` last.
+    Yields ``(lo, step, y, d, ld, rw)`` at each of them: the block's first
+    path and ``(P, S, m, ...)`` views of the states, controls,
+    log-discounts and reward integrals.  The views are the live
     buffers, updated in place by the next step, so they are to be copied or
     reduced before the loop resumes.  With ``reward=False`` the step never
     calls ``model.running_reward`` and ``rw`` is None.  A block borrows the
@@ -196,14 +200,18 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     is copied neither per step nor per pair.  ``y`` is written last, as a
     callable's output may be a view of it.  At each chunk boundary the
     block's paths draw in sub-batches of at most ``_SUB``: each path fills
-    its row of a small path-major scratch from its own stream, the odd
-    paths of an antithetic run (by global index) are negated, and one
-    transposing multiply by ``√dt`` writes the sub-batch into ``zt``.
+    its row of a small path-major scratch from its own stream, and one
+    transposing multiply writes the sub-batch into ``zt``: by ``√dt``, or
+    in an antithetic run by its rows of an ``(m, 1)`` factor that is
+    ``−√dt`` on the odd paths by global index, so no pass negates a strided
+    view (numpy 2.4.6 on AVX-512 negates a float64 view of 64-byte stride
+    as if it were contiguous).  ``(−z)·√dt`` and ``z·(−√dt)`` are the same
+    bits.
 
-    The steps up to each yield run as one run under ``np.errstate(over,
-    invalid, divide="ignore")``, entered at the run's first step and left
-    before the yield, at the block's end and when a step raises, so the
-    consumer's code never runs under the kernel's error state.
+    The loop runs from record to record: the steps up to each record run
+    under one ``np.errstate(over, invalid, divide="ignore")``, left before
+    the yield and when a step raises, so the consumer's code never runs
+    under the kernel's error state.
 
     The states are row-major, ``(P·S·m, N)``; the controls are held
     control-major, ``(k, P, S·m)``, so each control column ``delta[..., j]``
@@ -218,6 +226,9 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
         zt = np.empty((min(_CHUNK, steps), m, N))  # time-major: a step's row
         zp = np.empty((min(_SUB, m), len(zt), N))  # one sub-batch, path-major
         rows = list(zp)
+        # antithetic: √dt per path, negated on the odd global path indices
+        signed = (np.where(np.arange(lo, lo + m) % 2, -sqdt, sqdt)[:, None]
+                  if mc.antithetic else None)
         # row (p, s, path) of the P*S*m rows that every coefficient call takes
         y = np.empty((P * S * m, N))
         y.reshape(P, S, m, N)[:] = starts[:, None]
@@ -233,23 +244,22 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
         gens = _POOL.pop("gens", [])  # one atomic call: never lent twice
         try:
             draws = _path_draws(mc, ids, gens)
-            done = 0  # steps taken
-            while done < steps:  # one run of steps up to each yield
+            begin = 0
+            for end in marks:  # one run of steps up to each record
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for s in range(done, steps):
+                    for s in range(begin, end):
                         if s % _CHUNK == 0:
                             if steps - s < len(rows[0]):
                                 rows = [row[:steps - s] for row in rows]
                             n = len(rows[0])
                             for a in range(0, m, len(rows)):
-                                sub = zp[:min(len(rows), m - a), :n]
-                                for draw, row in zip(draws[a:a + len(sub)], rows):
+                                at = slice(a, min(a + len(rows), m))
+                                sub = zp[:at.stop - a, :n]
+                                for draw, row in zip(draws[at], rows):
                                     draw(out=row)
-                                if mc.antithetic:
-                                    odd = sub[(lo + a + 1) % 2::2]
-                                    np.negative(odd, out=odd)
-                                np.multiply(sub.transpose(1, 0, 2), sqdt,
-                                            out=zt[:n, a:a + len(sub)])
+                                np.multiply(sub.transpose(1, 0, 2),
+                                            sqdt if signed is None else signed[at],
+                                            out=zt[:n, at])
                         t = t0 + s * dt
                         for p, policy in enumerate(policies):
                             policy_controls[p] = policy(by_policy[p], t)
@@ -266,11 +276,8 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
                         np.multiply(drift, dt, out=step)
                         np.add(y, step, out=y)
                         np.add(pairs, zt[s % _CHUNK], out=pairs)
-                        if s + 1 in marks:
-                            break
-                done = s + 1
-                if done in marks:
-                    yield (lo, done) + live
+                begin = end
+                yield (lo, end) + live
         finally:
             _POOL["gens"] = gens
 
@@ -312,7 +319,7 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0,
     if reward:
         records.append(np.empty(shape))
     for lo, s, *live in _march(model, policies, starts, steps, dt, mc,
-                               set(marks.tolist()), t0, reward):
+                               sorted(set(marks.tolist())), t0, reward):
         for r in np.flatnonzero(marks == s):
             for record, value in zip(records, live):
                 record[:, :, r, lo:lo + value.shape[2]] = value
@@ -485,7 +492,8 @@ def coupled_contraction(model, policy, y0, ybar0, T, mc):
     the contraction bound ``|y0 - ybar0| exp(L2 t)``, and the same distance
     normalized by the compounded discrete factor ``prod(1 + L2 dt)`` (the
     exact propagator of the linear-drift difference recursion).  Distances
-    are reduced step by step as the kernel runs, so no path is recorded.
+    are reduced to a per-step maximum and minimum as the kernel runs, so no
+    path is recorded, and divided by the bounds once after it.
     """
     steps, dt = _steps_for(T, mc.dt)
     starts = np.array([np.atleast_1d(y0), np.atleast_1d(ybar0)], float)
@@ -495,16 +503,14 @@ def coupled_contraction(model, policy, y0, ybar0, T, mc):
     L2 = model.lip_L2
     times = dt * np.arange(1, steps + 1)
     scale = d0 * np.exp(L2 * times)
-    max_ratio = np.full(steps, -np.inf)
-    min_ratio = np.full(steps, np.inf)
-    max_dist = np.full(steps, -np.inf)
+    max_dist, min_dist = np.full(steps, -np.inf), np.full(steps, np.inf)
     for _, s, y, *_ in _march(model, [policy], starts, steps, dt, mc,
                               range(1, steps + 1), 0.0, reward=False):
         dist = np.linalg.norm(y[0, 0] - y[0, 1], axis=-1)
-        ratios = dist / scale[s - 1]
-        max_ratio[s - 1] = np.maximum(max_ratio[s - 1], ratios.max())
-        min_ratio[s - 1] = np.minimum(min_ratio[s - 1], ratios.min())
         max_dist[s - 1] = np.maximum(max_dist[s - 1], dist.max())
+        min_dist[s - 1] = np.minimum(min_dist[s - 1], dist.min())
+    # a positive scale keeps the order: the extremes of the ratios
+    max_ratio, min_ratio = max_dist / scale, min_dist / scale
     max_ratio_d = max_dist / (
         d0 * np.abs((1.0 + L2 * dt) ** np.arange(1, steps + 1)))
     return CouplingReport(

@@ -560,6 +560,19 @@ class TestRangeEnds:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{span} over dt 1e-300 overflows int64" in err
 
+    def test_stable_step_past_the_float_range(self, tmp_path, capsys):
+        # |i| / dy is 1e350: the step limit is 0, with no overflow warning
+        model = self._model(tmp_path, drift={"kind": "affine", "const": 1e200,
+                                             "y_matrix": [[-1.0]],
+                                             "delta_matrix": [[1.0]]})
+        code, err = self._run(capsys, tmp_path / "o", "solve", "--model",
+                              model, "--nodes", 3, "--grid-min=-1e-150",
+                              "--grid-max", 1e-150, "--horizon", 1,
+                              "--steps", 1)
+        assert code == 2
+        assert err == ("error: ParameterError('horizon 1.0 over dt 0.0 "
+                       "overflows int64')\n")
+
 
 class TestKappa:
     def test_artifacts(self, tmp_path):

@@ -65,6 +65,16 @@ def test_lipschitz_constants_validated(l1, l2):
                         controls=m.controls, lip_L1=l1, lip_L2=l2)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["lip_L1", "lip_L2"])
+def test_lipschitz_constants_must_be_finite(name, value):
+    # an infinite L1 and L2 made every ratio of the assumption screen 0
+    message = ("lip_L1 must be positive" if name == "lip_L1" and not value > 0
+               else f"{name} must be finite")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        dataclasses.replace(ou_model(), **{name: value})
+
+
 def test_eval_checked_flags_non_finite():
     m = ou_model()
     bad = hk.ControlModel(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -60,6 +61,13 @@ class TestGrids:
             hk.TimeGrid(1.0, 0)
         assert hk.TimeGrid(2.0, 400).dt == pytest.approx(5e-3)
 
+    @pytest.mark.parametrize("steps", [2.5, 2 ** 63])
+    def test_time_grid_steps_an_integer_below_2_63(self, steps):
+        # a solve on either grid marched without end
+        with pytest.raises(ParameterError,
+                           match=r"^steps must be an integer below 2\*\*63"):
+            hk.TimeGrid(1.0, steps)
+
 
 class TestStability:
     def test_oversized_step_rejected(self):
@@ -115,6 +123,15 @@ class TestStability:
             hk.solve_finite_horizon(ou_model(), g, hk.TimeGrid(1e300, 1))
         with pytest.raises(ParameterError, match=r"^t_max 1e\+18 over dt"):
             hk.solve_infinite_horizon(constant_model(), g, 1.0, 1e-6, 1e18)
+
+    def test_stable_step_past_the_float_range(self):
+        # |i| / dy is 1e350: dt_max is 0 without an overflow warning, which
+        # the test settings would raise
+        m = dataclasses.replace(ou_model(), drift=lambda y, d: np.full(
+            np.shape(y), 1e200))
+        g = hk.Grid1D(-1e-150, 1e-150, 3)
+        with pytest.raises(ParameterError, match=r"^horizon 1.0 over dt 0.0"):
+            hk.solve_finite_horizon(m, g, hk.TimeGrid(1.0, 1))
 
 
 class TestFiniteHorizon:

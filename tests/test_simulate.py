@@ -162,6 +162,21 @@ class TestKernel:
                 expected.append(y)
             assert np.array_equal(batch.states[0, 0, :, p], expected)
 
+    # the odd paths' rows of a sub-batch of 3 out of a last chunk of one
+    # step form a float64 view with a 64-byte stride, which some numpy
+    # builds negate as if it were contiguous
+    @pytest.mark.parametrize("sub", [1, 2, 3, 64])
+    def test_antithetic_partners_mirror_at_every_record(self, monkeypatch, sub):
+        monkeypatch.setattr(sim, "_BLOCK", 3)
+        monkeypatch.setattr(sim, "_CHUNK", 4)
+        monkeypatch.setattr(sim, "_SUB", sub)
+        mc = hk.MonteCarloConfig(paths=6, dt=0.2, seed=7, antithetic=True)
+        batch = simulate_paths(_noise_model(1), [zero_policy()], [[0.0]], 1.0,
+                               mc, 0.2 * np.arange(1, 6))
+        assert batch.states.shape[2] == 5
+        assert np.array_equal(batch.states[..., 1::2, :],
+                              -batch.states[..., 0::2, :])
+
     def test_policy_error_leaves_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK", 3)
 
@@ -188,7 +203,7 @@ class TestKernel:
             caller = np.geterr()
             for lo, s, *_ in sim._march(ou_model(), [zero_policy()],
                                         np.array([[0.5]]), 10, 0.05, mc,
-                                        {1, 2, 5, 10}, 0.0):
+                                        [1, 2, 5, 10], 0.0):
                 seen.append((lo, s, np.geterr()))
         assert seen == [(lo, s, caller) for lo in (0, 3, 6)
                         for s in (1, 2, 5, 10)]
