@@ -177,7 +177,9 @@ def build_scalar(desc, dim, controls=None):
             if idx.ndim == 0:
                 return np.interp(y, _grid, _vals[int(idx)])
             out = np.empty(y.shape)
-            for j in np.unique(idx):
+            # each index once, ascending: a negative one raises, and one past
+            # the rows, clamped to keep the count small, fails its lookup
+            for j in np.flatnonzero(np.bincount(np.minimum(idx.ravel(), len(_vals)))):
                 sel = idx == j
                 out[sel] = np.interp(y[sel], _grid, _vals[j])
             return out

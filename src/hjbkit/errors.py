@@ -1,5 +1,8 @@
 """Exception types shared across the package, and the checks every module
-shares: a positive, finite number and a step count that fits int64."""
+shares: a positive, finite number, an integer count (a size, stride or
+seed) in its range and a step count that fits int64."""
+
+import numbers
 
 
 class HjbkitError(Exception):
@@ -15,6 +18,16 @@ def _positive_finite(**values):
     for name, value in values.items():
         if not 0 < value < float("inf"):
             raise ParameterError(f"{name} must be positive and finite")
+
+
+def _count(low, bits=63, **values):
+    """``ParameterError`` naming the first of ``values`` not an integer (a
+    whole float is not) in ``[low, 2**bits)``; sizes are counted in int64."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, not {value!r}")
+        if not low <= value < 2 ** bits:
+            raise ParameterError(f"{name} must be >= {low} and < 2**{bits}")
 
 
 def _step_count(name, span, dt):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coefficients
 from .coefficients import _each_row
-from .errors import ParameterError
+from .errors import ParameterError, _count, _positive_finite
 from .hamiltonian import control_tables
 from .model import RATIO_TOL, ControlModel, _drift_ratio, check_assumption1
 from .reports import Report
@@ -79,10 +79,8 @@ class MarketModel:
             raise ParameterError("risk_aversion must lie strictly in (0, 1)")
         if not -1.0 <= self.correlation <= 1.0:
             raise ParameterError("correlation must lie in [-1, 1]")
-        if not self.discount > 0:
-            raise ParameterError("discount must be positive")
-        if not (self.position_cap > 0 and self.consumption_cap > 0):
-            raise ParameterError("position and consumption caps must be positive")
+        _positive_finite(discount=self.discount, position_cap=self.position_cap,
+                         consumption_cap=self.consumption_cap)
 
     @property
     def is_constant(self):
@@ -138,8 +136,7 @@ def to_control_model(market, control_resolution):
     is checked, once, for every control at ``y = 0``.
     """
     n_pi, n_c = control_resolution
-    if n_pi < 2 or n_c < 2:
-        raise ParameterError("control resolutions must be >= 2")
+    _count(2, npi=n_pi, nc=n_c)
     R, m = market.position_cap, market.consumption_cap
     grid = np.meshgrid(np.linspace(-R, R, n_pi), np.linspace(0.0, m, n_c),
                        indexing="ij")  # pi outer, c inner
@@ -300,8 +297,7 @@ def discount_admissible(market, alpha, beta, P, Q, box=(-5.0, 5.0),
     integrable.  Preconditions on the factor drift and short rate are
     checked by sampling and witnesses are listed on violation.
     """
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
+    _positive_finite(alpha=alpha)
     gamma, w = market.risk_aversion, market.discount
     rng = np.random.default_rng(seed)
     ys = np.sort(np.concatenate([
@@ -339,8 +335,7 @@ def discount_admissible(market, alpha, beta, P, Q, box=(-5.0, 5.0),
 
 def wealth_value(x, market, u):
     """Full wealth-level value x^gamma/gamma * u."""
-    if not x > 0:
-        raise ParameterError("wealth must be positive")
+    _positive_finite(wealth=x)
     gamma = market.risk_aversion
     return x ** gamma / gamma * float(u)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coefficients
-from .errors import CoefficientError, ParameterError, _positive_finite
+from .errors import CoefficientError, ParameterError, _count, _positive_finite
 from .hamiltonian import control_tables
 from .reports import Report, write_csv
 from .simulate import discounted_estimates
@@ -69,8 +69,7 @@ class ControlModel:
         if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ParameterError("control list contains duplicates")
         object.__setattr__(self, "controls", controls)
-        if self.dim < 1:
-            raise ParameterError("dim must be a positive integer")
+        _count(1, dim=self.dim)
         if not self.lip_L1 > 0:
             raise ParameterError("lip_L1 must be positive")
         if self.lip_L2 == 0:
@@ -155,10 +154,8 @@ def check_assumption1(model, box, samples, seed):
     ``1 + tolerance`` mean a violation; a quotient that overflows to NaN
     reads inf.  Deterministic for a fixed seed.
     """
-    if samples < 2:
-        raise ParameterError("samples must be >= 2")
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
+    _count(2, samples=samples)
+    _count(0, 64, seed=seed)
     box = _as_box(box, model.dim)
     rng = np.random.default_rng(seed)
     ya = rng.uniform(box[:, 0], box[:, 1], size=(samples, model.dim))
@@ -219,8 +216,7 @@ def truncate(model, k):
     control list are untouched; the common Lipschitz constant becomes
     ``2 * L1 * (1 + 1/k)``.
     """
-    if not k > 0:
-        raise ParameterError("truncation radius k must be positive")
+    _positive_finite(k=k)
     h, f, g = model.discount_rate, model.running_reward, model.terminal_reward
 
     def weight(y):
@@ -274,11 +270,10 @@ class KappaTable(Report):
     envelope_K: float
     envelope_M: float
     decay_rate: float
-    lip_L2: float
     non_integrable: bool = False
     divergence_info: str = ""
 
-    _omit = ("t", "kappa", "p_terminal", "policy_ids", "lip_L2")
+    _omit = ("t", "kappa", "p_terminal", "policy_ids")
 
     def __post_init__(self):
         t = np.asarray(self.t, float)
@@ -365,8 +360,7 @@ def estimate_kappa(model, radius_n, horizon, mc):
     Carlo estimate.
     """
     _positive_finite(horizon=horizon)
-    if radius_n < 0:
-        raise ParameterError("radius must be >= 0")
+    _count(0, radius=radius_n)
     t_grid = np.linspace(horizon / _KAPPA_TIMES, horizon, _KAPPA_TIMES)
     mesh = _ball_mesh(model.dim, radius_n, _KAPPA_STARTS, mc.seed)
 
@@ -428,7 +422,6 @@ def estimate_kappa(model, radius_n, horizon, mc):
         envelope_K=env_K,
         envelope_M=env_M,
         decay_rate=rate,
-        lip_L2=model.lip_L2,
         non_integrable=non_integrable,
         divergence_info=divergence_info,
     )

@@ -36,10 +36,8 @@ each step's override controls); this is enforced, not assumed, in Python
 floats, so a limit past the float range is 0 without a warning.  A step
 over the limit raises ``StabilityError`` with the step count the span
 needs, ``ceil(span / dt_max)``; a span that needs 2**63 or more steps is a
-``ParameterError``, as is every step count of that size (and a
-``TimeGrid`` whose ``steps`` is not an integer):
-``errors._step_count`` takes every such quotient, here and in
-``simulate``.
+``ParameterError``: ``errors._step_count`` takes every such quotient, here
+and in ``simulate``, and ``errors._count`` every count the caller gives.
 
 A field's ``to_csv`` writes one ``y,t,<columns>`` row per node and stamp,
 stamps ascending and nodes ascending within each stamp, as the text
@@ -59,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DivergenceError, ParameterError, PolicyIterationError,
-                     StabilityError, _positive_finite, _step_count)
+                     StabilityError, _count, _positive_finite, _step_count)
 from .hamiltonian import control_tables, maximize
 from .reports import Report, _path, read_csv, write_csv
 
@@ -94,8 +92,7 @@ class Grid1D:
                 raise ParameterError(f"{name} must be finite")
         if not self.y_min < self.y_max:
             raise ParameterError("need y_min < y_max")
-        if self.nodes < 3:
-            raise ParameterError("need at least 3 nodes")
+        _count(3, nodes=self.nodes)
         # the schemes divide by spacing ** 2, which underflows or overflows
         # (as does the spacing, where y_max - y_min overflows)
         with np.errstate(divide="ignore", over="ignore"):
@@ -122,11 +119,7 @@ class TimeGrid:
 
     def __post_init__(self):
         _positive_finite(horizon=self.horizon)
-        if not isinstance(self.steps, (int, np.integer)) or self.steps >= 2 ** 63:
-            raise ParameterError(f"steps must be an integer below 2**63, "
-                                 f"not {self.steps!r}")
-        if self.steps < 1:
-            raise ParameterError("steps must be >= 1")
+        _count(1, steps=self.steps)
 
     @property
     def dt(self):
@@ -167,9 +160,12 @@ def _read_layers(source, names):
         raise malformed(f"header {','.join(columns)}, not {','.join(expected)}")
     if not len(rows) or not np.isfinite(rows).all():
         raise malformed("no data rows, or a cell that is not finite")
-    ys, stamps = np.unique(rows[:, 0]), np.unique(rows[:, 1])
-    if not (np.array_equal(rows[:, 0], np.tile(ys, len(stamps))) and
-            np.array_equal(rows[:, 1], np.repeat(stamps, len(ys)))):
+    # the first stamp's rows give the node list: up to the first new t
+    n = int(np.argmax(rows[:, 1] != rows[0, 1])) or len(rows)
+    ys, stamps = rows[:n, 0], rows[::n, 1].copy()  # a view keeps rows alive
+    if not ((np.diff(ys) > 0).all() and (np.diff(stamps) > 0).all() and
+            np.array_equal(rows[:, 0], np.tile(ys, len(stamps))) and
+            np.array_equal(rows[:, 1], np.repeat(stamps, n))):
         raise malformed("the rows do not fill one node list per stamp, in order")
     even = np.linspace(ys[0], ys[-1], len(ys))
     if len(ys) < 3 or np.any(np.abs(ys - even) > 1e-9 * (even[1] - even[0])):
@@ -435,8 +431,7 @@ def solve_finite_horizon(model, grid, time, control_override=None,
     report.  ``terminal_values`` overrides the model's terminal reward on
     the grid (used for split-interval solves).
     """
-    if not slice_stride >= 1:
-        raise ParameterError("slice_stride must be >= 1")
+    _count(1, slice_stride=slice_stride)
     dt = time.dt
     t0 = _time.perf_counter()
     if terminal_values is not None:

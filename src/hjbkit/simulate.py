@@ -21,7 +21,7 @@ quadrature, keeping the discount multiplicative per step.  A horizon
 ``T`` is run in ``max(1, round(T / dt))`` steps of ``T / steps``, the
 count checked below 2**63 by ``errors._step_count``, the rule of every
 step count in hjbkit; ``MonteCarloConfig`` takes only a positive, finite
-``dt``.
+``dt``, and ``paths`` and ``seed`` by ``errors._count``.
 
 Every Monte Carlo estimate takes its records from ``simulate_paths`` and
 reduces them here, in ``_reduce``: value estimates (``verify_field`` checks
@@ -57,7 +57,7 @@ import numpy as np
 
 from .coefficients import _each_row, _numbers, _read_json
 from .errors import (ParameterError, PathExclusionError, RecordTimeError,
-                     _positive_finite, _step_count)
+                     _count, _positive_finite, _step_count)
 from .reports import Report
 
 __all__ = [
@@ -100,10 +100,8 @@ class MonteCarloConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ParameterError("paths must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:  # one word of the Philox key
-            raise ParameterError("seed must be >= 0 and < 2**64")
+        _count(1, paths=self.paths)
+        _count(0, 64, seed=self.seed)  # one word of the Philox key
         _positive_finite(dt=self.dt)
         if self.antithetic and self.paths % 2:
             raise ParameterError("antithetic sampling needs an even path count")
@@ -146,10 +144,7 @@ def _steps_for(T, dt):
     their length.  ``T`` must be positive and finite (``dt`` is, by
     ``MonteCarloConfig``) and ``T / dt`` below 2**63
     (``errors._step_count``)."""
-    if not T > 0:
-        raise ParameterError("T must be positive")
-    if not np.isfinite(T):
-        raise ParameterError(f"horizon must be finite, not {T!r}")
+    _positive_finite(T=T)
     steps = max(1, round(_step_count("horizon", T, dt)))
     return steps, T / steps
 
@@ -493,7 +488,8 @@ def coupled_contraction(model, policy, y0, ybar0, T, mc):
     normalized by the compounded discrete factor ``prod(1 + L2 dt)`` (the
     exact propagator of the linear-drift difference recursion).  Distances
     are reduced to a per-step maximum and minimum as the kernel runs, so no
-    path is recorded, and divided by the bounds once after it.
+    path is recorded, and divided by the bounds once after it; a bound that
+    is 0 or inf at some step is a ``ParameterError`` before the kernel runs.
     """
     steps, dt = _steps_for(T, mc.dt)
     starts = np.array([np.atleast_1d(y0), np.atleast_1d(ybar0)], float)
@@ -502,7 +498,12 @@ def coupled_contraction(model, policy, y0, ybar0, T, mc):
         raise ParameterError("coupling starts must differ")
     L2 = model.lip_L2
     times = dt * np.arange(1, steps + 1)
-    scale = d0 * np.exp(L2 * times)
+    with np.errstate(over="ignore"):  # an infinite bound is rejected below
+        scale = d0 * np.exp(L2 * times)
+        scale_d = d0 * np.abs((1.0 + L2 * dt) ** np.arange(1, steps + 1))
+    if not all(np.isfinite(b).all() and b.all() for b in (scale, scale_d)):
+        raise ParameterError(f"a contraction bound is 0 or inf for L2 {L2!r}, "
+                             f"T {T!r}, dt {dt!r}")
     max_dist, min_dist = np.full(steps, -np.inf), np.full(steps, np.inf)
     for _, s, y, *_ in _march(model, [policy], starts, steps, dt, mc,
                               range(1, steps + 1), 0.0, reward=False):
@@ -511,8 +512,7 @@ def coupled_contraction(model, policy, y0, ybar0, T, mc):
         min_dist[s - 1] = np.minimum(min_dist[s - 1], dist.min())
     # a positive scale keeps the order: the extremes of the ratios
     max_ratio, min_ratio = max_dist / scale, min_dist / scale
-    max_ratio_d = max_dist / (
-        d0 * np.abs((1.0 + L2 * dt) ** np.arange(1, steps + 1)))
+    max_ratio_d = max_dist / scale_d
     return CouplingReport(
         times=times,
         max_ratio=max_ratio,

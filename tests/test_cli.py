@@ -635,6 +635,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command, extra", [
         ("verify", ("--bounds", "{bounds}", "--paths", 10)),
         ("kappa", ("--paths", 10, "--horizon", 0.5, "--radius", 0)),
+        ("check", ("--samples", 8)),
     ])
     def test_seed_past_the_philox_key_is_usage_error(self, tmp_path, capsys,
                                                      command, extra):
@@ -889,6 +890,27 @@ def test_grid_commands_do_not_import_numpy_random(tmp_path):
     assert proc.stdout == "False\n"
 
 
+def test_field_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call: 17 ms and about 1 MB
+    root = pathlib.Path(__file__).resolve().parent.parent
+    out = tmp_path / "s"
+    code = (
+        "import sys\n"
+        "from hjbkit.cli import main\n"
+        f"assert main(['solve', '--model', {MODEL!r}, '--out', {str(out)!r}, "
+        "'--nodes', '11', '--steps', '10', '--slice-stride', '5']) == 0\n"
+        f"assert main(['verify', '--model', {MODEL!r}, '--out', "
+        f"{str(tmp_path / 'v')!r}, '--field', {str(out / 'value.csv')!r}, "
+        f"'--policy', {str(out / 'policy.csv')!r}, '--paths', '10']) in (0, 1)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestReproducibility:
     def test_solve_reruns_byte_identical(self, tmp_path):
         args = ("solve", "--model", MODEL, "--infinite", "--grid-min", -3,
@@ -1085,8 +1107,8 @@ class TestBoundsFile:
              "--out", str(tmp_path / "v")],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr == ("error: ParameterError('horizon must be "
-                               "finite, not inf')\n")
+        assert proc.stderr == ("error: ParameterError('T must be positive "
+                               "and finite')\n")
 
     def test_non_positive_horizon_in_file(self, tmp_path, capsys):
         assert self._verify(tmp_path, dict(self.SCENARIO, T=-5.0)) == 2

@@ -7,10 +7,14 @@ integers past int64.  ``main`` must return 0, 1 or 2 without raising (a
 numpy warning is an error under the pytest ``filterwarnings``), and every
 exit 2 must print an ``error:`` line.  A ``--dt-sim`` that is not positive
 and finite must exit 2: an infinite Euler step took the whole horizon in
-one step and reported a standard error of 0.  The size options (``--nodes``,
-``--steps``, ``--paths``, ``--samples``, ``--npi``, ``--nc``) stay fixed
-and tiny.  The draws are derandomized, so a run checks the same command
-lines every time.
+one step and reported a standard error of 0.  Beside those draws the size
+options (``--nodes``, ``--steps``, ``--slice-stride``, ``--paths``,
+``--samples``, ``--npi``, ``--nc``, ``--radius``) stay fixed and tiny; one
+more test draws each of them, and ``--seed`` of ``check``, at the edges of
+the count rule: one below its lowest value, 2**63 and 2**64.  Each of those
+must exit 2 with one ``error:`` line naming the argument and write nothing;
+no draw lies between the defaults and 2**63, so none allocates.  The draws
+are derandomized, so a run checks the same command lines every time.
 """
 
 import contextlib
@@ -156,3 +160,44 @@ def test_merton(opts):
 def test_kappa(opts):
     dt_sim_checked(run(["kappa", "--model", MODEL, "--radius", 1,
                         "--paths", 4], opts), opts)
+
+
+# (argv, option, name in the error, lowest valid value); --npi and --nc are
+# read from a --market only
+SIZES = [
+    (["solve", "--model", MODEL, "--steps", 4], "--nodes", "nodes", 3),
+    (["merton", "--market", MARKET, "--npi", 3, "--nc", 3], "--nodes",
+     "nodes", 3),
+    (["solve", "--model", MODEL, "--nodes", 5], "--steps", "steps", 1),
+    (["solve", "--model", MODEL, "--nodes", 5, "--steps", 4],
+     "--slice-stride", "slice_stride", 1),
+    (["verify", "--model", MODEL, "--bounds", "{bounds}"], "--paths",
+     "paths", 1),
+    (["kappa", "--model", MODEL], "--paths", "paths", 1),
+    (["check", "--model", MODEL], "--samples", "samples", 2),
+    (["solve", "--market", MARKET, "--nc", 3, "--nodes", 5, "--steps", 4],
+     "--npi", "npi", 2),
+    (["check", "--market", MARKET, "--npi", 3], "--nc", "nc", 2),
+    (["kappa", "--model", MODEL, "--paths", 4], "--radius", "radius", 0),
+]
+DRAWS = [(argv, option, name, value) for argv, option, name, low in SIZES
+         for value in (low - 1, 2 ** 63, 2 ** 64)]
+DRAWS.append((["check", "--model", MODEL, "--samples", 8], "--seed", "seed",
+              2 ** 64))
+
+
+@FUZZ
+@given(draw=st.sampled_from(DRAWS))
+def test_size_options_at_the_rule_edges(inputs, draw):
+    argv, option, name, value = draw
+    argv = [str(inputs / "bounds.json") if a == "{bounds}" else str(a)
+            for a in argv] + [f"{option}={value}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", out])
+        written = list(pathlib.Path(out).iterdir())
+    lines = err.getvalue().splitlines()
+    assert code == 2, (argv, code, lines)
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    assert f"{name} must be" in lines[0], (argv, lines)
+    assert not written, (argv, written)

@@ -161,3 +161,15 @@ def test_drift_const_is_a_scalar_or_one_entry_per_state(const):
 def test_drift_const_of_another_length_is_rejected(const):
     with pytest.raises(ParameterError, match="affine descriptor: const"):
         build_drift({"kind": "affine", "const": const}, 2)
+
+
+def test_tabulated_rejects_a_negative_control_index():
+    # the control index -1 read the last row of the table
+    coeff = build_scalar({"kind": "tabulated", "y_grid": [0.0, 1.0],
+                          "values": [[0.0, 1.0], [5.0, 6.0]]}, 1)
+    y = np.array([[0.5], [0.5]])
+    assert coeff(y, np.array([[1.0], [0.0]])).tolist() == [5.5, 0.5]
+    with pytest.raises(ValueError):
+        coeff(y, np.array([[-1.0], [0.0]]))
+    with pytest.raises(IndexError):
+        coeff(y, np.array([[7.0], [0.0]]))

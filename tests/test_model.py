@@ -228,21 +228,21 @@ class TestKappaTable:
             policy_ids=np.zeros(len(t)), radius_n=1,
             policies_probed="synthetic", integral_kappa=0.0,
             integral_weighted=0.0, envelope_K=1.0, envelope_M=0.0,
-            decay_rate=rate, lip_L2=-1.0)
+            decay_rate=rate)
 
     def test_time_grid_validated(self):
         with pytest.raises(ParameterError):
             hk.KappaTable(t=[0.0, 0.0], kappa=[1, 1], p_terminal=[1, 1],
                           policy_ids=[0, 0], radius_n=1, policies_probed="x",
                           integral_kappa=0, integral_weighted=0, envelope_K=1,
-                          envelope_M=0, decay_rate=-1, lip_L2=-1)
+                          envelope_M=0, decay_rate=-1)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ParameterError):
             hk.KappaTable(t=[0.0, 1.0], kappa=[1, -1], p_terminal=[1, 1],
                           policy_ids=[0, 0], radius_n=1, policies_probed="x",
                           integral_kappa=0, integral_weighted=0, envelope_K=1,
-                          envelope_M=0, decay_rate=-1, lip_L2=-1)
+                          envelope_M=0, decay_rate=-1)
 
     def test_interpolation(self):
         tab = self._table()

@@ -35,7 +35,7 @@ def _cases():
             policies_probed="constant controls (3)",
             integral_kappa=np.float64(0.75), integral_weighted=np.array(0.8),
             envelope_K=1, envelope_M=np.float64(0.125),
-            decay_rate=np.float64(-0.6875), lip_L2=-1.0,
+            decay_rate=np.float64(-0.6875),
             non_integrable=np.bool_(False), divergence_info=""),
         "SolveReport": pde.SolveReport(
             scheme={"kind": "stationary_policy_iteration",

@@ -471,8 +471,7 @@ class TestRecordTimes:
         tab = hk.KappaTable(t=[0.0, 1.0], kappa=[1.0, 0.0], p_terminal=[0, 0],
                             policy_ids=[0, 0], radius_n=0, policies_probed="",
                             integral_kappa=0.5, integral_weighted=0.5,
-                            envelope_K=1.0, envelope_M=0.0, decay_rate=-1.0,
-                            lip_L2=0.0)
+                            envelope_K=1.0, envelope_M=0.0, decay_rate=-1.0)
         rep = hk.horizon_convergence(m, zero_policy(), [0.5], [0.15, 0.5],
                                      mc, kappa_table=tab)
         assert rep.horizons.tolist() == [0.1, 0.5]
@@ -701,6 +700,15 @@ class TestCoupling:
         with pytest.raises(ParameterError, match="T must be positive"):
             hk.coupled_contraction(ou_model(), zero_policy(), [1.0], [0.25],
                                    T, mc)
+
+    @pytest.mark.parametrize("L2", [-800.0, -20.0, 800.0])
+    def test_bound_that_reaches_zero_or_inf_rejected(self, L2):
+        # e^{L2 t} underflows at -800 and overflows at 800, and 1 + L2 dt is
+        # 0 at -20: each divided by zero or warned in exp
+        m = dataclasses.replace(ou_model(), lip_L2=L2)
+        mc = hk.MonteCarloConfig(paths=10, dt=0.05, seed=0)
+        with pytest.raises(ParameterError, match=r"L2 .*, T 1\.0, dt 0\.05"):
+            hk.coupled_contraction(m, zero_policy(), [1.0], [0.25], 1.0, mc)
 
     def test_memory_flat_in_horizon(self):
         m = ou_model()
