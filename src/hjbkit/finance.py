@@ -26,7 +26,8 @@ from . import coefficients
 from .coefficients import _each_row
 from .errors import ParameterError, _count, _positive_finite
 from .hamiltonian import control_tables
-from .model import RATIO_TOL, ControlModel, _drift_ratio, check_assumption1
+from .model import (RATIO_TOL, ControlModel, _as_box, _drift_ratio,
+                    check_assumption1)
 from .reports import Report
 
 __all__ = [
@@ -298,10 +299,12 @@ def discount_admissible(market, alpha, beta, P, Q, box=(-5.0, 5.0),
     checked by sampling and witnesses are listed on violation.
     """
     _positive_finite(alpha=alpha)
+    _count(2, samples=samples)
+    _count(0, 64, seed=seed)
+    (lo, hi), = _as_box(box, 1)
     gamma, w = market.risk_aversion, market.discount
     rng = np.random.default_rng(seed)
-    ys = np.sort(np.concatenate([
-        rng.uniform(box[0], box[1], samples), np.asarray(box, float)]))
+    ys = np.sort(np.append(rng.uniform(lo, hi, samples), (lo, hi)))
     ycol = ys[:, None]
     i, r = (_each_row(_coefficient(c)(ycol), ys.shape)
             for c in (market.factor_drift, market.short_rate))

@@ -35,16 +35,19 @@ It applies the 0.1% exclusion budget per (policy, start), pairs antithetic
 paths, and averages only along a C-contiguous last path axis, where an
 axis mean equals each row's 1-D mean bit for bit.
 
-Randomness comes from counter-based Philox streams keyed by
-``(seed, path index)``: results are bit-reproducible and independent of
-how paths are blocked and sub-batched, how the increments are chunked in
-time and how many (policy, start) pairs share them.  A block of paths
-borrows one generator per path from ``_POOL`` (at most ``_BLOCK``, about
-10 MB), re-keys it to the start of its stream and draws ``_CHUNK`` steps at
-a time, ``_SUB`` paths at a time, into a time-major chunk, multiplying by
-``√dt`` (by ``−√dt`` on the odd paths of an antithetic run) as it
-transposes, so the loop's memory does not grow with the horizon; the
-records take one value per policy, start, path and record time.
+Randomness comes from counter-based Philox streams, one per group of
+``_GROUP`` consecutive stream indices, keyed by ``(seed, index // _GROUP)``;
+a stream index is a path, or an antithetic pair.  A group is always drawn
+whole, step-major, so a path's increments, and so every result, are
+bit-reproducible and independent of the path count, of how paths are
+blocked, of how the increments are chunked in time and of how many
+(policy, start) pairs share them.  A block of paths borrows one generator
+per group from ``_POOL`` (at most ``_BLOCK`` divided by the group span, plus
+one), re-keys it to the start of its group's stream and draws ``_CHUNK``
+steps at a time, one call per group, into a time-major chunk, multiplying
+by ``√dt`` (by ``−√dt`` on the odd paths of an antithetic run), so the
+loop's memory does not grow with the horizon; the records take one value
+per policy, start, path and record time.
 ``discounted_estimates`` simulates its policies in groups whose records
 and one sample row fit in ``_RECORD_BYTES``, and builds the samples in
 place over the records.
@@ -81,15 +84,15 @@ __all__ = [
 
 _BLOCK = 1 << 14      # paths per block
 _CHUNK = 128          # steps of increments drawn at a time
-_SUB = 64             # paths drawn and transposed into the chunk at a time
+_GROUP = 64           # stream indices (paths, or antithetic pairs) per stream
 _RECORD_BYTES = 1 << 25   # records plus one sample row per moment-check group
 _EXCLUSION_BUDGET = 1e-3
-# a stream's start, key swapped in per path, held as Python ints and lists:
+# a stream's start, key swapped in per group, held as Python ints and lists:
 # the state setter reads those about 3x as fast as the getter's uint64 arrays.
 # Built on the first draw: importing numpy.random takes 12-17 ms, and a solve
 # never draws
 _STREAM_START = {}
-_POOL = {}   # "gens": one list of path generators, lent to one block at a time
+_POOL = {}   # "gens": one list of group generators, lent to one block at a time
 
 
 @dataclass(frozen=True)
@@ -149,17 +152,17 @@ def _steps_for(T, dt):
     return steps, T / steps
 
 
-def _path_draws(mc, ids, gens):
-    """Each path's ``standard_normal``, from the start of its Philox stream.
+def _path_draws(mc, groups, gens):
+    """Each group's ``standard_normal``, from the start of its Philox stream.
 
-    Streams are keyed by ``(seed, path)``, an antithetic pair sharing one.
-    ``gens`` is the block's generator list: its first generators are
-    re-keyed to the start of the paths' streams (about 0.5-1 us each), and
-    the list grows by a new generator (15-20 us) for each path it lacks,
-    its key a ``uint64`` array: numpy reads a key list holding a seed of
-    2**63 or more through float64, which rounds it.
+    Streams are keyed by ``(seed, group)``.  ``gens`` is the block's
+    generator list: its first generators are re-keyed to the start of the
+    groups' streams (about 0.5-1 us each), and the list grows by a new
+    generator (15-20 us) for each group it lacks, its key a ``uint64``
+    array: numpy reads a key list holding a seed of 2**63 or more through
+    float64, which rounds it.
     """
-    keys = [[mc.seed, i // 2 if mc.antithetic else i] for i in ids]
+    keys = [[mc.seed, g] for g in groups]
     if not _STREAM_START:  # filled by one merge: no thread sees a part
         start = np.random.Philox(key=[0, 0]).state
         start["state"] = {k: v.tolist() for k, v in start["state"].items()}
@@ -191,14 +194,15 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     the states in place through two scratch buffers, ``rw + (e^{ld}·f)·dt``,
     ``ld + h·dt`` and ``(y + drift·dt) + √dt·z``, the step's ``(m, N)``
     increments being one contiguous row of the time-major chunk ``zt``
-    ``(chunk, m, N)``, broadcast over a ``(P·S, m, N)`` view, so the noise
-    is copied neither per step nor per pair.  ``y`` is written last, as a
-    callable's output may be a view of it.  At each chunk boundary the
-    block's paths draw in sub-batches of at most ``_SUB``: each path fills
-    its row of a small path-major scratch from its own stream, and one
-    transposing multiply writes the sub-batch into ``zt``: by ``√dt``, or
-    in an antithetic run by its rows of an ``(m, 1)`` factor that is
-    ``−√dt`` on the odd paths by global index, so no pass negates a strided
+    ``(chunk, paths, N)``, broadcast over a ``(P·S, m, N)`` view, so the
+    noise is copied neither per step nor per pair.  ``y`` is written last,
+    as a callable's output may be a view of it.  ``zt`` spans the whole
+    groups the block touches, a group's ``span`` of ``_GROUP`` paths (pairs
+    when antithetic), and the block reads its own columns.  Every
+    ``_CHUNK`` steps each group draws its ``(n, _GROUP, N)`` step-major
+    increments in one call, and one multiply writes them into the group's
+    columns of ``zt``: by ``√dt``, or in an antithetic run by a ``(2, 1)``
+    factor ``(√dt, −√dt)`` over the pair axis, so no pass negates a strided
     view (numpy 2.4.6 on AVX-512 negates a float64 view of 64-byte stride
     as if it were contiguous).  ``(−z)·√dt`` and ``z·(−√dt)`` are the same
     bits.
@@ -215,15 +219,18 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     """
     P, S, N, k = len(policies), len(starts), model.dim, model.controls.shape[1]
     sqdt = np.sqrt(dt)
+    per_index = 2 if mc.antithetic else 1  # paths per stream index
+    span = _GROUP * per_index  # paths per group
+    # antithetic: √dt on the even path of each pair, −√dt on the odd one
+    scale = np.array([[sqdt], [-sqdt]]) if mc.antithetic else sqdt
     for lo in range(0, mc.paths, _BLOCK):
-        ids = range(lo, min(lo + _BLOCK, mc.paths))
-        m = len(ids)
-        zt = np.empty((min(_CHUNK, steps), m, N))  # time-major: a step's row
-        zp = np.empty((min(_SUB, m), len(zt), N))  # one sub-batch, path-major
-        rows = list(zp)
-        # antithetic: √dt per path, negated on the odd global path indices
-        signed = (np.where(np.arange(lo, lo + m) % 2, -sqdt, sqdt)[:, None]
-                  if mc.antithetic else None)
+        m = min(_BLOCK, mc.paths - lo)
+        groups = range(lo // span, -(-(lo + m) // span))
+        # time-major: a step's row, over the whole groups the block touches
+        zt = np.empty((min(_CHUNK, steps), len(groups) * span, N))
+        noise = zt[:, lo % span:][:, :m]  # the block's own columns
+        by_group = zt.reshape(len(zt), len(groups), _GROUP, per_index, N)
+        z = np.empty((len(zt), _GROUP, 1, N))  # one group's draw, step-major
         # row (p, s, path) of the P*S*m rows that every coefficient call takes
         y = np.empty((P * S * m, N))
         y.reshape(P, S, m, N)[:] = starts[:, None]
@@ -238,23 +245,16 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
                 ld.reshape(P, S, m), None if rw is None else rw.reshape(P, S, m))
         gens = _POOL.pop("gens", [])  # one atomic call: never lent twice
         try:
-            draws = _path_draws(mc, ids, gens)
+            draws = _path_draws(mc, groups, gens)
             begin = 0
             for end in marks:  # one run of steps up to each record
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     for s in range(begin, end):
                         if s % _CHUNK == 0:
-                            if steps - s < len(rows[0]):
-                                rows = [row[:steps - s] for row in rows]
-                            n = len(rows[0])
-                            for a in range(0, m, len(rows)):
-                                at = slice(a, min(a + len(rows), m))
-                                sub = zp[:at.stop - a, :n]
-                                for draw, row in zip(draws[at], rows):
-                                    draw(out=row)
-                                np.multiply(sub.transpose(1, 0, 2),
-                                            sqdt if signed is None else signed[at],
-                                            out=zt[:n, at])
+                            n = min(_CHUNK, steps - s)
+                            for g, draw in enumerate(draws):
+                                draw(out=z[:n])
+                                np.multiply(z[:n], scale, out=by_group[:n, g])
                         t = t0 + s * dt
                         for p, policy in enumerate(policies):
                             policy_controls[p] = policy(by_policy[p], t)
@@ -270,7 +270,7 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
                         np.add(ld, scratch, out=ld)
                         np.multiply(drift, dt, out=step)
                         np.add(y, step, out=y)
-                        np.add(pairs, zt[s % _CHUNK], out=pairs)
+                        np.add(pairs, noise[s % _CHUNK], out=pairs)
                 begin = end
                 yield (lo, end) + live
         finally:
@@ -298,9 +298,11 @@ def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0,
     if starts.ndim != 2 or starts.shape[1] != model.dim:
         raise ParameterError(f"starts must have shape (S, {model.dim})")
     times = np.asarray(times, float)
-    marks = np.rint(times / dt).astype(int)
-    if np.any(times <= 0) or np.any(marks > steps):
+    with np.errstate(over="ignore"):  # a huge time is rejected below
+        marks = np.rint(times / dt)
+    if not np.all((times > 0) & (marks <= steps)):  # nan and inf fail too
         raise ParameterError("record times must lie in (0, T]")
+    marks = marks.astype(int)  # finite and in range: a clean cast
     if np.any(marks < 1):
         raise RecordTimeError(f"record time {times[marks < 1][0]:g} lies "
                               f"before the first Euler step of {dt:g}")

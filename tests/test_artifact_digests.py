@@ -118,7 +118,7 @@ PINNED = {  # (exit code, {artifact: sha256})
     }),
     "verify-bounds": (0, {
         "verify_report.json":
-            "a9047399fe38a3eab7cdfa7bbf5594e88c7ee8a470a6bcfe1050968f50d4d9d0",
+            "d456c9a27599df5dd077b932451dd4c1d41e2d3a49a335761279b87c3d691029",
     }),
     "solve-closed-form": (0, {
         "policy.csv":
@@ -138,7 +138,7 @@ PINNED = {  # (exit code, {artifact: sha256})
     }),
     "verify-field": (0, {
         "verify_report.json":
-            "4a2001a09db22bfb4c309ec880329931cc266a372b8836014b5ebf4b8300bef2",
+            "5039dd343846b108173e41b58c19b13beae7558d70abe7ce496630c3ecdead6c",
     }),
 }
 

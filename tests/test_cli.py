@@ -1094,6 +1094,15 @@ class TestBoundsFile:
         assert "--horizon" in capsys.readouterr().err
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
+    def test_huge_record_time_is_out_of_range(self, tmp_path, capsys):
+        # 1e300 / dt was cast to int before the check: numpy's invalid-cast
+        # warning, then a RecordTimeError advising a smaller --dt-sim
+        assert self._verify(tmp_path, dict(self.SCENARIO, T=1.0,
+                                           times=[1e300])) == 2
+        err = capsys.readouterr().err
+        assert "record times must lie in (0, T]" in err
+        assert "--dt-sim" not in err
+
     def test_infinite_horizon_flag_prints_the_error_alone(self, tmp_path):
         # T is checked before the default check times are built from it
         scenario = tmp_path / "bounds.json"

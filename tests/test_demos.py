@@ -19,13 +19,13 @@ PINNED = {
     "01_assumption_screen.py":
         "08a486d5fb64cbce55605ae27be51a2dbfeb231206f69caa64dd4f4d571ae441",
     "02_solve_and_verify.py":
-        "0a2fe03ef880d6967c0284b6170fadab937dfc3d6ba40660c197f70ea2d0c88f",
+        "dfb1cfbff419d36ce3242f57fbcc20642807fe37af7d32228f6e3bfd9c4ae7a1",
     "03_coupling_and_bounds.py":
-        "1dc6ccd46cee97097e8eeba7ff1d5b3c8c619c0c461c08d04d3a05f11ccfaeb0",
+        "998272c0a8028929d25787df72323b5127c45f0ea643498de4429ddf80cc8d63",
     "04_merton.py":
         "a9976cb44112b8e60bdeb1eba537fa540c7cbff3f1523854d8e2c89db41aafc5",
     "05_kappa_and_horizons.py":
-        "7c52d7ffe9e6b31a0b3a25a10cea4d2a23bab586b1d9381d31ea27cb8f0e3ff3",
+        "842174af5711d0997bccf30a91481a75dbd3922fb1678c1b7fcef470075c765a",
 }
 
 

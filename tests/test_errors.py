@@ -112,6 +112,12 @@ COUNTS = [
     pytest.param("seed", 0, 64, lambda v: hk.check_assumption1(
         constant_model(), [[-1.0, 1.0]], samples=8, seed=v),
                  id="check_assumption1-seed"),
+    pytest.param("samples", 2, 63, lambda v: hk.discount_admissible(
+        _market(), alpha=1.0, beta=0.0, P=1.0, Q=0.0, samples=v),
+                 id="discount_admissible-samples"),
+    pytest.param("seed", 0, 64, lambda v: hk.discount_admissible(
+        _market(), alpha=1.0, beta=0.0, P=1.0, Q=0.0, seed=v),
+                 id="discount_admissible-seed"),
     pytest.param("radius", 0, 63, lambda v: hk.estimate_kappa(
         constant_model(), v, 1.0, _mc()), id="estimate_kappa"),
     pytest.param("npi", 2, 63, lambda v: hk.to_control_model(_market(), (v, 3)),
@@ -136,3 +142,12 @@ def test_count_at_every_site(name, low, bits, call, case):
     }[case]
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("box", [(1.0, -1.0), (0.0, math.inf), (0.0, 1.0, 2.0)])
+def test_discount_admissible_box(box):
+    # a reversed box ended in a numpy ValueError, an infinite one in an
+    # OverflowError: the box goes through the assumption screen's check
+    with pytest.raises(ParameterError, match="box must give"):
+        hk.discount_admissible(_market(), alpha=1.0, beta=0.0, P=1.0, Q=0.0,
+                               box=box)

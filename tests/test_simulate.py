@@ -91,6 +91,14 @@ def _clipped_policy(y, t):
     return np.clip(np.asarray(y, float) + t, 0.0, 1.0)
 
 
+def _group_draws(seed, j, steps, dim):
+    """Stream index ``j``'s standard normals: its column of its group's
+    step-major draw, ``Philox(key=[seed, j // G])``, ``G = _GROUP``."""
+    group = sim._GROUP
+    return np.random.Generator(np.random.Philox(key=[seed, j // group])) \
+        .standard_normal((steps, group, dim))[:, j % group]
+
+
 def _noise_model(dim):
     """Zero drift, discount and rewards: the states are the summed noise."""
     return hk.ControlModel(
@@ -107,9 +115,9 @@ class TestKernel:
            steps=st.integers(1, 12), pairs=st.integers(1, 5),
            antithetic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
            starts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
-           sub=st.integers(1, 8), data=st.data())
+           group=st.integers(1, 8), data=st.data())
     def test_batched_slices_equal_single_runs(self, block, chunk, steps, pairs,
-                                              antithetic, seed, starts, sub,
+                                              antithetic, seed, starts, group,
                                               data):
         m = ou_model(reward="bounded")
         policies = [lambda y, t: np.array([0.5]), _clipped_policy,
@@ -122,11 +130,10 @@ class TestKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_BLOCK", block)
             mp.setattr(sim, "_CHUNK", chunk)
-            # the batch draws its increments in sub-batches of `sub` paths,
-            # the single runs in one sub-batch per block
-            mp.setattr(sim, "_SUB", sub)
+            # one stream per group of `group` indices, in the batch and in
+            # the single runs alike
+            mp.setattr(sim, "_GROUP", group)
             batch = simulate_paths(m, policies, starts, T, mc, times)
-            mp.setattr(sim, "_SUB", block)
             for p, policy in enumerate(policies):
                 for s, y0 in enumerate(starts):
                     one = simulate_paths(m, [policy], [y0], T, mc, times)
@@ -135,15 +142,15 @@ class TestKernel:
                         assert np.array_equal(getattr(one, name)[0, 0],
                                               getattr(batch, name)[p, s])
 
-    # sub-batches of one path, of two (not a divisor of the block of 3) and
-    # of the whole block
-    @pytest.mark.parametrize("sub", [1, 2, 64])
+    # one stream per path, groups of three (a block of 3 cuts them) and
+    # groups wider than the run
+    @pytest.mark.parametrize("group", [1, 3, 64])
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_chunked_increments_equal_bulk_draws(self, monkeypatch,
-                                                 antithetic, sub):
+                                                 antithetic, group):
         monkeypatch.setattr(sim, "_BLOCK", 3)
         monkeypatch.setattr(sim, "_CHUNK", 4)
-        monkeypatch.setattr(sim, "_SUB", sub)
+        monkeypatch.setattr(sim, "_GROUP", group)
         steps, dim, seed = 10, 2, 7
         mc = hk.MonteCarloConfig(paths=8, dt=0.1, seed=seed,
                                  antithetic=antithetic)
@@ -151,9 +158,7 @@ class TestKernel:
                                np.zeros((1, dim)), 1.0, mc,
                                0.1 * np.arange(1, steps + 1))
         for p in range(mc.paths):
-            stream = p // 2 if antithetic else p
-            z = np.random.Generator(np.random.Philox(key=[seed, stream])) \
-                .standard_normal((steps, dim))
+            z = _group_draws(seed, p // 2 if antithetic else p, steps, dim)
             if antithetic and p % 2:
                 z = -z
             y, expected = np.zeros(dim), []
@@ -162,20 +167,27 @@ class TestKernel:
                 expected.append(y)
             assert np.array_equal(batch.states[0, 0, :, p], expected)
 
-    # the odd paths' rows of a sub-batch of 3 out of a last chunk of one
-    # step form a float64 view with a 64-byte stride, which some numpy
+    # a block of 3 cuts pairs and groups; with dim 4 the odd paths of a
+    # chunk row form a float64 view with a 64-byte stride, which some numpy
     # builds negate as if it were contiguous
-    @pytest.mark.parametrize("sub", [1, 2, 3, 64])
-    def test_antithetic_partners_mirror_at_every_record(self, monkeypatch, sub):
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("group", [1, 2, 3, 64])
+    def test_antithetic_partners_mirror_at_every_record(self, monkeypatch,
+                                                        group, dim):
         monkeypatch.setattr(sim, "_BLOCK", 3)
         monkeypatch.setattr(sim, "_CHUNK", 4)
-        monkeypatch.setattr(sim, "_SUB", sub)
+        monkeypatch.setattr(sim, "_GROUP", group)
         mc = hk.MonteCarloConfig(paths=6, dt=0.2, seed=7, antithetic=True)
-        batch = simulate_paths(_noise_model(1), [zero_policy()], [[0.0]], 1.0,
-                               mc, 0.2 * np.arange(1, 6))
+        batch = simulate_paths(_noise_model(dim), [zero_policy()],
+                               np.zeros((1, dim)), 1.0, mc,
+                               0.2 * np.arange(1, 6))
         assert batch.states.shape[2] == 5
         assert np.array_equal(batch.states[..., 1::2, :],
                               -batch.states[..., 0::2, :])
+        for p in range(0, mc.paths, 2):
+            z = _group_draws(7, p // 2, 5, dim)
+            assert np.array_equal(batch.states[0, 0, :, p],
+                                  np.cumsum(np.sqrt(0.2) * z, axis=0))
 
     def test_policy_error_leaves_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK", 3)
@@ -192,11 +204,14 @@ class TestKernel:
                 simulate_paths(ou_model(), [failing], [[0.5]], 1.0, mc, [0.1])
             assert np.geterr() == caller
 
-    def test_consumer_runs_in_the_callers_error_state(self, monkeypatch):
+    @pytest.mark.parametrize("group", [1, 3, 64])
+    def test_consumer_runs_in_the_callers_error_state(self, monkeypatch,
+                                                      group):
         # the kernel ignores over, invalid and divide for its own steps
         # only: every yield hands back the caller's error state
         monkeypatch.setattr(sim, "_BLOCK", 3)
         monkeypatch.setattr(sim, "_CHUNK", 4)
+        monkeypatch.setattr(sim, "_GROUP", group)
         mc = hk.MonteCarloConfig(paths=8, dt=0.05, seed=0)
         seen = []
         with np.errstate(all="raise"):
@@ -261,6 +276,57 @@ class TestReproducibility:
                               small.states[0, 0, -1])
 
 
+class TestGroupStreams:
+    """One Philox stream per ``_GROUP`` stream indices, always drawn whole."""
+
+    @pytest.mark.parametrize("antithetic, path", [
+        (False, 0), (False, 63), (False, 64), (False, 130),
+        (True, 1), (True, 127), (True, 129), (True, 191)])
+    def test_path_records_independent_of_the_path_count(self, antithetic, path):
+        # path i's group is drawn whole even when the run ends inside it
+        m = ou_model(reward="bounded")
+
+        def run(paths):
+            mc = hk.MonteCarloConfig(paths=paths, dt=0.05, seed=3,
+                                     antithetic=antithetic)
+            return simulate_paths(m, [_clipped_policy], [[0.5]], 0.5, mc, [0.25])
+
+        few, many = run(path + 1), run(3 * sim._GROUP)
+        for name in RECORDS:  # the path axis follows [policy, start, record]
+            axis = 2 if name == "excluded" else 3
+            assert np.array_equal(np.take(getattr(few, name), path, axis),
+                                  np.take(getattr(many, name), path, axis))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("block", [50, 63, 101])
+    def test_block_cutting_a_group_equals_one_block(self, monkeypatch,
+                                                    antithetic, block):
+        # blocks of 50, 63 or 101 paths end inside groups of 64 paths or
+        # 64 pairs: each draws the cut group and keeps its own columns
+        m = ou_model(reward="bounded")
+        mc = hk.MonteCarloConfig(paths=300, dt=0.05, seed=8,
+                                 antithetic=antithetic)
+        args = (m, [_clipped_policy, zero_policy()], [[0.5], [-1.0]], 0.5, mc,
+                [0.25])
+        whole = simulate_paths(*args)
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        _assert_same(simulate_paths(*args), whole)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("block", [None, 100])
+    def test_pool_holds_one_generator_per_group(self, monkeypatch, antithetic,
+                                                block):
+        if block is not None:
+            monkeypatch.setattr(sim, "_BLOCK", block)
+        monkeypatch.setattr(sim, "_POOL", {})
+        span = sim._GROUP * (2 if antithetic else 1)
+        mc = hk.MonteCarloConfig(paths=sim._BLOCK + 3 * span, dt=0.1, seed=2,
+                                 antithetic=antithetic)
+        simulate_paths(_noise_model(1), [zero_policy()], [[0.0]], 0.1, mc)
+        # a block of 100 paths from path 100 touches groups 1, 2 and 3
+        assert 0 < len(sim._POOL["gens"]) <= _groups(sim._BLOCK, antithetic) + 1
+
+
 def _pooled_call(seed=5, antithetic=False, policy=_clipped_policy, paths=8):
     """Two starts, ten steps and a record inside the horizon."""
     mc = hk.MonteCarloConfig(paths=paths, dt=0.05, seed=seed,
@@ -275,6 +341,11 @@ def _cold_call(monkeypatch, **kwargs):
     return _pooled_call(**kwargs)
 
 
+def _groups(paths, antithetic):
+    """Groups that ``paths`` consecutive paths fill: one generator each."""
+    return -(-paths // (sim._GROUP * (2 if antithetic else 1)))
+
+
 def _assert_same(a, b):
     assert np.array_equal(a.times, b.times)
     for name in RECORDS:
@@ -285,15 +356,17 @@ def _assert_same(a, b):
 class TestGeneratorPool:
     """Pooled generators replay the streams a cold pool builds, bit for bit."""
 
-    @pytest.fixture(autouse=True)
-    def short_chunks(self, monkeypatch):
+    @pytest.fixture(autouse=True, params=[1, 3, 64])
+    def short_chunks(self, monkeypatch, request):
         # draws between steps, where a generator shared with another
-        # simulation would have moved on
+        # simulation would have moved on; one stream per path, per three
+        # stream indices and per group of the default size
         monkeypatch.setattr(sim, "_CHUNK", 3)
+        monkeypatch.setattr(sim, "_GROUP", request.param)
 
     def test_warm_pool(self, monkeypatch, antithetic):
         cold = _cold_call(monkeypatch, antithetic=antithetic)
-        _pooled_call(seed=9, paths=20)  # leaves 20 generators mid-stream
+        _pooled_call(seed=9, paths=20)  # leaves its generators mid-stream
         _assert_same(_pooled_call(antithetic=antithetic), cold)
 
     @pytest.mark.parametrize("seed", [2 ** 63 + 1, 2 ** 64 - 1])
@@ -315,7 +388,8 @@ class TestGeneratorPool:
 
         with pytest.raises(RuntimeError, match="policy failed"):
             _pooled_call(seed=9, antithetic=antithetic, policy=failing)
-        assert len(sim._POOL["gens"]) == 8  # handed back by the failed block
+        # handed back by the failed block
+        assert len(sim._POOL["gens"]) == _groups(8, antithetic)
         _assert_same(_pooled_call(antithetic=antithetic), cold)
 
     def test_policy_that_simulates(self, monkeypatch, antithetic):
@@ -359,14 +433,14 @@ class TestGeneratorPool:
             assert len(results[seed]) == 5
             for batch in results[seed]:
                 _assert_same(batch, serial[seed])
-        assert len(sim._POOL["gens"]) == 8
+        assert len(sim._POOL["gens"]) == _groups(8, antithetic)
 
     def test_three_blocks(self, monkeypatch, antithetic):
         cold = _cold_call(monkeypatch, antithetic=antithetic)
         monkeypatch.setattr(sim, "_POOL", {})
         monkeypatch.setattr(sim, "_BLOCK", 3)  # blocks of 3, 3 and 2 paths
         _assert_same(_pooled_call(antithetic=antithetic), cold)
-        assert len(sim._POOL["gens"]) <= sim._BLOCK
+        assert len(sim._POOL["gens"]) <= _groups(sim._BLOCK, antithetic) + 1
 
 
 def _nine_control_model():
@@ -462,6 +536,26 @@ class TestRecordTimes:
         for t in (0.0, -0.2, 0.6):
             with pytest.raises(ParameterError, match=r"\(0, T\]"):
                 simulate_paths(m, [zero_policy()], [[0.5]], 0.5, mc, [t])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, 1e300])
+    def test_time_checked_before_the_integer_cast(self, t):
+        # these were cast to int first: numpy's invalid-cast warning and a
+        # RecordTimeError saying the time lies before the first Euler step
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
+        spec = hk.UniformDiscountBound(w=1.0, L1=1.0, L2=-1.0)
+        for call in (lambda: simulate_paths(m, [zero_policy()], [[0.5]], 0.5,
+                                            mc, [0.2, t]),
+                     lambda: hk.verify_bounds(m, spec, [0.5], 0.5, mc, [t])):
+            with pytest.raises(ParameterError, match=r"\(0, T\]") as exc:
+                call()
+            assert not isinstance(exc.value, RecordTimeError)
+
+    def test_time_rounding_to_the_last_step_accepted(self):
+        m = ou_model()
+        mc = hk.MonteCarloConfig(paths=20, dt=0.1, seed=1)
+        batch = simulate_paths(m, [zero_policy()], [[0.5]], 0.5, mc, [0.54])
+        assert batch.times.tolist() == [0.5]
 
     def test_horizons_labelled_at_the_simulated_step(self):
         # dt 0.1: 0.15 is simulated at step 1, where the integral of f = 1
@@ -1143,15 +1237,14 @@ class TestRewardFreeEstimates:
 
 
 def loop_records(model, policies, starts, steps, dt, mc):
-    """Per-policy Euler loops on the kernel's Philox streams: the oracle.
+    """Per-policy Euler loops on the kernel's Philox group streams: the oracle.
 
     Returns ``(states, log_discount, reward_integral, deltas)`` after every
     step, indexed ``[policy, start, path, step]``.
     """
     N = model.dim
-    z = np.array([np.random.Generator(np.random.Philox(
-        key=[mc.seed, i // 2 if mc.antithetic else i])).standard_normal((steps, N))
-        for i in range(mc.paths)])
+    z = np.array([_group_draws(mc.seed, i // 2 if mc.antithetic else i, steps, N)
+                  for i in range(mc.paths)])
     if mc.antithetic:
         z[1::2] = -z[1::2]
     noise = np.sqrt(dt) * z
