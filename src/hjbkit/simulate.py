@@ -41,10 +41,9 @@ a stream index is a path, or an antithetic pair.  A group is always drawn
 whole, step-major, so a path's increments, and so every result, are
 bit-reproducible and independent of the path count, of how paths are
 blocked, of how the increments are chunked in time and of how many
-(policy, start) pairs share them.  A block of paths borrows one generator
-per group from ``_POOL`` (at most ``_BLOCK`` divided by the group span, plus
-one), re-keys it to the start of its group's stream and draws ``_CHUNK``
-steps at a time, one call per group, into a time-major chunk, multiplying
+(policy, start) pairs share them.  A block of paths builds one generator
+per group it touches and draws ``_CHUNK`` steps at a time, one call per
+group, into a time-major chunk, multiplying
 by ``√dt`` (by ``−√dt`` on the odd paths of an antithetic run), so the
 loop's memory does not grow with the horizon; the records take one value
 per policy, start, path and record time.
@@ -87,12 +86,6 @@ _CHUNK = 128          # steps of increments drawn at a time
 _GROUP = 64           # stream indices (paths, or antithetic pairs) per stream
 _RECORD_BYTES = 1 << 25   # records plus one sample row per moment-check group
 _EXCLUSION_BUDGET = 1e-3
-# a stream's start, key swapped in per group, held as Python ints and lists:
-# the state setter reads those about 3x as fast as the getter's uint64 arrays.
-# Built on the first draw: importing numpy.random takes 12-17 ms, and a solve
-# never draws
-_STREAM_START = {}
-_POOL = {}   # "gens": one list of group generators, lent to one block at a time
 
 
 @dataclass(frozen=True)
@@ -152,31 +145,6 @@ def _steps_for(T, dt):
     return steps, T / steps
 
 
-def _path_draws(mc, groups, gens):
-    """Each group's ``standard_normal``, from the start of its Philox stream.
-
-    Streams are keyed by ``(seed, group)``.  ``gens`` is the block's
-    generator list: its first generators are re-keyed to the start of the
-    groups' streams (about 0.5-1 us each), and the list grows by a new
-    generator (15-20 us) for each group it lacks, its key a ``uint64``
-    array: numpy reads a key list holding a seed of 2**63 or more through
-    float64, which rounds it.
-    """
-    keys = [[mc.seed, g] for g in groups]
-    if not _STREAM_START:  # filled by one merge: no thread sees a part
-        start = np.random.Philox(key=[0, 0]).state
-        start["state"] = {k: v.tolist() for k, v in start["state"].items()}
-        _STREAM_START.update({k: v.tolist() if isinstance(v, np.ndarray)
-                              else v for k, v in start.items()})
-    start = dict(_STREAM_START, state=dict(_STREAM_START["state"]))
-    for gen, key in zip(gens, keys):
-        start["state"]["key"] = key
-        gen.bit_generator.state = start
-    gens += [np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
-             for key in keys[len(gens):]]
-    return [gen.standard_normal for gen in gens[:len(keys)]]
-
-
 def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     """The Euler loop over blocks of paths, for every (policy, start) pair.
 
@@ -186,9 +154,8 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
     log-discounts and reward integrals.  The views are the live
     buffers, updated in place by the next step, so they are to be copied or
     reduced before the loop resumes.  With ``reward=False`` the step never
-    calls ``model.running_reward`` and ``rw`` is None.  A block borrows the
-    pooled generators (a new list while a nested or concurrent call holds
-    them) and hands them back however it ends.
+    calls ``model.running_reward`` and ``rw`` is None.  Each block builds
+    its own generators, so nested and concurrent calls share none.
 
     A step allocates nothing of its own: it updates the integrals and then
     the states in place through two scratch buffers, ``rw + (e^{ld}·f)·dt``,
@@ -243,38 +210,37 @@ def _march(model, policies, starts, steps, dt, mc, marks, t0, reward=True):
         pairs = y.reshape(P * S, m, N)
         live = (y.reshape(P, S, m, N), d.reshape(k, P, S, m).transpose(1, 2, 3, 0),
                 ld.reshape(P, S, m), None if rw is None else rw.reshape(P, S, m))
-        gens = _POOL.pop("gens", [])  # one atomic call: never lent twice
-        try:
-            draws = _path_draws(mc, groups, gens)
-            begin = 0
-            for end in marks:  # one run of steps up to each record
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for s in range(begin, end):
-                        if s % _CHUNK == 0:
-                            n = min(_CHUNK, steps - s)
-                            for g, draw in enumerate(draws):
-                                draw(out=z[:n])
-                                np.multiply(z[:n], scale, out=by_group[:n, g])
-                        t = t0 + s * dt
-                        for p, policy in enumerate(policies):
-                            policy_controls[p] = policy(by_policy[p], t)
-                        drift = np.asarray(model.drift(y, controls), float)
-                        hv = np.asarray(model.discount_rate(y, controls), float)
-                        if reward:
-                            fv = np.asarray(model.running_reward(y, controls), float)
-                            np.exp(ld, out=scratch)
-                            np.multiply(scratch, fv, out=scratch)
-                            np.multiply(scratch, dt, out=scratch)
-                            np.add(rw, scratch, out=rw)
-                        np.multiply(hv, dt, out=scratch)
-                        np.add(ld, scratch, out=ld)
-                        np.multiply(drift, dt, out=step)
-                        np.add(y, step, out=y)
-                        np.add(pairs, noise[s % _CHUNK], out=pairs)
-                begin = end
-                yield (lo, end) + live
-        finally:
-            _POOL["gens"] = gens
+        # one stream per group, keyed (seed, group) as uint64: numpy reads a
+        # key list holding a seed of 2**63 or more through float64
+        draws = [np.random.Generator(np.random.Philox(key=np.array(
+            [mc.seed, g], np.uint64))).standard_normal for g in groups]
+        begin = 0
+        for end in marks:  # one run of steps up to each record
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for s in range(begin, end):
+                    if s % _CHUNK == 0:
+                        n = min(_CHUNK, steps - s)
+                        for g, draw in enumerate(draws):
+                            draw(out=z[:n])
+                            np.multiply(z[:n], scale, out=by_group[:n, g])
+                    t = t0 + s * dt
+                    for p, policy in enumerate(policies):
+                        policy_controls[p] = policy(by_policy[p], t)
+                    drift = np.asarray(model.drift(y, controls), float)
+                    hv = np.asarray(model.discount_rate(y, controls), float)
+                    if reward:
+                        fv = np.asarray(model.running_reward(y, controls), float)
+                        np.exp(ld, out=scratch)
+                        np.multiply(scratch, fv, out=scratch)
+                        np.multiply(scratch, dt, out=scratch)
+                        np.add(rw, scratch, out=rw)
+                    np.multiply(hv, dt, out=scratch)
+                    np.add(ld, scratch, out=ld)
+                    np.multiply(drift, dt, out=step)
+                    np.add(y, step, out=y)
+                    np.add(pairs, noise[s % _CHUNK], out=pairs)
+            begin = end
+            yield (lo, end) + live
 
 
 def simulate_paths(model, policies, starts, T, mc, times=(), t0=0.0,

@@ -93,9 +93,11 @@ def _clipped_policy(y, t):
 
 def _group_draws(seed, j, steps, dim):
     """Stream index ``j``'s standard normals: its column of its group's
-    step-major draw, ``Philox(key=[seed, j // G])``, ``G = _GROUP``."""
+    step-major draw, ``Philox(key=[seed, j // G])`` keyed as uint64,
+    ``G = _GROUP``."""
     group = sim._GROUP
-    return np.random.Generator(np.random.Philox(key=[seed, j // group])) \
+    key = np.array([seed, j // group], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)) \
         .standard_normal((steps, group, dim))[:, j % group]
 
 
@@ -167,9 +169,11 @@ class TestKernel:
                 expected.append(y)
             assert np.array_equal(batch.states[0, 0, :, p], expected)
 
-    # a block of 3 cuts pairs and groups; with dim 4 the odd paths of a
-    # chunk row form a float64 view with a 64-byte stride, which some numpy
-    # builds negate as if it were contiguous
+    # a block of 3 cuts pairs and groups; the even paths are checked
+    # against the group streams and the odd ones mirror them, at dim 1 and
+    # 4.  The kernel signs the odd paths in its multiply and never calls
+    # np.negative, which some numpy builds get wrong on a float64 view of
+    # 64-byte stride: this case does not reproduce that fault
     @pytest.mark.parametrize("dim", [1, 4])
     @pytest.mark.parametrize("group", [1, 2, 3, 64])
     def test_antithetic_partners_mirror_at_every_record(self, monkeypatch,
@@ -312,38 +316,55 @@ class TestGroupStreams:
         monkeypatch.setattr(sim, "_BLOCK", block)
         _assert_same(simulate_paths(*args), whole)
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    @pytest.mark.parametrize("block", [None, 100])
-    def test_pool_holds_one_generator_per_group(self, monkeypatch, antithetic,
-                                                block):
+    @pytest.mark.parametrize("antithetic, block, paths, groups", [
+        (False, None, 2000, list(range(32))),
+        (True, None, 2000, list(range(16))),
+        # blocks of 100 paths from 0, 100 and 200 touch groups of 64 paths
+        # {0, 1}, {1, 2, 3} and {3, 4}, and groups of 64 pairs {0}, {0, 1}
+        # and {1, 2}
+        (False, 100, 300, [0, 1, 1, 2, 3, 3, 4]),
+        (True, 100, 300, [0, 0, 1, 1, 2])])
+    def test_one_generator_per_group_and_block(self, monkeypatch, antithetic,
+                                               block, paths, groups):
         if block is not None:
             monkeypatch.setattr(sim, "_BLOCK", block)
-        monkeypatch.setattr(sim, "_POOL", {})
-        span = sim._GROUP * (2 if antithetic else 1)
-        mc = hk.MonteCarloConfig(paths=sim._BLOCK + 3 * span, dt=0.1, seed=2,
+        built = _built_keys(monkeypatch)
+        mc = hk.MonteCarloConfig(paths=paths, dt=0.1, seed=2,
                                  antithetic=antithetic)
         simulate_paths(_noise_model(1), [zero_policy()], [[0.0]], 0.1, mc)
-        # a block of 100 paths from path 100 touches groups 1, 2 and 3
-        assert 0 < len(sim._POOL["gens"]) <= _groups(sim._BLOCK, antithetic) + 1
+        assert built == [[2, g] for g in groups]
+
+    @pytest.mark.parametrize("seed", [2 ** 63 + 1, 2 ** 64 - 1])
+    def test_seed_past_the_float64_integers(self, seed):
+        # float64 rounds both seeds: a key read through it would draw
+        # another stream
+        mc = hk.MonteCarloConfig(paths=2, dt=0.2, seed=seed)
+        batch = simulate_paths(_noise_model(1), [zero_policy()], [[0.0]], 1.0,
+                               mc, 0.2 * np.arange(1, 6))
+        for p in range(mc.paths):
+            z = _group_draws(seed, p, 5, 1)
+            assert np.array_equal(batch.states[0, 0, :, p],
+                                  np.cumsum(np.sqrt(0.2) * z, axis=0))
 
 
-def _pooled_call(seed=5, antithetic=False, policy=_clipped_policy, paths=8):
+def _built_keys(monkeypatch):
+    """The keys of every Philox generator built from now on, as lists."""
+    built, philox = [], np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(np.asarray(kwargs["key"]).tolist())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(sim.np.random, "Philox", counted)
+    return built
+
+
+def _short_call(seed=5, antithetic=False, policy=_clipped_policy):
     """Two starts, ten steps and a record inside the horizon."""
-    mc = hk.MonteCarloConfig(paths=paths, dt=0.05, seed=seed,
+    mc = hk.MonteCarloConfig(paths=8, dt=0.05, seed=seed,
                              antithetic=antithetic)
     return simulate_paths(ou_model(reward="bounded"), [policy],
                           [[0.5], [-1.0]], 0.5, mc, [0.25])
-
-
-def _cold_call(monkeypatch, **kwargs):
-    """``_pooled_call`` on an empty generator pool: every stream built new."""
-    monkeypatch.setattr(sim, "_POOL", {})
-    return _pooled_call(**kwargs)
-
-
-def _groups(paths, antithetic):
-    """Groups that ``paths`` consecutive paths fill: one generator each."""
-    return -(-paths // (sim._GROUP * (2 if antithetic else 1)))
 
 
 def _assert_same(a, b):
@@ -353,69 +374,40 @@ def _assert_same(a, b):
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
-class TestGeneratorPool:
-    """Pooled generators replay the streams a cold pool builds, bit for bit."""
+class TestNoSharedStreams:
+    """Every block builds its own generators: nested and concurrent calls
+    replay serial ones, bit for bit."""
 
-    @pytest.fixture(autouse=True, params=[1, 3, 64])
-    def short_chunks(self, monkeypatch, request):
+    @pytest.fixture(autouse=True)
+    def short_chunks(self, monkeypatch):
         # draws between steps, where a generator shared with another
-        # simulation would have moved on; one stream per path, per three
-        # stream indices and per group of the default size
+        # simulation would have moved on
         monkeypatch.setattr(sim, "_CHUNK", 3)
-        monkeypatch.setattr(sim, "_GROUP", request.param)
 
-    def test_warm_pool(self, monkeypatch, antithetic):
-        cold = _cold_call(monkeypatch, antithetic=antithetic)
-        _pooled_call(seed=9, paths=20)  # leaves its generators mid-stream
-        _assert_same(_pooled_call(antithetic=antithetic), cold)
-
-    @pytest.mark.parametrize("seed", [2 ** 63 + 1, 2 ** 64 - 1])
-    def test_warm_pool_past_the_float64_integers(self, monkeypatch,
-                                                 antithetic, seed):
-        # a new generator must not read the seed through float64, which
-        # rounds it and so draws a stream no re-keyed generator draws
-        cold = _cold_call(monkeypatch, seed=seed, antithetic=antithetic)
-        _pooled_call(seed=9, paths=20)
-        _assert_same(_pooled_call(seed=seed, antithetic=antithetic), cold)
-
-    def test_after_a_policy_raised_mid_march(self, monkeypatch, antithetic):
-        cold = _cold_call(monkeypatch, antithetic=antithetic)
-
-        def failing(y, t):
-            if t > 0.2:
-                raise RuntimeError("policy failed")
-            return _clipped_policy(y, t)
-
-        with pytest.raises(RuntimeError, match="policy failed"):
-            _pooled_call(seed=9, antithetic=antithetic, policy=failing)
-        # handed back by the failed block
-        assert len(sim._POOL["gens"]) == _groups(8, antithetic)
-        _assert_same(_pooled_call(antithetic=antithetic), cold)
-
-    def test_policy_that_simulates(self, monkeypatch, antithetic):
-        cold_inner = _cold_call(monkeypatch, seed=11, antithetic=antithetic)
-        cold = _cold_call(monkeypatch, antithetic=antithetic)
+    def test_policy_that_simulates(self, antithetic):
+        serial_inner = _short_call(seed=11, antithetic=antithetic)
+        serial = _short_call(antithetic=antithetic)
         inner = []
 
         def nesting(y, t):
-            inner.append(_pooled_call(seed=11, antithetic=antithetic))
+            inner.append(_short_call(seed=11, antithetic=antithetic))
             return _clipped_policy(y, t)
 
-        _assert_same(_pooled_call(antithetic=antithetic, policy=nesting), cold)
+        _assert_same(_short_call(antithetic=antithetic, policy=nesting), serial)
         assert len(inner) == 10
         for batch in inner:
-            _assert_same(batch, cold_inner)
+            _assert_same(batch, serial_inner)
 
-    def test_threads_equal_serial_calls(self, monkeypatch, antithetic):
+    def test_threads_equal_serial_calls(self, antithetic):
         seeds = [1, 2, 3, 4]  # more threads than cores
-        serial = {seed: _cold_call(monkeypatch, seed=seed,
-                                   antithetic=antithetic) for seed in seeds}
+        serial = {seed: _short_call(seed=seed, antithetic=antithetic)
+                  for seed in seeds}
         results = {seed: [] for seed in seeds}
 
         def work(seed):
             for _ in range(5):
-                results[seed].append(_pooled_call(seed=seed,
-                                                  antithetic=antithetic))
+                results[seed].append(_short_call(seed=seed,
+                                                 antithetic=antithetic))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -433,14 +425,6 @@ class TestGeneratorPool:
             assert len(results[seed]) == 5
             for batch in results[seed]:
                 _assert_same(batch, serial[seed])
-        assert len(sim._POOL["gens"]) == _groups(8, antithetic)
-
-    def test_three_blocks(self, monkeypatch, antithetic):
-        cold = _cold_call(monkeypatch, antithetic=antithetic)
-        monkeypatch.setattr(sim, "_POOL", {})
-        monkeypatch.setattr(sim, "_BLOCK", 3)  # blocks of 3, 3 and 2 paths
-        _assert_same(_pooled_call(antithetic=antithetic), cold)
-        assert len(sim._POOL["gens"]) <= _groups(sim._BLOCK, antithetic) + 1
 
 
 def _nine_control_model():
@@ -987,9 +971,12 @@ class TestBoundVerification:
         # each factor by whole-array expressions holds 3x
         assert peak <= 1.5 * records
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_control_groups_build_each_stream_once(self, monkeypatch,
-                                                   antithetic):
+    # blocks of 64 paths from 0, 64, 128 and 192 touch one group each: of
+    # 64 paths 0, 1, 2, 3, of 64 pairs 0, 0, 1, 1
+    @pytest.mark.parametrize("antithetic, streams", [
+        (False, [0, 1, 2, 3]), (True, [0, 0, 1, 1])])
+    def test_control_groups_draw_the_streams_of_one_call(self, monkeypatch,
+                                                         antithetic, streams):
         m = ou_model(controls=((0.0,), (1.0,)), reward="bounded")
         mc = hk.MonteCarloConfig(paths=200, dt=1e-2, seed=4,
                                  antithetic=antithetic)
@@ -999,32 +986,21 @@ class TestBoundVerification:
                                             [0.5], "discounted_reward")["f"]
 
         whole = estimates()
-        built, groups = [], []
-        philox, simulate = np.random.Philox, sim.simulate_paths
-
-        def counted(*args, **kwargs):
-            built.append(kwargs["key"])
-            return philox(*args, **kwargs)
+        groups, simulate = [], sim.simulate_paths
 
         def recorded(model, policies, *args, **kwargs):
             groups.append(len(policies))
             return simulate(model, policies, *args, **kwargs)
 
-        monkeypatch.setattr(sim.np.random, "Philox", counted)
+        built = _built_keys(monkeypatch)
         monkeypatch.setattr(sim, "simulate_paths", recorded)
         monkeypatch.setattr(sim, "_BLOCK", 64)  # four blocks of paths
         monkeypatch.setattr(sim, "_RECORD_BYTES", 1)  # one control per group
-        monkeypatch.setattr(sim, "_POOL", {})  # a cold pool
         grouped = estimates()
         assert groups == [1, 1]
-        # one block's generators, re-keyed by every later block and group
-        assert 0 < len(built) <= sim._BLOCK
-        built.clear()
-        warm = estimates()
-        assert built == []
+        assert built == 2 * [[4, g] for g in streams]
         for name in ("mean", "std_error", "excluded"):
             assert np.array_equal(getattr(grouped, name), getattr(whole, name))
-            assert np.array_equal(getattr(warm, name), getattr(whole, name))
 
     def test_envelope_bound(self):
         m = ou_model()
